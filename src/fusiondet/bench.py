@@ -1,4 +1,4 @@
-"""Micro-benchmarks for the sampling and mixing kernels.
+"""Micro-benchmarks for one decoder layer and its sampling and mixing kernels.
 
 Wall-time percentiles over repeated runs with deterministic inputs. numpy
 allocates inside every op, so the "no allocation in the timed region" rule
@@ -8,13 +8,17 @@ to any hardware-bound latency figures.
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import tensor as T
 from .config import RunConfig
+from .decoder import decode_layer
 from .paqg import generate_queries
 from .params import init_model_params
 from .rias import adaptive_mix, mix_params, pattern_params, predict_pattern, sample_camera, sample_lidar
@@ -56,8 +60,27 @@ def _percentiles(samples: list) -> tuple:
     return tuple(float(np.percentile(arr, q)) for q in (50, 90, 99))
 
 
+def _time_ms(fn, repetitions: int) -> list:
+    """Wall time of ``fn()`` in ms, once per repetition, after 5 warm-up calls."""
+    for _ in range(5):
+        fn()
+    samples = []
+    for _ in range(repetitions):
+        t0 = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - t0) * 1e3)
+    return samples
+
+
 def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchReport:
-    """Time one kernel at the configured sizes; >= 30 warm repetitions."""
+    """Time one kernel at the configured sizes; >= 30 warm repetitions.
+
+    ``full_layer`` times :func:`decoder.decode_layer` (sampling, mixing, UAF
+    and the heads), and its ``parts_ms`` hold the mean time of each stage
+    kernel, timed on its own. Every stage kernel runs on layer-0 inputs built
+    once, outside the timed region: ``predict_pattern`` and ``adaptive_mix``
+    cover both branches, the two samplers one branch each.
+    """
     if kernel not in KERNELS:
         raise BenchError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     repetitions = max(30, int(repetitions))
@@ -65,79 +88,40 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
     scene = generate_scene(mcfg, cfg.sim, scene_id=0)
     store = init_model_params(mcfg, seed=0)
     rng = np.random.default_rng(0)
-    batch = generate_queries(
-        scene.gt_boxes, scene.rig, scene.feature_set(mcfg), mcfg,
-        cfg.sim.oracle, store["query.default_embedding"], rng,
-    )
     feats = scene.feature_set(mcfg)
     pyramid = scene.lidar_pyramid(mcfg)
-
-    def layer_parts():
-        parts = {}
-        t0 = time.perf_counter()
-        half = T.mul(T.exp(T.narrow(batch.box_state, 1, 3, 3)), 0.5)
-        sincos = T.narrow(batch.box_state, 1, 6, 2)
-        pat_l = predict_pattern(
-            batch.features, half, sincos, pattern_params(store, "layer0.lidar"),
-            "lidar", mcfg.num_lidar_scales, mcfg.num_points, 1, mcfg.max_offset_factor)
-        pat_c = predict_pattern(
-            batch.features, half, sincos, pattern_params(store, "layer0.camera"),
-            "camera", mcfg.num_frames, mcfg.num_points, mcfg.num_cam_scales,
-            mcfg.max_offset_factor)
-        parts["predict_pattern"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        roi_l = sample_lidar(batch.centers_xy(), pat_l, pyramid)
-        parts["sample_lidar"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        roi_c = sample_camera(batch.centers(), pat_c, feats, scene.rig)
-        parts["sample_camera"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        adaptive_mix(batch.features, roi_l, mix_params(store, "layer0.lidar"))
-        adaptive_mix(batch.features, roi_c, mix_params(store, "layer0.camera"))
-        parts["adaptive_mix"] = time.perf_counter() - t0
-        return parts
-
-    def run_once():
-        half = T.mul(T.exp(T.narrow(batch.box_state, 1, 3, 3)), 0.5)
-        sincos = T.narrow(batch.box_state, 1, 6, 2)
-        if kernel == "sample_lidar":
-            pat = predict_pattern(
-                batch.features, half, sincos, pattern_params(store, "layer0.lidar"),
-                "lidar", mcfg.num_lidar_scales, mcfg.num_points, 1, mcfg.max_offset_factor)
-            sample_lidar(batch.centers_xy(), pat, pyramid)
-        elif kernel == "sample_camera":
-            pat = predict_pattern(
-                batch.features, half, sincos, pattern_params(store, "layer0.camera"),
-                "camera", mcfg.num_frames, mcfg.num_points, mcfg.num_cam_scales,
-                mcfg.max_offset_factor)
-            sample_camera(batch.centers(), pat, feats, scene.rig)
-        elif kernel == "adaptive_mix":
-            pat = predict_pattern(
-                batch.features, half, sincos, pattern_params(store, "layer0.lidar"),
-                "lidar", mcfg.num_lidar_scales, mcfg.num_points, 1, mcfg.max_offset_factor)
-            roi = sample_lidar(batch.centers_xy(), pat, pyramid)
-            adaptive_mix(batch.features, roi, mix_params(store, "layer0.lidar"))
+    batch = generate_queries(
+        scene.gt_boxes, scene.rig, feats, mcfg,
+        cfg.sim.oracle, store["query.default_embedding"], rng,
+    )
+    pp_lid = pattern_params(store, "layer0.lidar")
+    pp_cam = pattern_params(store, "layer0.camera")
+    mp_lid = mix_params(store, "layer0.lidar")
+    mp_cam = mix_params(store, "layer0.camera")
+    centers = batch.centers()
+    centers_xy = batch.centers_xy()
 
     with T.no_grad():
-        samples = []
-        parts_acc: dict = {}
+        pat_lid = predict_pattern(batch, pp_lid, "lidar", mcfg)
+        pat_cam = predict_pattern(batch, pp_cam, "camera", mcfg)
+        roi_lid = sample_lidar(centers_xy, pat_lid, pyramid)
+        roi_cam = sample_camera(centers, pat_cam, feats, scene.rig)
+        stages = {
+            "predict_pattern": lambda: (predict_pattern(batch, pp_lid, "lidar", mcfg),
+                                        predict_pattern(batch, pp_cam, "camera", mcfg)),
+            "sample_lidar": lambda: sample_lidar(centers_xy, pat_lid, pyramid),
+            "sample_camera": lambda: sample_camera(centers, pat_cam, feats, scene.rig),
+            "adaptive_mix": lambda: (adaptive_mix(batch.features, roi_lid, mp_lid),
+                                     adaptive_mix(batch.features, roi_cam, mp_cam)),
+        }
         if kernel == "full_layer":
-            for _ in range(5):  # warmup
-                layer_parts()
-            for _ in range(repetitions):
-                t0 = time.perf_counter()
-                parts = layer_parts()
-                samples.append((time.perf_counter() - t0) * 1e3)
-                for k, v in parts.items():
-                    parts_acc[k] = parts_acc.get(k, 0.0) + v * 1e3
-            parts_ms = {k: v / repetitions for k, v in parts_acc.items()}
+            samples = _time_ms(
+                lambda: decode_layer(0, batch, feats, pyramid, scene.rig, store, mcfg),
+                repetitions)
+            parts_ms = {name: float(np.mean(_time_ms(fn, repetitions)))
+                        for name, fn in stages.items()}
         else:
-            for _ in range(5):
-                run_once()
-            for _ in range(repetitions):
-                t0 = time.perf_counter()
-                run_once()
-                samples.append((time.perf_counter() - t0) * 1e3)
+            samples = _time_ms(stages[kernel], repetitions)
             parts_ms = {}
 
     p50, p90, p99 = _percentiles(samples)
@@ -159,3 +143,14 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
         queries_per_s=qps,
         parts_ms=parts_ms,
     )
+
+
+def machine_info() -> dict:
+    """The interpreter, package versions and thread setting a bench ran under."""
+    return {
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "platform": platform.platform(),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
+    }

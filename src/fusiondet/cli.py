@@ -14,9 +14,8 @@ import os
 import sys
 
 from . import __version__
-from .bench import KERNELS, BenchError, bench_kernel
+from .bench import KERNELS, BenchError, bench_kernel, machine_info
 from .config import ConfigError, RunConfig
-from .decoder import decode
 from .gradsuite import run_suite
 from .metrics import evaluate_detections, write_bins_csv, write_report_json
 from .params import (
@@ -226,7 +225,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     kernels = [args.kernel] if args.kernel else list(KERNELS)
     reports = [bench_kernel(k, cfg, args.reps) for k in kernels]
-    doc = {"reports": [r.to_dict() for r in reports], **_report_extra(cfg)}
+    doc = {"reports": [r.to_dict() for r in reports], **_report_extra(cfg), **machine_info()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=1)

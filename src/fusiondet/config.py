@@ -19,6 +19,26 @@ class ConfigError(ValueError):
     pass
 
 
+_LEAF_TYPES = {"int": int, "float": (int, float), "str": str, "list": list}
+
+
+def _fits(declared: str, value) -> bool:
+    """Whether a JSON value fits a leaf's declared type. An int fits a float
+    leaf and is kept as written, so its hash does not change; a bool fits no
+    leaf; every list leaf holds numbers."""
+    if isinstance(value, bool) or not isinstance(value, _LEAF_TYPES[declared]):
+        return False
+    return declared != "list" or all(_fits("float", v) for v in value)
+
+
+def _check_leaf(f, value, dotted: str):
+    if f.type not in _LEAF_TYPES:
+        raise ConfigError(f"{dotted} is a section, not a value")
+    if not _fits(f.type, value):
+        want = "a list of numbers" if f.type == "list" else f"of type {f.type}"
+        raise ConfigError(f"{dotted} must be {want}, got {json.dumps(value)}")
+
+
 def _strict_from_dict(cls, d: dict, prefix: str):
     if not isinstance(d, dict):
         raise ConfigError(f"section '{prefix.rstrip('.')}' must be an object")
@@ -29,6 +49,7 @@ def _strict_from_dict(cls, d: dict, prefix: str):
     kwargs = {}
     for f in fields(cls):
         if f.name in d:
+            _check_leaf(f, d[f.name], prefix + f.name)
             kwargs[f.name] = d[f.name]
     return cls(**kwargs)
 
@@ -53,7 +74,6 @@ class ModelSection:
     center_step: float = 1.0  # center shift per unit head output, in range extents
     velocity_step: float = 1.0
     nms_iou: float = 0.5
-    hidden_mult: int = 2
 
     def validate(self):
         if self.num_queries != self.num_top + self.num_random:
@@ -75,25 +95,6 @@ class ModelSection:
             self.range_xy[0], self.range_xy[1],
             self.range_z[0], self.range_z[1],
         )
-
-
-def full_scale_model() -> "ModelSection":
-    """Full-scale hyperparameters (not runnable at desk size; for reference)."""
-    return ModelSection(
-        channels=256,
-        num_queries=900,
-        num_top=200,
-        num_random=700,
-        num_points=4,
-        num_layers=6,
-        num_cam_scales=4,
-        num_lidar_scales=4,
-        num_frames=13,
-        num_views=6,
-        num_classes=10,
-        range_xy=[-54.0, 54.0],
-        range_z=[-5.0, 3.0],
-    )
 
 
 @dataclass
@@ -206,24 +207,15 @@ class ScenarioSection:
 
 
 @dataclass
-class IoSection:
-    out_dir: str = ""
-
-    def validate(self):
-        pass
-
-
-@dataclass
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
     sim: SimSection = field(default_factory=SimSection)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
-    io: IoSection = field(default_factory=IoSection)
 
     def validate(self):
-        for sec in (self.model, self.sim, self.train, self.eval, self.scenario, self.io):
+        for sec in (self.model, self.sim, self.train, self.eval, self.scenario):
             sec.validate()
 
     @classmethod
@@ -240,7 +232,6 @@ class RunConfig:
             train=_strict_from_dict(TrainSection, d.get("train", {}), "train."),
             eval=_strict_from_dict(EvalSection, d.get("eval", {}), "eval."),
             scenario=_strict_from_dict(ScenarioSection, d.get("scenario", {}), "scenario."),
-            io=_strict_from_dict(IoSection, d.get("io", {}), "io."),
         )
         cfg.validate()
         return cfg
@@ -271,14 +262,15 @@ class RunConfig:
             if not hasattr(obj, p):
                 raise ConfigError(f"unknown config key: {dotted}")
             obj = getattr(obj, p)
-        leaf = parts[-1]
-        if not dataclasses.is_dataclass(obj) or leaf not in {f.name for f in fields(obj)}:
+        leaves = {f.name: f for f in fields(obj)} if dataclasses.is_dataclass(obj) else {}
+        if parts[-1] not in leaves:
             raise ConfigError(f"unknown config key: {dotted}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings allowed
-        setattr(obj, leaf, value)
+        _check_leaf(leaves[parts[-1]], value, dotted)
+        setattr(obj, parts[-1], value)
 
 
 def _sim_from_dict(d: dict) -> SimSection:

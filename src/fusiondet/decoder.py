@@ -85,6 +85,79 @@ def _nearest_gt_xy(centers_xy: np.ndarray, gt_boxes: list) -> np.ndarray:
     return gt_xy[d.argmin(axis=1)]
 
 
+def decode_layer(
+    layer: int,
+    batch: QueryBatch,
+    cam_feats: CameraFeatureSet,
+    lidar_feats: LidarFeaturePyramid,
+    rig: CameraRig,
+    store: ParamStore,
+    cfg: ModelSection,
+    fusion: str = "uaf",
+    oracle_gt: list | None = None,
+) -> tuple:
+    """One decoder layer: sample and mix both modalities, fuse, run the heads.
+
+    Returns this layer's LayerPrediction and the batch the next layer
+    starts from (fused features, refined boxes detached from the graph).
+    ``fusion`` and ``oracle_gt`` are as in :func:`decode`.
+    """
+    if fusion not in ("uaf", "equal"):
+        raise ValueError("fusion must be 'uaf' or 'equal'")
+    prefix = f"layer{layer}"
+    centers = batch.centers()
+    centers_xy = batch.centers_xy()
+
+    pat_lid = predict_pattern(batch, pattern_params(store, f"{prefix}.lidar"), "lidar", cfg)
+    roi_lid = sample_lidar(centers_xy, pat_lid, lidar_feats)
+    mix_lid = adaptive_mix(batch.features, roi_lid, mix_params(store, f"{prefix}.lidar"))
+
+    pat_cam = predict_pattern(batch, pattern_params(store, f"{prefix}.camera"), "camera", cfg)
+    roi_cam = sample_camera(centers, pat_cam, cam_feats, rig)
+    mix_cam = adaptive_mix(batch.features, roi_cam, mix_params(store, f"{prefix}.camera"))
+
+    dist_cam = uaf.predict_distance(uaf.pool_roi(roi_cam),
+                                    uaf.distance_params(store, f"{prefix}.camera.dist"))
+    dist_lid = uaf.predict_distance(uaf.pool_roi(roi_lid),
+                                    uaf.distance_params(store, f"{prefix}.lidar.dist"))
+    reg_cam = uaf.regress_xy(roi_cam, uaf.distance_params(store, f"{prefix}.camera.reg"),
+                             centers_xy)
+    reg_lid = uaf.regress_xy(roi_lid, uaf.distance_params(store, f"{prefix}.lidar.reg"),
+                             centers_xy)
+
+    if fusion == "equal":
+        u_cam = np.full(batch.count, 0.5)
+        u_lid = np.full(batch.count, 0.5)
+    elif oracle_gt is not None:
+        gt_xy = _nearest_gt_xy(centers_xy.data, oracle_gt)
+        u_cam = uaf.uncertainty_from_distance(uaf.oracle_distance_xy(reg_cam.data, gt_xy))
+        u_lid = uaf.uncertainty_from_distance(uaf.oracle_distance_xy(reg_lid.data, gt_xy))
+    else:
+        u_cam = uaf.uncertainty_from_distance(dist_cam)
+        u_lid = uaf.uncertainty_from_distance(dist_lid)
+
+    fused = uaf.fuse(mix_cam, u_cam, mix_lid, u_lid, uaf.fuse_params(store, prefix))
+    # bound the refined query feature before the heads and the next layer
+    fused = T.layer_norm(fused, store[f"{prefix}.fuse.ln_gain"],
+                         store[f"{prefix}.fuse.ln_shift"])
+
+    logits = T.linear(fused, store[f"{prefix}.cls.w"], store[f"{prefix}.cls.b"])
+    new_state = refine_box(fused, batch.box_state, store, prefix, cfg)
+
+    pred = LayerPrediction(
+        class_logits=logits,
+        box_state=new_state,
+        u_cam=np.asarray(u_cam.data if isinstance(u_cam, T.Tensor) else u_cam),
+        u_lid=np.asarray(u_lid.data if isinstance(u_lid, T.Tensor) else u_lid),
+        dist_cam=dist_cam,
+        dist_lid=dist_lid,
+        reg_cam=reg_cam,
+        reg_lid=reg_lid,
+        centers_in=centers.data.copy(),
+    )
+    return pred, QueryBatch(fused, T.Tensor(new_state.data.copy()))
+
+
 def decode(
     batch: QueryBatch,
     cam_feats: CameraFeatureSet,
@@ -102,79 +175,11 @@ def decode(
     auxiliary regressor against the nearest ground-truth box instead of the
     distance predictor (oracle-uncertainty mode).
     """
-    if fusion not in ("uaf", "equal"):
-        raise ValueError("fusion must be 'uaf' or 'equal'")
-    qf = batch.features
-    state = batch.box_state
     preds = []
     for layer in range(cfg.num_layers):
-        half = T.mul(T.exp(T.narrow(state, 1, 3, 3)), 0.5)
-        sincos = T.narrow(state, 1, 6, 2)
-        centers3 = T.narrow(state, 1, 0, 3)
-        centers_xy = T.narrow(state, 1, 0, 2)
-
-        pat_lid = predict_pattern(
-            qf, half, sincos, pattern_params(store, f"layer{layer}.lidar"),
-            "lidar", cfg.num_lidar_scales, cfg.num_points, 1, cfg.max_offset_factor,
-        )
-        roi_lid = sample_lidar(centers_xy, pat_lid, lidar_feats)
-        mix_lid = adaptive_mix(qf, roi_lid, mix_params(store, f"layer{layer}.lidar"))
-
-        pat_cam = predict_pattern(
-            qf, half, sincos, pattern_params(store, f"layer{layer}.camera"),
-            "camera", cfg.num_frames, cfg.num_points, cfg.num_cam_scales,
-            cfg.max_offset_factor,
-        )
-        roi_cam = sample_camera(centers3, pat_cam, cam_feats, rig)
-        mix_cam = adaptive_mix(qf, roi_cam, mix_params(store, f"layer{layer}.camera"))
-
-        dp_cam = uaf.distance_params(store, f"layer{layer}.camera.dist")
-        dp_lid = uaf.distance_params(store, f"layer{layer}.lidar.dist")
-        rp_cam = uaf.distance_params(store, f"layer{layer}.camera.reg")
-        rp_lid = uaf.distance_params(store, f"layer{layer}.lidar.reg")
-
-        dist_cam = uaf.predict_distance(uaf.pool_roi(roi_cam), dp_cam)
-        dist_lid = uaf.predict_distance(uaf.pool_roi(roi_lid), dp_lid)
-        reg_cam = uaf.regress_xy(roi_cam, rp_cam, centers_xy)
-        reg_lid = uaf.regress_xy(roi_lid, rp_lid, centers_xy)
-
-        if fusion == "equal":
-            u_cam_in = np.full(batch.count, 0.5)
-            u_lid_in = np.full(batch.count, 0.5)
-        elif oracle_gt is not None:
-            gt_xy = _nearest_gt_xy(centers_xy.data, oracle_gt)
-            u_cam_in = uaf.uncertainty_from_distance(
-                uaf.oracle_distance_xy(reg_cam.data, gt_xy))
-            u_lid_in = uaf.uncertainty_from_distance(
-                uaf.oracle_distance_xy(reg_lid.data, gt_xy))
-        else:
-            u_cam_in = uaf.uncertainty_from_distance(dist_cam)
-            u_lid_in = uaf.uncertainty_from_distance(dist_lid)
-
-        fused = uaf.fuse(mix_cam, u_cam_in, mix_lid, u_lid_in,
-                         uaf.fuse_params(store, f"layer{layer}"))
-        # bound the refined query feature before the heads and the next layer
-        fused = T.layer_norm(fused, store[f"layer{layer}.fuse.ln_gain"],
-                             store[f"layer{layer}.fuse.ln_shift"])
-
-        logits = T.linear(fused, store[f"layer{layer}.cls.w"], store[f"layer{layer}.cls.b"])
-        new_state = refine_box(fused, state, store, f"layer{layer}", cfg)
-
-        preds.append(
-            LayerPrediction(
-                class_logits=logits,
-                box_state=new_state,
-                u_cam=np.asarray(u_cam_in.data if isinstance(u_cam_in, T.Tensor) else u_cam_in),
-                u_lid=np.asarray(u_lid_in.data if isinstance(u_lid_in, T.Tensor) else u_lid_in),
-                dist_cam=dist_cam,
-                dist_lid=dist_lid,
-                reg_cam=reg_cam,
-                reg_lid=reg_lid,
-                centers_in=centers3.data.copy(),
-            )
-        )
-        qf = fused
-        state = T.Tensor(new_state.data.copy())  # detach across layers
+        pred, batch = decode_layer(layer, batch, cam_feats, lidar_feats, rig, store, cfg,
+                                   fusion, oracle_gt)
+        preds.append(pred)
     return preds
 
 
@@ -276,10 +281,8 @@ def oracle_distance_targets(preds: list, matching: list, gt_boxes: list,
         gt_xy = np.stack([gt_boxes[gi].center[:2] for _, gi in matches])
         out.append(
             {
-                "cam": np.minimum(
-                    np.linalg.norm(pred.reg_cam.data[p_idx] - gt_xy, axis=1), cap),
-                "lid": np.minimum(
-                    np.linalg.norm(pred.reg_lid.data[p_idx] - gt_xy, axis=1), cap),
+                "cam": np.minimum(uaf.oracle_distance_xy(pred.reg_cam.data[p_idx], gt_xy), cap),
+                "lid": np.minimum(uaf.oracle_distance_xy(pred.reg_lid.data[p_idx], gt_xy), cap),
             }
         )
     return out

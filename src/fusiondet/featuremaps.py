@@ -14,8 +14,6 @@ import numpy as np
 from . import tensor as T
 from .geometry import CameraRig, DetectionRange, align_temporal, project_to_view
 
-bilinear_sample_raw = T.bilinear_sample
-
 
 class FeatureMapError(ValueError):
     pass
@@ -45,14 +43,6 @@ class FeatureMap:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
-
-
-def bilinear_sample(fmap: FeatureMap, coords) -> T.Tensor:
-    """Differentiable bilinear read at continuous (u, v) texel coordinates.
-
-    Texel centers sit at (i + 0.5, j + 0.5); out-of-bounds reads are zero.
-    """
-    return T.bilinear_sample(fmap.data, coords)
 
 
 class CameraFeatureSet:
@@ -140,7 +130,7 @@ def sample_view_scale_mean(
         for m in range(feats.num_scales):
             stride = feats.strides[m]
             coords = np.array([u / stride, v_pix / stride])
-            s = bilinear_sample(feats.get(v, m, t), coords)
+            s = T.bilinear_sample(feats.get(v, m, t).data, coords)
             acc = s if acc is None else T.add(acc, s)
     if acc is None:
         raise FeatureMapError("no hit view produced a projection")

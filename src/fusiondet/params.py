@@ -67,9 +67,6 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def num_elements(self) -> int:
-        return sum(t.size for t in self._params.values())
-
 
 def _he(rng, fan_in, shape):
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
@@ -209,28 +206,51 @@ def save_checkpoint(path: str, store: ParamStore, step: int, config_hash: str,
             fh.write(b)
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    b = fh.read(n)
+    if len(b) != n:
+        raise CheckpointError(f"checkpoint is truncated in its {what}")
+    return b
+
+
 def load_checkpoint(path: str):
-    """Returns (param map, step, config_hash, optimizer-state map)."""
+    """Returns (param map, step, config_hash, optimizer-state map).
+
+    Any truncated or malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
+        if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        raw_header = fh.read(hlen)
         data = fh.read()
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+        entries, step, config_hash = header["tensors"], header["step"], header["config_hash"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint header is not valid: {exc}") from exc
     tensors = {}
     optimizer = {}
-    for e in header["tensors"]:
-        buf = data[e["offset"] : e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(buf, dtype=np.dtype(e["dtype"])).reshape(e["shape"]).copy()
+    for e in entries:
+        try:
+            name, start, nbytes = str(e["name"]), int(e["offset"]), int(e["nbytes"])
+            dtype, shape = np.dtype(e["dtype"]), tuple(int(d) for d in e["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint entry is not valid: {exc!r}") from exc
+        if start < 0 or nbytes < 0 or start + nbytes > len(data):
+            raise CheckpointError(f"checkpoint data for {name} runs past the end of the file")
+        if (dtype.hasobject or min(shape, default=0) < 0
+                or nbytes != math.prod(shape) * dtype.itemsize):
+            raise CheckpointError(f"checkpoint data for {name} does not fill "
+                                  f"shape {list(shape)} of {dtype}")
+        arr = np.frombuffer(data[start : start + nbytes], dtype=dtype).reshape(shape).copy()
         if e.get("kind") == "optimizer":
-            optimizer[e["name"]] = arr
+            optimizer[name] = arr
         else:
-            tensors[e["name"]] = arr
-    return tensors, header["step"], header["config_hash"], optimizer
+            tensors[name] = arr
+    return tensors, step, config_hash, optimizer
 
 
 def restore_into(store: ParamStore, tensors: dict):

@@ -9,7 +9,6 @@ and yaw lives as a (sin, cos) pair to avoid wrap discontinuities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +16,6 @@ from . import tensor as T
 from .geometry import Box3D
 
 STATE_DIM = 10
-
-
-@dataclass
-class Query:
-    """One decoder candidate: feature vector plus box state."""
-
-    feature: np.ndarray
-    box: Box3D
 
 
 def box_to_state_row(box: Box3D) -> np.ndarray:
@@ -82,12 +73,6 @@ class QueryBatch:
     @property
     def count(self) -> int:
         return self.features.data.shape[0]
-
-    @classmethod
-    def from_queries(cls, queries: list, dtype) -> "QueryBatch":
-        feats = np.stack([q.feature for q in queries]).astype(dtype)
-        state = boxes_to_state([q.box for q in queries], dtype=dtype)
-        return cls(T.Tensor(feats), T.Tensor(state))
 
     def centers(self) -> T.Tensor:
         return T.narrow(self.box_state, 1, 0, 3)

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import ModelSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from .geometry import CameraRig, invert_rigid
 from .params import ParamStore
+from .queries import QueryBatch
 
 
 @dataclass
@@ -41,10 +43,6 @@ class RoIFeature:
 
     feat: T.Tensor
     branch: str
-
-    @property
-    def rows(self) -> int:
-        return self.feat.shape[1]
 
 
 @dataclass
@@ -98,35 +96,37 @@ def mix_params(store: ParamStore, prefix: str) -> MixParams:
 
 
 def predict_pattern(
-    features: T.Tensor,
-    half_extents: T.Tensor,
-    yaw_sincos: T.Tensor,
+    batch: QueryBatch,
     params: PatternParams,
     branch: str,
-    num_groups: int,
-    num_points: int,
-    num_weight_scales: int,
-    max_offset_factor: float = 2.0,
+    cfg: ModelSection,
 ) -> SamplingPattern:
-    """Predict a sampling pattern from query features.
+    """Predict a sampling pattern from the batch's query features.
 
-    ``num_groups`` is R for LiDAR and T for the camera branch;
-    ``num_weight_scales`` is 1 for LiDAR (weights are jointly normalized)
-    and M for the camera branch.
+    Offsets are scaled by the boxes' half-extents and rotated by their yaw.
+    LiDAR predicts R = ``num_lidar_scales`` groups of K points in BEV with
+    weights normalized jointly over (R, K); the camera branch predicts
+    T = ``num_frames`` groups of K 3D points with weights normalized over
+    (M, K) within each frame, M = ``num_cam_scales``.
     """
-    if num_points < 1:
+    if cfg.num_points < 1:
         raise ValueError("need at least one sampling point")
+    if branch == "lidar":
+        G, M, dims = cfg.num_lidar_scales, 1, 2
+    else:
+        G, M, dims = cfg.num_frames, cfg.num_cam_scales, 3
+    K = cfg.num_points
+    features = batch.features
     N = features.shape[0]
-    dims = 2 if branch == "lidar" else 3
-    G, K, M = num_groups, num_points, num_weight_scales
 
     raw = T.linear(features, params.offset_w, params.offset_b)
-    bounded = T.mul(T.tanh(raw), max_offset_factor)
+    bounded = T.mul(T.tanh(raw), cfg.max_offset_factor)
     local = T.reshape(bounded, (N, G, K, dims))
 
     # scale by half-extents, rotate the BEV components by box yaw
-    half = T.reshape(T.narrow(half_extents, 1, 0, dims), (N, 1, 1, dims))
+    half = T.reshape(T.narrow(batch.half_extents(), 1, 0, dims), (N, 1, 1, dims))
     scaled = T.mul(local, half)
+    yaw_sincos = batch.yaw_sincos()
     s = T.reshape(T.narrow(yaw_sincos, 1, 0, 1), (N, 1, 1, 1))
     c = T.reshape(T.narrow(yaw_sincos, 1, 1, 1), (N, 1, 1, 1))
     lx = T.narrow(scaled, 3, 0, 1)

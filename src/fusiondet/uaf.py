@@ -19,19 +19,6 @@ from .rias import RoIFeature
 
 
 @dataclass
-class UncertaintyPair:
-    """Per-query camera/LiDAR uncertainties in [0, 1)."""
-
-    u_cam: np.ndarray
-    u_lid: np.ndarray
-
-    def __post_init__(self):
-        for u in (self.u_cam, self.u_lid):
-            if np.any(u < 0) or np.any(u >= 1):
-                raise ValueError("uncertainties must lie in [0, 1)")
-
-
-@dataclass
 class DistanceParams:
     w1: T.Tensor
     b1: T.Tensor
@@ -114,19 +101,6 @@ def regress_xy(roi: RoIFeature, params: DistanceParams, centers_xy: T.Tensor) ->
 def oracle_distance_xy(est_xy: np.ndarray, gt_xy: np.ndarray) -> np.ndarray:
     """Euclidean BEV distance between position estimates and matched GT."""
     return np.linalg.norm(np.asarray(est_xy) - np.asarray(gt_xy), axis=-1)
-
-
-def oracle_uncertainty(
-    roi: RoIFeature,
-    params: DistanceParams,
-    centers_xy: T.Tensor,
-    gt_xy: np.ndarray,
-) -> np.ndarray:
-    """Ground-truth-based uncertainty used for training targets and
-    oracle-mode robustness evaluation (computed outside the graph)."""
-    est = regress_xy(roi, params, centers_xy)
-    d = oracle_distance_xy(est.data, gt_xy)
-    return uncertainty_from_distance(d)
 
 
 def fuse(

@@ -194,6 +194,11 @@ class TestBenchAndGradcheck:
         assert main(["bench", "--config", cfg, "--kernel", "sample_lidar",
                      "--reps", "30", "--out", out]) == 0
         doc = json.load(open(out))
+        for key in ("config_hash", "python_version", "numpy_version", "scipy_version",
+                    "platform", "omp_num_threads"):
+            assert key in doc
+        assert doc["numpy_version"] == np.__version__
+        assert doc["omp_num_threads"] == os.environ.get("OMP_NUM_THREADS")
         rep = doc["reports"][0]
         assert rep["repetitions"] >= 30
         assert rep["p50_ms"] <= rep["p90_ms"] <= rep["p99_ms"]
@@ -208,8 +213,9 @@ class TestBenchAndGradcheck:
         assert set(rep["parts_ms"]) == {"predict_pattern", "sample_lidar",
                                         "sample_camera", "adaptive_mix"}
         assert all(v > 0 for v in rep["parts_ms"].values())
-        # sub-kernel means are measured inside the timed region, so their sum
-        # cannot exceed the mean total (p50 is load-sensitive; compare means)
+        # each stage kernel is timed on its own, and the layer runs all four
+        # plus UAF and the heads, so their sum stays below the layer's time
+        # (p50 is load-sensitive; compare with p99)
         assert sum(rep["parts_ms"].values()) <= rep["p99_ms"] * 1.2
 
     def test_gradcheck_quick(self, tmp_path):

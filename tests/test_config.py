@@ -1,0 +1,182 @@
+"""Config schema, leaf type checks and malformed-checkpoint handling."""
+
+import json
+import os
+import struct
+
+import pytest
+
+from fusiondet.cli import main
+from fusiondet.config import ConfigError, ModelSection, RunConfig
+from fusiondet.params import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    init_model_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+DESK_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.json")
+
+# (dotted key, JSON text of the value): each must end in a ConfigError
+BAD_LEAVES = [
+    ("model.channels", '"abc"'),
+    ("sim.num_scenes", "1.5"),
+    ("model.num_layers", '"3"'),
+    ("model.num_layers", "true"),
+    ("sim.focal", "false"),
+    ("model.precision", "1"),
+    ("eval.bins", '[0.0, "10"]'),
+    ("model.range_xy", "3"),
+    ("sim.oracle", "3"),
+]
+
+
+def _nested(dotted: str, value) -> dict:
+    d = value
+    for part in reversed(dotted.split(".")):
+        d = {part: d}
+    return d
+
+
+def _one_line_error(capsys, prefix: str):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
+
+
+class TestDeskConfig:
+    def test_desk_json_is_the_defaults(self):
+        with open(DESK_JSON, encoding="utf-8") as fh:
+            desk = json.load(fh)
+        assert desk == RunConfig().to_dict()
+        assert RunConfig.load(DESK_JSON).hash() == RunConfig().hash()
+
+
+class TestLeafTypes:
+    @pytest.mark.parametrize("dotted,raw", BAD_LEAVES)
+    def test_from_dict_rejects(self, dotted, raw):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(_nested(dotted, json.loads(raw)))
+
+    @pytest.mark.parametrize("dotted,raw", BAD_LEAVES)
+    def test_override_rejects(self, dotted, raw):
+        cfg = RunConfig()
+        before = cfg.hash()
+        with pytest.raises(ConfigError):
+            cfg.apply_override(dotted, raw)
+        assert cfg.hash() == before
+
+    def test_good_leaves_accepted(self):
+        cfg = RunConfig()
+        cfg.apply_override("model.channels", "16")
+        cfg.apply_override("model.precision", "double")  # bare strings stay allowed
+        cfg.apply_override("eval.bins", "[0, 15.5]")
+        cfg.validate()
+        assert (cfg.model.channels, cfg.model.precision) == (16, "double")
+
+    @pytest.mark.parametrize("args", [
+        ["-O", 'model.channels="abc"'],
+        ["-O", "sim.num_scenes=1.5"],
+    ])
+    def test_cli_override_exit_2(self, tmp_path, capsys, args):
+        assert main(["generate", *args, "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, "config error:")
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_cli_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"num_layers": "3"}}))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, "config error:")
+
+
+class TestIntInFloatLeaf:
+    def test_int_kept_as_written(self):
+        cfg = RunConfig.from_dict({"sim": {"focal": 150}})
+        assert type(cfg.sim.focal) is int
+        over = RunConfig()
+        over.apply_override("sim.focal", "150")
+        assert type(over.sim.focal) is int
+        assert over.hash() == cfg.hash()
+
+    def test_hash_unchanged(self):
+        # ints in float leaves hash as written ("focal":150, not 150.0), as
+        # they did before leaves were type-checked; both hashes are pinned
+        cfg = RunConfig.from_dict({"sim": {"focal": 150}, "train": {"lr": 1}})
+        assert '"focal":150,' in cfg.canonical_json()
+        assert cfg.hash() == "d7aec24679110628"
+        assert RunConfig().hash() == "5bef18aabecd00f9"
+
+
+def _write_raw_checkpoint(path, header: dict, data: bytes):
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        fh.write(data)
+
+
+def _small_model():
+    return ModelSection(num_queries=12, num_top=4, num_random=8, num_layers=1)
+
+
+class TestTruncatedCheckpoint:
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "full.fdcp"
+        save_checkpoint(str(path), init_model_params(_small_model(), seed=0), 3, "abc")
+        return path.read_bytes()
+
+    def test_full_file_loads(self, tmp_path, checkpoint):
+        path = tmp_path / "copy.fdcp"
+        path.write_bytes(checkpoint)
+        tensors, step, config_hash, _ = load_checkpoint(str(path))
+        assert step == 3 and config_hash == "abc" and tensors
+
+    def test_every_cut_raises(self, tmp_path, checkpoint):
+        (hlen,) = struct.unpack("<Q", checkpoint[8:16])
+        header_end = 16 + hlen
+        cuts = [0, 2, 4, 6, 8, 12, 16, 17, 200, header_end - 1, header_end,
+                header_end + 1, (header_end + len(checkpoint)) // 2, len(checkpoint) - 1]
+        for n in cuts:
+            path = tmp_path / f"cut{n}.fdcp"
+            path.write_bytes(checkpoint[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+
+    def test_entry_past_end_raises(self, tmp_path):
+        path = tmp_path / "past.fdcp"
+        entry = {"name": "w", "shape": [2], "dtype": "float64", "offset": 8, "nbytes": 16,
+                 "kind": "param"}
+        _write_raw_checkpoint(path, {"step": 0, "config_hash": "", "tensors": [entry]},
+                              bytes(16))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_bytes_not_filling_shape_raise(self, tmp_path):
+        path = tmp_path / "short.fdcp"
+        entry = {"name": "w", "shape": [3], "dtype": "float64", "offset": 0, "nbytes": 16,
+                 "kind": "param"}
+        _write_raw_checkpoint(path, {"step": 0, "config_hash": "", "tensors": [entry]},
+                              bytes(16))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_cli_eval_exit_1(self, tmp_path, capsys, checkpoint):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"num_queries": 12, "num_top": 4, "num_random": 8, "num_layers": 1},
+            "sim": {"num_scenes": 1, "min_objects": 1, "max_objects": 2},
+        }))
+        ds = str(tmp_path / "ds")
+        assert main(["generate", "--config", str(cfg), "--out", ds]) == 0
+        cut = tmp_path / "cut.fdcp"
+        cut.write_bytes(checkpoint[:200])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--dataset", ds, "--checkpoint", str(cut),
+                     "--out", str(tmp_path / "report.json")]) == 1
+        _one_line_error(capsys, "error:")

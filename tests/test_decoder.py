@@ -99,6 +99,47 @@ class TestDecode:
         assert np.all((orc[0].u_lid >= 0) & (orc[0].u_lid < 1))
 
 
+class TestOracleUncertainty:
+    """Oracle mode sets u = 1 - exp(-d), d the BEV distance from each
+    modality's position estimate to the ground truth nearest the query."""
+
+    def _oracle_run(self, reg_bias=(0.0, 0.0)):
+        scene, model, sim, store = _setup()
+        for layer in range(model.num_layers):
+            for branch in ("camera", "lidar"):
+                store[f"layer{layer}.{branch}.reg.w2"].data *= 0.0  # estimate = center + bias
+                store[f"layer{layer}.{branch}.reg.b2"].data = np.array(reg_bias)
+        _, preds = _run(scene, model, sim, store, oracle_gt=scene.gt_boxes)
+        gt_xy = np.stack([b.center[:2] for b in scene.gt_boxes])
+        return preds, gt_xy
+
+    @staticmethod
+    def _nearest_gt_distance(pred, gt_xy):
+        d = np.linalg.norm(pred.centers_in[:, None, :2] - gt_xy[None, :, :], axis=2)
+        return d.min(axis=1)
+
+    def test_estimate_on_gt_gives_zero(self):
+        preds, gt_xy = self._oracle_run()
+        on_gt = self._nearest_gt_distance(preds[0], gt_xy) < 1e-9
+        assert on_gt.any()  # the noiseless oracle puts queries on ground truth
+        for u in (preds[0].u_cam, preds[0].u_lid):
+            np.testing.assert_allclose(u[on_gt], 0.0, atol=1e-9)
+
+    def test_offset_ln2_gives_half(self):
+        preds, gt_xy = self._oracle_run(reg_bias=(math.log(2.0), 0.0))
+        on_gt = self._nearest_gt_distance(preds[0], gt_xy) < 1e-9
+        assert on_gt.any()
+        for u in (preds[0].u_cam, preds[0].u_lid):
+            np.testing.assert_allclose(u[on_gt], 0.5, atol=1e-9)
+
+    def test_matches_nearest_gt_distance(self):
+        preds, gt_xy = self._oracle_run()
+        for pred in preds:
+            want = 1.0 - np.exp(-self._nearest_gt_distance(pred, gt_xy))
+            np.testing.assert_allclose(pred.u_cam, want, atol=1e-12)
+            np.testing.assert_allclose(pred.u_lid, want, atol=1e-12)
+
+
 class TestRefineBox:
     def test_zero_head_output_keeps_box(self):
         scene, model, sim, store = _setup()

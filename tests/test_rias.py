@@ -239,10 +239,7 @@ class TestPredictPattern:
         rng = np.random.default_rng(0)
         batch = _batch(rng, cfg, 3)
         pp = pattern_params(store, "layer0.lidar")
-        pat = predict_pattern(
-            batch.features, batch.half_extents(), batch.yaw_sincos(), pp,
-            "lidar", cfg.num_lidar_scales, cfg.num_points, 1, cfg.max_offset_factor,
-        )
+        pat = predict_pattern(batch, pp, "lidar", cfg)
         # zero weights => offsets depend only on the ring bias: |Delta| = 0.5 *
         # half-extent in the box plane
         half = batch.half_extents().data
@@ -264,11 +261,7 @@ class TestPredictPattern:
         store = init_model_params(cfg, seed=0)
         rng = np.random.default_rng(1)
         batch = _batch(rng, cfg, 2)
-        pat = predict_pattern(
-            batch.features, batch.half_extents(), batch.yaw_sincos(),
-            pattern_params(store, "layer0.lidar"), "lidar",
-            cfg.num_lidar_scales, cfg.num_points, 1, cfg.max_offset_factor,
-        )
+        pat = predict_pattern(batch, pattern_params(store, "layer0.lidar"), "lidar", cfg)
         R, K = cfg.num_lidar_scales, cfg.num_points
         np.testing.assert_allclose(pat.weights.data, 1.0 / (R * K), atol=1e-12)
 
@@ -280,17 +273,9 @@ class TestPredictPattern:
             if name.endswith("weight_w"):
                 t.data = rng.normal(size=t.data.shape)
         batch = _batch(rng, cfg, 5)
-        lid = predict_pattern(
-            batch.features, batch.half_extents(), batch.yaw_sincos(),
-            pattern_params(store, "layer0.lidar"), "lidar",
-            cfg.num_lidar_scales, cfg.num_points, 1, cfg.max_offset_factor,
-        )
+        lid = predict_pattern(batch, pattern_params(store, "layer0.lidar"), "lidar", cfg)
         np.testing.assert_allclose(lid.weights.data.sum(axis=(1, 2)), 1.0, atol=1e-6)
-        cam = predict_pattern(
-            batch.features, batch.half_extents(), batch.yaw_sincos(),
-            pattern_params(store, "layer0.camera"), "camera",
-            cfg.num_frames, cfg.num_points, cfg.num_cam_scales, cfg.max_offset_factor,
-        )
+        cam = predict_pattern(batch, pattern_params(store, "layer0.camera"), "camera", cfg)
         np.testing.assert_allclose(cam.weights.data.sum(axis=(2, 3)), 1.0, atol=1e-6)
 
     def test_offsets_bounded_by_half_extents_times_factor(self):
@@ -301,11 +286,7 @@ class TestPredictPattern:
             if "offset" in name:
                 t.data = rng.normal(0, 5, size=t.data.shape)
         batch = _batch(rng, cfg, 6)
-        pat = predict_pattern(
-            batch.features, batch.half_extents(), batch.yaw_sincos(),
-            pattern_params(store, "layer0.lidar"), "lidar",
-            cfg.num_lidar_scales, cfg.num_points, 1, cfg.max_offset_factor,
-        )
+        pat = predict_pattern(batch, pattern_params(store, "layer0.lidar"), "lidar", cfg)
         half = batch.half_extents().data
         bound = cfg.max_offset_factor * np.linalg.norm(half[:, :2], axis=1)
         norms = np.linalg.norm(pat.offsets.data, axis=3)
@@ -501,6 +482,8 @@ class TestFullBlockGradient:
             rng = np.random.default_rng(np.random.SeedSequence([77, seed]))
             N, R, K, C = 2, 2, 2, 4
             S = K
+            pattern_cfg = ModelSection(channels=C, num_lidar_scales=R, num_points=K,
+                                       max_offset_factor=2.0)
             grids = [T.Tensor(rng.normal(size=(8, 8, C)), dtype=np.float64)
                      for _ in range(R)]
             qf = T.Tensor(rng.normal(size=(N, C)), dtype=np.float64)
@@ -531,10 +514,8 @@ class TestFullBlockGradient:
 
             def fn(ins):
                 qf_in, state_in = ins[0], ins[1]
-                half = T.mul(T.exp(T.narrow(state_in, 1, 3, 3)), 0.5)
-                sincos = T.narrow(state_in, 1, 6, 2)
-                pat = predict_pattern(qf_in, half, sincos, PatternParams(**pp),
-                                      "lidar", R, K, 1, 2.0)
+                pat = predict_pattern(QueryBatch(qf_in, state_in), PatternParams(**pp),
+                                      "lidar", pattern_cfg)
                 pyr = LidarFeaturePyramid(
                     [FeatureMap(ins[2], 0), FeatureMap(ins[3], 1)], det)
                 roi = sample_lidar(T.narrow(state_in, 1, 0, 2), pat, pyr)

@@ -118,44 +118,6 @@ class TestPredictUncertainty:
         assert np.all((u.data >= 0) & (u.data < 1))
 
 
-class TestOracleUncertainty:
-    def test_estimate_on_gt_gives_zero(self):
-        rng = np.random.default_rng(5)
-        C = 4
-        p = _dist_params(rng, C, out_dim=2)
-        p.w1.data *= 0.0
-        p.w2.data *= 0.0  # offset = 0 => estimate = center
-        centers = T.Tensor(np.array([[3.0, -2.0]]), dtype=np.float64)
-        u = uaf.oracle_uncertainty(_roi(rng.normal(size=(1, 2, C))), p, centers,
-                                   np.array([[3.0, -2.0]]))
-        np.testing.assert_allclose(u, 0.0, atol=1e-12)
-
-    def test_offset_ln2_gives_half(self):
-        rng = np.random.default_rng(6)
-        C = 4
-        p = _dist_params(rng, C, out_dim=2)
-        p.w1.data *= 0.0
-        p.w2.data *= 0.0
-        p.b2.data = np.array([math.log(2.0), 0.0])
-        centers = T.Tensor(np.zeros((1, 2)), dtype=np.float64)
-        u = uaf.oracle_uncertainty(_roi(rng.normal(size=(1, 2, C))), p, centers,
-                                   np.zeros((1, 2)))
-        np.testing.assert_allclose(u, 0.5, atol=1e-12)
-
-    def test_matches_composition(self):
-        rng = np.random.default_rng(7)
-        C = 5
-        p = _dist_params(rng, C, out_dim=2)
-        roi = _roi(rng.normal(size=(4, 3, C)))
-        centers = T.Tensor(rng.normal(size=(4, 2)), dtype=np.float64)
-        gt = rng.normal(size=(4, 2))
-        est = uaf.regress_xy(roi, p, centers).data
-        want = 1.0 - np.exp(-np.linalg.norm(est - gt, axis=1))
-        np.testing.assert_allclose(
-            uaf.oracle_uncertainty(roi, p, centers, gt), want, atol=1e-12
-        )
-
-
 class TestFuse:
     def test_zero_uncertainty_is_unweighted_concat(self):
         rng = np.random.default_rng(8)
@@ -236,9 +198,3 @@ class TestFuse:
         resid = y - (slope * x + intercept)
         r2 = 1.0 - resid.var() / y.var()
         assert r2 > 0.99
-
-    def test_uncertainty_pair_validation(self):
-        with pytest.raises(ValueError):
-            uaf.UncertaintyPair(np.array([0.5]), np.array([1.0]))
-        pair = uaf.UncertaintyPair(np.array([0.0]), np.array([0.999]))
-        assert pair.u_cam[0] == 0.0
