@@ -97,7 +97,10 @@ def _load_params(cfg: RunConfig, checkpoint: str | None):
     step = 0
     optimizer: dict = {}
     if checkpoint:
-        tensors, step, ck_hash, optimizer = load_checkpoint(checkpoint)
+        tensors, step, model_hash, optimizer = load_checkpoint(checkpoint)
+        if model_hash != cfg.model.hash():
+            raise CheckpointError(f"checkpoint {checkpoint} was trained under model config "
+                                  f"{model_hash}, not this config's {cfg.model.hash()}")
         restore_into(store, tensors)
     return store, step, optimizer
 
@@ -115,7 +118,7 @@ def cmd_train(args) -> int:
 
         train_loop(cfg, scenes, store, start_step=start_step, log_fn=log_fn,
                    velocity=velocity)
-    save_checkpoint(args.out, store, cfg.train.steps, cfg.hash(), optimizer=velocity)
+    save_checkpoint(args.out, store, cfg.train.steps, cfg.model.hash(), optimizer=velocity)
     print(f"trained to step {cfg.train.steps}; checkpoint at {args.out}")
     return 0
 

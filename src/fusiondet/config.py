@@ -31,6 +31,14 @@ def _fits(declared: str, value) -> bool:
     return declared != "list" or all(_fits("float", v) for v in value)
 
 
+def _canonical_json(d: dict) -> str:
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
+def _hash(d: dict) -> str:
+    return hashlib.sha256(_canonical_json(d).encode("utf-8")).hexdigest()[:16]
+
+
 def _check_leaf(f, value, dotted: str):
     if f.type not in _LEAF_TYPES:
         raise ConfigError(f"{dotted} is a section, not a value")
@@ -88,6 +96,15 @@ class ModelSection:
                      "num_frames", "num_views", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1")
+        for name in ("range_xy", "range_z"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not bounds[0] < bounds[1]:
+                raise ConfigError(f"model.{name} must be [min, max] with min < max, "
+                                  f"got {json.dumps(bounds)}")
+
+    def hash(self) -> str:
+        """Hash of this section alone: what a checkpoint was trained for."""
+        return _hash(dataclasses.asdict(self))
 
     def detection_range(self) -> DetectionRange:
         return DetectionRange(
@@ -249,10 +266,10 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_dict())
 
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
+        return _hash(self.to_dict())
 
     def apply_override(self, dotted: str, raw: str):
         """Set a config leaf via 'section.key=value' (JSON-parsed value)."""

@@ -45,64 +45,88 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-class CameraFeatureSet:
-    """Complete V x M x T grid of camera feature maps plus per-scale strides."""
+def _pack(maps: list, dtype) -> tuple:
+    """Pack (H, W, C) maps row-major into one (S, C) buffer of ``dtype`` (by
+    default the maps' common dtype), in list order.
 
-    def __init__(self, maps: dict, num_views: int, num_scales: int, num_frames: int, strides):
+    Returns the buffer, each map's (H, W) shape and start row, and the maps
+    rebuilt as views into the buffer, so no map is held twice. The buffer is
+    a ``T.concat`` of the maps, so gradients reach maps that require them.
+    """
+    if len({fm.channels for fm in maps}) != 1:
+        raise FeatureMapError("inconsistent channel counts")
+    C = maps[0].channels
+    values = T.concat([T.reshape(fm.data, (fm.height * fm.width, C)) for fm in maps],
+                      dtype=dtype)
+    shapes = np.array([(fm.height, fm.width) for fm in maps], dtype=np.int64)
+    sizes = shapes[:, 0] * shapes[:, 1]
+    starts = np.cumsum(sizes) - sizes
+    views = [
+        FeatureMap(T.Tensor(values.data[s:s + n].reshape(h, w, C)), fm.scale_id)
+        for fm, s, n, (h, w) in zip(maps, starts, sizes, shapes)
+    ]
+    return values, shapes, starts, views
+
+
+class CameraFeatureSet:
+    """Complete V x M x T grid of camera feature maps plus per-scale strides.
+
+    The maps live in one packed buffer (``values``, ``shapes``, ``starts``,
+    as read by ``T.bilinear_sample_packed``) in (view, scale, frame) order,
+    converted to ``dtype`` if given; ``get`` returns a view into it.
+    """
+
+    def __init__(self, maps: dict, num_views: int, num_scales: int, num_frames: int, strides,
+                 dtype=None):
         self.num_views = num_views
         self.num_scales = num_scales
         self.num_frames = num_frames
         self.strides = list(strides)  # pixel-to-texel ratio per scale
         if len(self.strides) != num_scales:
             raise FeatureMapError("one stride per scale required")
-        self.maps = {}
-        channels = None
-        for v in range(num_views):
-            for m in range(num_scales):
-                for t in range(num_frames):
-                    key = (v, m, t)
-                    if key not in maps:
-                        raise FeatureMapError(f"missing camera map {key}")
-                    fm = maps[key]
-                    if not isinstance(fm, FeatureMap):
-                        fm = FeatureMap(fm, scale_id=m)
-                    if channels is None:
-                        channels = fm.channels
-                    elif fm.channels != channels:
-                        raise FeatureMapError("inconsistent channel counts")
-                    self.maps[key] = fm
-        self.channels = channels
+        keys = [
+            (v, m, t)
+            for v in range(num_views)
+            for m in range(num_scales)
+            for t in range(num_frames)
+        ]
+        ordered = []
+        for key in keys:
+            if key not in maps:
+                raise FeatureMapError(f"missing camera map {key}")
+            fm = maps[key]
+            ordered.append(fm if isinstance(fm, FeatureMap) else FeatureMap(fm, scale_id=key[1]))
+        self.values, self.shapes, self.starts, views = _pack(ordered, dtype)
+        self.maps = dict(zip(keys, views))
+        self.channels = ordered[0].channels
+
+    def index(self, view, scale, frame):
+        """Position of map (view, scale, frame) in the packed buffer; works
+        elementwise on integer arrays."""
+        return (view * self.num_scales + scale) * self.num_frames + frame
 
     def get(self, view: int, scale: int, frame: int) -> FeatureMap:
         return self.maps[(view, scale, frame)]
 
 
 class LidarFeaturePyramid:
-    """Multi-scale BEV feature grids covering one detection range."""
+    """Multi-scale BEV feature grids covering one detection range, packed
+    into one buffer in scale order like :class:`CameraFeatureSet`."""
 
-    def __init__(self, maps: list, det_range: DetectionRange):
+    def __init__(self, maps: list, det_range: DetectionRange, dtype=None):
         if not maps:
             raise FeatureMapError("pyramid needs at least one scale")
-        self.maps = []
-        channels = None
-        for r, fm in enumerate(maps):
-            if not isinstance(fm, FeatureMap):
-                fm = FeatureMap(fm, scale_id=r)
-            if channels is None:
-                channels = fm.channels
-            elif fm.channels != channels:
-                raise FeatureMapError("inconsistent channel counts")
-            self.maps.append(fm)
+        ordered = [
+            fm if isinstance(fm, FeatureMap) else FeatureMap(fm, scale_id=r)
+            for r, fm in enumerate(maps)
+        ]
+        self.values, self.shapes, self.starts, self.maps = _pack(ordered, dtype)
         self.det_range = det_range
-        self.channels = channels
+        self.channels = ordered[0].channels
 
     @property
     def num_scales(self) -> int:
         return len(self.maps)
-
-    def grid_shape(self, r: int) -> tuple:
-        fm = self.maps[r]
-        return (fm.width, fm.height)  # (cols, rows)
 
 
 def sample_view_scale_mean(

@@ -63,6 +63,21 @@ def _build_bilinear(rng):
     return lambda ins: T.bilinear_sample(ins[0], ins[1]), [grid, coords]
 
 
+def _build_bilinear_packed(rng):
+    # two grids of different shapes in one buffer; points read both, partly
+    # past the borders, where the zero padding must not reach the neighbour
+    shapes = np.array([[3, 4], [2, 5]])
+    values = T.Tensor(rng.normal(size=(3 * 4 + 2 * 5, 2)), dtype=np.float64)
+    map_idx = np.arange(6) % 2
+    hw = shapes[map_idx]
+    coords = T.Tensor(rng.uniform(-0.4, hw[:, ::-1] + 0.4), dtype=np.float64)
+
+    def fn(ins):
+        return T.bilinear_sample_packed(ins[0], shapes, [0, 12], map_idx, ins[1])
+
+    return fn, [values, coords]
+
+
 def _build_layer_norm(rng):
     x, g, s = _tensors(rng, (4, 6), (6,), (6,))
     return lambda ins: T.layer_norm(ins[0], ins[1], ins[2]), [x, g, s]
@@ -146,7 +161,11 @@ def _build_sample_camera(rng):
 
     def fn(ins):
         pat = SamplingPattern(ins[1], ins[2], "camera")
-        return sample_camera(ins[0], pat, feats, rig).feat
+        packed = CameraFeatureSet(
+            {(v, 0, 0): FeatureMap(ins[3 + v], 0) for v in range(rig.num_views)},
+            rig.num_views, M, Tt, feats.strides,
+        )
+        return sample_camera(ins[0], pat, packed, rig).feat
 
     return fn, [centers, off, w] + map_inputs
 
@@ -237,8 +256,6 @@ def _build_compute_loss(rng):
     qf = T.Tensor(rng.normal(size=(cfg.num_queries, cfg.channels)), dtype=np.float64)
     st = T.Tensor(boxes_to_state(starts), dtype=np.float64)
     tcfg = TrainSection()
-    cam_map = feats.get(0, 0, 0).data
-    lid_map = maps[0].data
 
     with T.no_grad():
         preds0 = decode(QueryBatch(qf, st), feats, pyramid, rig, store, cfg, fusion="uaf")
@@ -251,7 +268,7 @@ def _build_compute_loss(rng):
         loss, _ = compute_loss(preds, gts, matching, tcfg, cfg, unc_targets=frozen)
         return loss
 
-    inputs = [qf, st, cam_map, lid_map,
+    inputs = [qf, st, feats.values, pyramid.values,
               store["layer0.refine.w2"], store["layer0.camera.mix.agg_w"],
               store["layer0.cls.w"], store["layer0.fuse.w1"],
               store["layer0.lidar.dist.w2"], store["layer0.lidar.reg.w2"]]
@@ -260,6 +277,7 @@ def _build_compute_loss(rng):
 
 BUILDERS = {
     "bilinear_sample": _build_bilinear,
+    "bilinear_sample_packed": _build_bilinear_packed,
     "layer_norm": _build_layer_norm,
     "softmax": _build_softmax,
     "adaptive_mix": _build_adaptive_mix,

@@ -158,9 +158,10 @@ def init_model_params(cfg: ModelSection, seed: int) -> ParamStore:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, store: ParamStore, step: int, config_hash: str,
+def save_checkpoint(path: str, store: ParamStore, step: int, model_hash: str,
                     optimizer: dict | None = None):
-    """Write params (plus optional optimizer state) as a flat named-tensor list."""
+    """Write params (plus optional optimizer state) as a flat named-tensor
+    list; ``model_hash`` is the hash of the model section they belong to."""
     entries = []
     blobs = []
     offset = 0
@@ -192,7 +193,7 @@ def save_checkpoint(path: str, store: ParamStore, step: int, config_hash: str,
         {
             "format_version": CHECKPOINT_VERSION,
             "step": int(step),
-            "config_hash": config_hash,
+            "model_hash": model_hash,
             "tensors": entries,
         },
         sort_keys=True,
@@ -214,7 +215,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path: str):
-    """Returns (param map, step, config_hash, optimizer-state map).
+    """Returns (param map, step, model_hash, optimizer-state map).
 
     Any truncated or malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
@@ -228,8 +229,10 @@ def load_checkpoint(path: str):
         data = fh.read()
     try:
         header = json.loads(raw_header.decode("utf-8"))
-        entries, step, config_hash = header["tensors"], header["step"], header["config_hash"]
-    except (ValueError, KeyError, TypeError) as exc:
+        entries, step, model_hash = header["tensors"], header["step"], header["model_hash"]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint header has no {exc} key") from exc
+    except (ValueError, TypeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid: {exc}") from exc
     tensors = {}
     optimizer = {}
@@ -250,7 +253,7 @@ def load_checkpoint(path: str):
             optimizer[name] = arr
         else:
             tensors[name] = arr
-    return tensors, step, config_hash, optimizer
+    return tensors, step, model_hash, optimizer
 
 
 def restore_into(store: ParamStore, tensors: dict):

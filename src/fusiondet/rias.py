@@ -153,27 +153,22 @@ def sample_lidar(
     pattern: SamplingPattern,
     pyramid: LidarFeaturePyramid,
 ) -> RoIFeature:
-    """Weighted multi-scale BEV samples at K offset points per query."""
-    N = centers_xy.shape[0]
-    K = pattern.offsets.shape[2]
-    R = pyramid.num_scales
+    """Weighted multi-scale BEV samples at K offset points per query, all
+    scales in one packed read."""
+    N, R, K, _ = pattern.offsets.shape
     rng = pyramid.det_range
-    base = T.reshape(centers_xy, (N, 1, 2))
-    acc = None
-    for r in range(R):
-        cols, rows = pyramid.grid_shape(r)
-        off_r = T.reshape(T.narrow(pattern.offsets, 1, r, 1), (N, K, 2))
-        pts = T.add(base, off_r)
-        shift = np.array([-rng.x_min, -rng.y_min])
-        scale = np.array(
-            [cols / (rng.x_max - rng.x_min), rows / (rng.y_max - rng.y_min)]
-        )
-        uv = T.mul(T.add(pts, shift), scale)
-        samp = T.bilinear_sample(pyramid.maps[r].data, uv)  # (N, K, C)
-        w_r = T.reshape(T.narrow(pattern.weights, 1, r, 1), (N, K, 1))
-        term = T.mul(samp, w_r)
-        acc = term if acc is None else T.add(acc, term)
-    return RoIFeature(feat=acc, branch="lidar")
+    # the conversions return the gradients w.r.t. the pattern in its own
+    # dtype, whatever dtype arrives from above
+    offsets = T.astype(pattern.offsets, pattern.offsets.dtype)
+    pts = T.add(T.reshape(centers_xy, (N, 1, 1, 2)), offsets)  # (N, R, K, 2)
+    shift = np.array([-rng.x_min, -rng.y_min])
+    # texels per meter along (u, v) = (cols, rows) at each scale
+    scale = pyramid.shapes[:, ::-1] / np.array([rng.x_max - rng.x_min, rng.y_max - rng.y_min])
+    uv = T.mul(T.add(pts, shift), scale.reshape(1, R, 1, 2))
+    map_idx = np.broadcast_to(np.arange(R).reshape(1, R, 1), (N, R, K))
+    samp = T.bilinear_sample_packed(pyramid.values, pyramid.shapes, pyramid.starts, map_idx, uv)
+    term = T.mul(samp, T.astype(T.reshape(pattern.weights, (N, R, K, 1)), samp.dtype))
+    return RoIFeature(feat=T.sum_(term, axis=1), branch="lidar")
 
 
 def sample_camera(
@@ -187,67 +182,60 @@ def sample_camera(
     Sample points are temporally aligned per frame; points outside every
     view's frustum produce zero rows. Hit decisions (and the 1/|V| factor)
     are constants of the forward pass; gradients flow through projection
-    and bilinear weights.
+    and bilinear weights. Projection runs in double precision for all
+    frames and views at once; only the hit (frame, view, point) triples are
+    read, every scale in one packed read, and each term is added into its
+    (frame, point) row in view-then-scale order.
     """
-    N = centers.shape[0]
-    Tt = feats.num_frames
-    M = feats.num_scales
-    K = pattern.offsets.shape[2]
-    frame_rows = []
-    for t in range(Tt):
-        off_t = T.reshape(T.narrow(pattern.offsets, 1, t, 1), (N, K, 3))
-        pts = T.add(T.reshape(centers, (N, 1, 3)), off_t)
-        flat = T.reshape(pts, (N * K, 3))
-        rel = invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[0]
-        p_t = T.add(T.matmul(flat, rel[:3, :3].T.copy()), rel[:3, 3].copy())
+    N, Tt, K, _ = pattern.offsets.shape
+    M, V, C = feats.num_scales, len(rig.views), feats.channels
+    P = N * K
 
-        view_samples = []
-        hit_masks = []
-        for v, view in enumerate(rig.views):
-            E = view.extrinsics
-            p_cam = T.add(T.matmul(p_t, E[:3, :3].T.copy()), E[:3, 3].copy())
-            x = T.narrow(p_cam, 1, 0, 1)
-            y = T.narrow(p_cam, 1, 1, 1)
-            z = T.narrow(p_cam, 1, 2, 1)
-            z_safe = T.clamp_min(z, 0.1)
-            Kmat = view.intrinsics
-            u = T.add(T.mul(T.div(x, z_safe), Kmat[0, 0]), Kmat[0, 2])
-            w = T.add(T.mul(T.div(y, z_safe), Kmat[1, 1]), Kmat[1, 2])
-            W_img, H_img = view.image_size
-            hit = (
-                (z.data[:, 0] > 0.1)
-                & (u.data[:, 0] >= 0.0)
-                & (u.data[:, 0] < W_img)
-                & (w.data[:, 0] >= 0.0)
-                & (w.data[:, 0] < H_img)
-            )
-            hit_masks.append(hit)
-            view_samples.append((u, w))
+    # 1. every frame's points in that frame's ego coordinates: (T, P, 3);
+    # the conversions return the pattern's gradients in its own dtype
+    pts = T.add(T.reshape(centers, (N, 1, 1, 3)), pattern.offsets)  # (N, T, K, 3)
+    pts = T.reshape(T.transpose(T.astype(pts, np.float64), (1, 0, 2, 3)), (Tt, P, 3))
+    rel = np.stack([invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[0] for t in range(Tt)])
+    p_t = T.add(T.matmul(pts, np.swapaxes(rel[:, :3, :3], 1, 2).copy()),
+                rel[:, None, :3, 3].copy())
 
-        counts = np.sum(np.stack(hit_masks), axis=0)  # hit views per point
-        inv_count = 1.0 / np.maximum(counts, 1)
-        acc_t = None
-        for v in range(len(rig.views)):
-            if not hit_masks[v].any():
-                continue
-            u, w = view_samples[v]
-            gate = (hit_masks[v] * inv_count)[:, None]
-            for m in range(M):
-                stride = feats.strides[m]
-                coords = T.mul(T.concat([u, w], axis=1), 1.0 / stride)
-                samp = T.bilinear_sample(feats.get(v, m, t).data, coords)
-                w_m = T.reshape(
-                    T.narrow(T.narrow(pattern.weights, 1, t, 1), 2, m, 1), (N, K)
-                )
-                w_flat = T.reshape(w_m, (N * K, 1))
-                term = T.mul(T.mul(samp, w_flat), gate)
-                acc_t = term if acc_t is None else T.add(acc_t, term)
-        if acc_t is None:
-            acc_t = T.Tensor(
-                np.zeros((N * K, feats.channels), dtype=centers.data.dtype)
-            )
-        frame_rows.append(T.reshape(acc_t, (N, K, feats.channels)))
-    return RoIFeature(feat=T.concat(frame_rows, axis=1), branch="camera")
+    # 2. into every view's pixels: (T, V, P, 1) each
+    ext = np.stack([view.extrinsics for view in rig.views])
+    p_cam = T.add(T.matmul(T.reshape(p_t, (Tt, 1, P, 3)),
+                           np.swapaxes(ext[:, :3, :3], 1, 2).copy()),
+                  ext[:, None, :3, 3].copy())
+    x = T.narrow(p_cam, 3, 0, 1)
+    y = T.narrow(p_cam, 3, 1, 1)
+    z = T.narrow(p_cam, 3, 2, 1)
+    z_safe = T.clamp_min(z, 0.1)
+    intr = np.stack([view.intrinsics for view in rig.views]).reshape(1, V, 3, 3)
+    u = T.add(T.mul(T.div(x, z_safe), intr[:, :, 0:1, 0:1]), intr[:, :, 0:1, 2:3])
+    w = T.add(T.mul(T.div(y, z_safe), intr[:, :, 1:2, 1:2]), intr[:, :, 1:2, 2:3])
+    size = np.array([view.image_size for view in rig.views]).reshape(1, V, 1, 2)
+    hit = ((z.data > 0.1) & (u.data >= 0.0) & (u.data < size[..., 0:1])
+           & (w.data >= 0.0) & (w.data < size[..., 1:2]))[..., 0]  # (T, V, P)
+
+    # 3. compact to the hit (frame, view, point) triples, M scale rows each
+    t_h, v_h, p_h = np.nonzero(hit)
+    if t_h.size == 0:
+        return RoIFeature(feat=T.Tensor(np.zeros((N, Tt * K, C), dtype=centers.data.dtype)),
+                          branch="camera")
+    inv_count = 1.0 / np.maximum(hit.sum(axis=1), 1)  # (T, P): 1 / hit views
+    m_r = np.tile(np.arange(M), t_h.size)
+    t_r, v_r, p_r = (np.repeat(a, M) for a in (t_h, v_h, p_h))
+    uw = T.reshape(T.concat([u, w], axis=3), (Tt * V * P, 2))
+    inv_stride = 1.0 / np.asarray(feats.strides)
+    coords = T.mul(T.gather_rows(uw, (t_r * V + v_r) * P + p_r), inv_stride[m_r][:, None])
+
+    # 4. one packed read; (sample x weight) x gate into its (frame, point) row
+    samp = T.bilinear_sample_packed(feats.values, feats.shapes, feats.starts,
+                                    feats.index(v_r, m_r, t_r), coords)
+    n_r, k_r = p_r // K, p_r % K
+    w_rows = T.gather_rows(T.reshape(pattern.weights, (-1, 1)),
+                           ((n_r * Tt + t_r) * M + m_r) * K + k_r)
+    term = T.mul(T.mul(samp, T.astype(w_rows, samp.dtype)), inv_count[t_r, p_r][:, None])
+    rows = T.scatter_add_rows(term, (n_r * Tt + t_r) * K + k_r, N * Tt * K)
+    return RoIFeature(feat=T.reshape(rows, (N, Tt * K, C)), branch="camera")
 
 
 def adaptive_mix(features: T.Tensor, roi: RoIFeature, params: MixParams) -> T.Tensor:

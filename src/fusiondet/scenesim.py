@@ -94,10 +94,7 @@ class SceneSample:
         key = ("cam", cfg.precision)
         if key not in self._cache:
             dtype = T.DOUBLE if cfg.precision == "double" else T.SINGLE
-            maps = {
-                k: FeatureMap(T.Tensor(v.astype(dtype)), scale_id=k[1])
-                for k, v in self.cam_maps.items()
-            }
+            maps = {k: FeatureMap(T.Tensor(v), scale_id=k[1]) for k, v in self.cam_maps.items()}
             # per-scale pixel-to-texel ratio, recovered from the map shapes
             img_w = self.rig.views[0].image_size[0]
             strides = [
@@ -105,7 +102,7 @@ class SceneSample:
                 for m in range(cfg.num_cam_scales)
             ]
             self._cache[key] = CameraFeatureSet(
-                maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides
+                maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides, dtype
             )
         return self._cache[key]
 
@@ -113,11 +110,8 @@ class SceneSample:
         key = ("lidar", cfg.precision)
         if key not in self._cache:
             dtype = T.DOUBLE if cfg.precision == "double" else T.SINGLE
-            maps = [
-                FeatureMap(T.Tensor(m.astype(dtype)), scale_id=r)
-                for r, m in enumerate(self.lidar_maps)
-            ]
-            self._cache[key] = LidarFeaturePyramid(maps, self.det_range)
+            maps = [FeatureMap(T.Tensor(m), scale_id=r) for r, m in enumerate(self.lidar_maps)]
+            self._cache[key] = LidarFeaturePyramid(maps, self.det_range, dtype)
         return self._cache[key]
 
 

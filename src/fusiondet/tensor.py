@@ -68,14 +68,17 @@ class no_grad:
         return False
 
 
+_FLOAT_DTYPES = (np.dtype(SINGLE), np.dtype(DOUBLE))
+
+
 def _as_float_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data)
     if dtype is None:
         # non-float input (ints, lists) defaults to single precision
-        dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else SINGLE
+        dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else SINGLE
     if arr.dtype != dtype:
         arr = arr.astype(dtype)
-    if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
+    if arr.ndim and not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
     return arr
 
@@ -541,9 +544,11 @@ def swap_last(a) -> Tensor:
     return transpose(a, tuple(axes))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int = 0, dtype=None) -> Tensor:
+    """Join along ``axis``; with ``dtype`` set, the inputs are converted while
+    they are copied, with no converted copy of each input."""
     ts = [_wrap(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
+    out = np.concatenate([t.data for t in ts], axis=axis, dtype=dtype)
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -585,26 +590,51 @@ def gather_rows(a, index) -> Tensor:
     return _make(a.data[idx].copy(), "gather_rows", (a,), (d_a,))
 
 
+def scatter_add_rows(a, index, num_rows: int) -> Tensor:
+    """Add row i of ``a`` into row ``index[i]`` of a zero (num_rows, ...)
+    array, in row order; backward gathers the rows back."""
+    a = _wrap(a)
+    idx = np.asarray(index, dtype=np.int64)
+    out = np.zeros((num_rows,) + a.data.shape[1:], dtype=a.data.dtype)
+    np.add.at(out, idx, a.data)
+    return _make(out, "scatter_add_rows", (a,), (lambda g: g[idx],))
+
+
+def astype(a, dtype) -> Tensor:
+    """``a`` converted to ``dtype``; its gradient comes back in ``a``'s dtype."""
+    a = _wrap(a)
+    return _make(a.data.astype(dtype, copy=False), "astype", (a,),
+                 (lambda g: g.astype(a.data.dtype, copy=False),))
+
+
 # ---------------------------------------------------------------------------
 # bilinear sampling
 # ---------------------------------------------------------------------------
 
 
-def bilinear_sample(grid, coords) -> Tensor:
-    """Sample a (H, W, C) grid at continuous (u, v) locations.
+def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
+    """Sample many (H, W, C) grids stored row-major in one (S, C) buffer.
 
-    Texel centers sit at (i + 0.5, j + 0.5); u runs along width, v along
-    height. Out-of-bounds contributions are zero (zero padding).
-    Differentiable w.r.t. both the grid values and the coordinates.
+    Grid g occupies rows ``starts[g]`` to ``starts[g] + H*W`` of ``values``,
+    with ``shapes[g] = (H, W)``; point p reads grid ``map_idx[p]`` at
+    ``coords[p] = (u, v)``. Texel centers sit at (i + 0.5, j + 0.5); u runs
+    along width, v along height. Corners outside a point's own grid
+    contribute zero (zero padding), never a neighbouring grid's texel.
+    Differentiable w.r.t. both the buffer values and the coordinates.
     """
-    grid = _wrap(grid)
-    coords = _wrap(coords, like=grid)
-    if grid.ndim != 3:
-        raise GraphError("bilinear_sample expects a (H, W, C) grid")
+    values = _wrap(values)
+    coords = _wrap(coords, like=values)
+    if values.ndim != 2:
+        raise GraphError("bilinear_sample_packed expects an (S, C) buffer")
     if coords.data.shape[-1] != 2:
         raise GraphError("coords must have a trailing axis of size 2")
-    H, W, C = grid.data.shape
+    C = values.data.shape[1]
     c = coords.data.reshape(-1, 2)
+    which = np.asarray(map_idx, dtype=np.int64).reshape(-1)
+    shapes = np.asarray(shapes, dtype=np.int64)
+    H = shapes[which, 0]
+    W = shapes[which, 1]
+    base = np.asarray(starts, dtype=np.int64)[which]
     x = c[:, 0] - 0.5
     y = c[:, 1] - 0.5
     i0 = np.floor(x).astype(np.int64)
@@ -614,41 +644,35 @@ def bilinear_sample(grid, coords) -> Tensor:
     _note_kink(np.minimum(fx, 1.0 - fx))
     _note_kink(np.minimum(fy, 1.0 - fy))
 
-    vals = []
-    masks = []
-    idx = []
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ii = i0 + di
-        jj = j0 + dj
-        valid = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
-        ic = np.clip(ii, 0, W - 1)
-        jc = np.clip(jj, 0, H - 1)
-        v = grid.data[jc, ic] * valid[:, None]
-        vals.append(v)
-        masks.append(valid)
-        idx.append((jc, ic))
-
+    # masking the (P,) corner weights gives the same sums as masking the
+    # (P, C) corner values, at a fraction of the work
     w00 = (1 - fx) * (1 - fy)
     w10 = fx * (1 - fy)
     w01 = (1 - fx) * fy
     w11 = fx * fy
-    weights = (w00, w10, w01, w11)
+    rows, masks, weights, vals = [], [], [], []
+    for (di, dj), w in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (w00, w10, w01, w11)):
+        ii = i0 + di
+        jj = j0 + dj
+        valid = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
+        r = base + np.clip(jj, 0, H - 1) * W + np.clip(ii, 0, W - 1)
+        rows.append(r)
+        masks.append(valid)
+        weights.append(w * valid)
+        vals.append(values.data[r])
     flat = sum(w[:, None] * v for w, v in zip(weights, vals))
-    out_shape = coords.data.shape[:-1] + (C,)
-    out = flat.reshape(out_shape)
+    out = flat.reshape(coords.data.shape[:-1] + (C,))
 
-    def d_grid(g):
+    def d_values(g):
         gf = g.reshape(-1, C)
-        dg = np.zeros_like(grid.data)
-        for w, m, (jc, ic) in zip(weights, masks, idx):
-            contrib = gf * (w * m)[:, None]
-            np.add.at(dg, (jc, ic), contrib)
-        return dg
+        dv = np.zeros_like(values.data)
+        for w, r in zip(weights, rows):
+            np.add.at(dv, r, gf * w[:, None])
+        return dv
 
     def d_coords(g):
         gf = g.reshape(-1, C)
-        v00, v10, v01, v11 = vals
-        gdot = [np.einsum("pc,pc->p", gf, v) for v in vals]
+        gdot = [np.einsum("pc,pc->p", gf, v) * m for v, m in zip(vals, masks)]
         dx = (
             -(1 - fy) * gdot[0] + (1 - fy) * gdot[1] - fy * gdot[2] + fy * gdot[3]
         )
@@ -658,7 +682,20 @@ def bilinear_sample(grid, coords) -> Tensor:
         dc = np.stack([dx, dy], axis=-1)
         return dc.reshape(coords.data.shape)
 
-    return _make(out, "bilinear_sample", (grid, coords), (d_grid, d_coords))
+    return _make(out, "bilinear_sample", (values, coords), (d_values, d_coords))
+
+
+def bilinear_sample(grid, coords) -> Tensor:
+    """Sample one (H, W, C) grid at continuous (u, v) locations; the
+    one-grid case of :func:`bilinear_sample_packed`."""
+    grid = _wrap(grid)
+    coords = _wrap(coords, like=grid)
+    if grid.ndim != 3:
+        raise GraphError("bilinear_sample expects a (H, W, C) grid")
+    H, W, C = grid.data.shape
+    points = coords.data.shape[:-1]
+    return bilinear_sample_packed(reshape(grid, (H * W, C)), [(H, W)], [0],
+                                  np.zeros(points, dtype=np.int64), coords)
 
 
 # ---------------------------------------------------------------------------

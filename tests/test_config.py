@@ -92,6 +92,34 @@ class TestLeafTypes:
         _one_line_error(capsys, "config error:")
 
 
+# (dotted key, JSON text of the value): type-correct, but not a [min, max] range
+BAD_RANGES = [
+    ("model.range_xy", "[5]"),
+    ("model.range_xy", "[5, -5]"),
+    ("model.range_z", "[1, 1]"),
+]
+
+
+class TestDetectionRange:
+    @pytest.mark.parametrize("dotted,raw", BAD_RANGES)
+    def test_from_dict_rejects(self, dotted, raw):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(_nested(dotted, json.loads(raw)))
+
+    @pytest.mark.parametrize("dotted,raw", BAD_RANGES)
+    def test_override_rejects(self, dotted, raw):
+        cfg = RunConfig()
+        cfg.apply_override(dotted, raw)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("dotted,raw", BAD_RANGES)
+    def test_cli_exit_2(self, tmp_path, capsys, dotted, raw):
+        assert main(["generate", "-O", f"{dotted}={raw}", "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, "config error:")
+        assert not os.path.exists(tmp_path / "o")
+
+
 class TestIntInFloatLeaf:
     def test_int_kept_as_written(self):
         cfg = RunConfig.from_dict({"sim": {"focal": 150}})
@@ -134,8 +162,8 @@ class TestTruncatedCheckpoint:
     def test_full_file_loads(self, tmp_path, checkpoint):
         path = tmp_path / "copy.fdcp"
         path.write_bytes(checkpoint)
-        tensors, step, config_hash, _ = load_checkpoint(str(path))
-        assert step == 3 and config_hash == "abc" and tensors
+        tensors, step, model_hash, _ = load_checkpoint(str(path))
+        assert step == 3 and model_hash == "abc" and tensors
 
     def test_every_cut_raises(self, tmp_path, checkpoint):
         (hlen,) = struct.unpack("<Q", checkpoint[8:16])
@@ -152,7 +180,7 @@ class TestTruncatedCheckpoint:
         path = tmp_path / "past.fdcp"
         entry = {"name": "w", "shape": [2], "dtype": "float64", "offset": 8, "nbytes": 16,
                  "kind": "param"}
-        _write_raw_checkpoint(path, {"step": 0, "config_hash": "", "tensors": [entry]},
+        _write_raw_checkpoint(path, {"step": 0, "model_hash": "", "tensors": [entry]},
                               bytes(16))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
@@ -161,7 +189,7 @@ class TestTruncatedCheckpoint:
         path = tmp_path / "short.fdcp"
         entry = {"name": "w", "shape": [3], "dtype": "float64", "offset": 0, "nbytes": 16,
                  "kind": "param"}
-        _write_raw_checkpoint(path, {"step": 0, "config_hash": "", "tensors": [entry]},
+        _write_raw_checkpoint(path, {"step": 0, "model_hash": "", "tensors": [entry]},
                               bytes(16))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
@@ -180,3 +208,69 @@ class TestTruncatedCheckpoint:
         assert main(["eval", "--config", str(cfg), "--dataset", ds, "--checkpoint", str(cut),
                      "--out", str(tmp_path / "report.json")]) == 1
         _one_line_error(capsys, "error:")
+
+
+def _tiny_run_config(path, **model) -> str:
+    doc = {
+        "model": {"num_queries": 12, "num_top": 4, "num_random": 8, "num_layers": 1, **model},
+        "sim": {"num_scenes": 1, "min_objects": 1, "max_objects": 2},
+        "train": {"steps": 2},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCheckpointModelHash:
+    @pytest.fixture()
+    def trained(self, tmp_path):
+        cfg = _tiny_run_config(tmp_path / "cfg.json")
+        ds = str(tmp_path / "ds")
+        ckpt = str(tmp_path / "model.fdcp")
+        assert main(["generate", "--config", cfg, "--out", ds]) == 0
+        assert main(["train", "--config", cfg, "--dataset", ds, "--out", ckpt]) == 0
+        return cfg, ds, ckpt
+
+    def test_header_holds_model_hash(self, trained):
+        cfg, _, ckpt = trained
+        _, _, model_hash, _ = load_checkpoint(ckpt)
+        assert model_hash == RunConfig.load(cfg).model.hash()
+
+    def test_other_model_config_exit_1(self, tmp_path, capsys, trained):
+        # same parameter shapes, different model section
+        _, _, ckpt = trained
+        other = _tiny_run_config(tmp_path / "other.json", center_step=0.5)
+        ds = str(tmp_path / "ds_other")
+        assert main(["generate", "--config", other, "--out", ds]) == 0
+        capsys.readouterr()
+        for cmd in (["eval", "--checkpoint", ckpt], ["infer", "--checkpoint", ckpt],
+                    ["train", "--resume", ckpt]):
+            assert main([*cmd, "--config", other, "--dataset", ds,
+                         "--out", str(tmp_path / "out")]) == 1
+            _one_line_error(capsys, "error: checkpoint")
+
+    def test_missing_model_hash_exit_1(self, tmp_path, capsys, trained):
+        cfg, ds, ckpt = trained
+        raw = open(ckpt, "rb").read()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        del header["model_hash"]
+        old = tmp_path / "old.fdcp"
+        _write_raw_checkpoint(old, header, raw[16 + hlen:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(old))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--dataset", ds, "--checkpoint", str(old),
+                     "--out", str(tmp_path / "report.json")]) == 1
+        _one_line_error(capsys, "error: checkpoint")
+
+    def test_matching_resume(self, tmp_path, trained):
+        # a longer run under the same model section resumes
+        _, ds, ckpt = trained
+        longer = tmp_path / "longer.json"
+        doc = json.loads((tmp_path / "cfg.json").read_text())
+        doc["train"]["steps"] = 3
+        longer.write_text(json.dumps(doc))
+        out = str(tmp_path / "resumed.fdcp")
+        assert main(["train", "--config", str(longer), "--dataset", ds, "--out", out,
+                     "--resume", ckpt]) == 0
+        assert load_checkpoint(out)[1] == 3

@@ -126,6 +126,31 @@ class TestContainers:
             )
 
 
+class TestPacking:
+    def test_maps_are_views_into_one_buffer(self):
+        rng = np.random.default_rng(3)
+        raw = {(v, m, 0): rng.normal(size=(6 // (m + 1), 8 // (m + 1), 2))
+               for v in range(2) for m in range(2)}
+        feats = CameraFeatureSet({k: _map(g, k[1]) for k, g in raw.items()}, 2, 2, 1,
+                                 [4.0, 8.0], dtype=np.float32)
+        assert feats.values.dtype == np.float32
+        for (v, m, t), g in raw.items():
+            fm = feats.get(v, m, t)
+            assert np.shares_memory(fm.data.data, feats.values.data)
+            assert np.array_equal(fm.data.data, g.astype(np.float32))
+            start = feats.starts[feats.index(v, m, t)]
+            assert np.array_equal(feats.values.data[start:start + g.shape[0] * g.shape[1]],
+                                  fm.data.data.reshape(-1, 2))
+
+    def test_pyramid_is_packed_in_scale_order(self):
+        det = DetectionRange(-10, 10, -10, 10, -2, 2)
+        grids = [np.arange(4 * 4 * 3.0).reshape(4, 4, 3), -np.ones((2, 2, 3))]
+        pyr = LidarFeaturePyramid([_map(g, r) for r, g in enumerate(grids)], det)
+        assert pyr.shapes.tolist() == [[4, 4], [2, 2]] and pyr.starts.tolist() == [0, 16]
+        assert np.array_equal(pyr.values.data, np.concatenate([g.reshape(-1, 3) for g in grids]))
+        assert all(np.shares_memory(fm.data.data, pyr.values.data) for fm in pyr.maps)
+
+
 class TestSampleViewScaleMean:
     def test_single_view_constant(self):
         feats = _const_set([7.0])

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from fusiondet import gradsuite
 from fusiondet import tensor as T
-from fusiondet.config import ModelSection
+from fusiondet.config import ModelSection, RunConfig
 from fusiondet.featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
 from fusiondet.geometry import (
     CameraRig,
@@ -20,6 +21,7 @@ from fusiondet.geometry import (
     make_rigid,
     rot_z,
 )
+from fusiondet.paqg import generate_queries
 from fusiondet.params import init_model_params
 from fusiondet.queries import QueryBatch, boxes_to_state
 from fusiondet.rias import (
@@ -34,7 +36,8 @@ from fusiondet.rias import (
     sample_camera,
     sample_lidar,
 )
-from fusiondet.geometry import Box3D
+from fusiondet.geometry import Box3D, hit_views, invert_rigid
+from fusiondet.scenesim import generate_scene
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,167 @@ class TestOracleEquivalence:
             want = ref_sample_camera(centers, offsets, weights, grids, strides, rig)
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the packed reads give the per-view and per-scale loops' numbers bit for bit
+# ---------------------------------------------------------------------------
+
+
+def per_view_sample_camera(centers, pattern, feats, rig):
+    """The camera sampler as one graph per frame, view and scale: points
+    projected view by view, every view with a hit read at every scale."""
+    N = centers.shape[0]
+    Tt = feats.num_frames
+    M = feats.num_scales
+    K = pattern.offsets.shape[2]
+    frame_rows = []
+    for t in range(Tt):
+        off_t = T.reshape(T.narrow(pattern.offsets, 1, t, 1), (N, K, 3))
+        pts = T.add(T.reshape(centers, (N, 1, 3)), off_t)
+        flat = T.reshape(pts, (N * K, 3))
+        rel = invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[0]
+        p_t = T.add(T.matmul(flat, rel[:3, :3].T.copy()), rel[:3, 3].copy())
+        view_samples = []
+        hit_masks = []
+        for view in rig.views:
+            E = view.extrinsics
+            p_cam = T.add(T.matmul(p_t, E[:3, :3].T.copy()), E[:3, 3].copy())
+            x = T.narrow(p_cam, 1, 0, 1)
+            y = T.narrow(p_cam, 1, 1, 1)
+            z = T.narrow(p_cam, 1, 2, 1)
+            z_safe = T.clamp_min(z, 0.1)
+            Kmat = view.intrinsics
+            u = T.add(T.mul(T.div(x, z_safe), Kmat[0, 0]), Kmat[0, 2])
+            w = T.add(T.mul(T.div(y, z_safe), Kmat[1, 1]), Kmat[1, 2])
+            W_img, H_img = view.image_size
+            hit_masks.append((z.data[:, 0] > 0.1) & (u.data[:, 0] >= 0.0)
+                             & (u.data[:, 0] < W_img) & (w.data[:, 0] >= 0.0)
+                             & (w.data[:, 0] < H_img))
+            view_samples.append((u, w))
+        inv_count = 1.0 / np.maximum(np.sum(np.stack(hit_masks), axis=0), 1)
+        acc_t = None
+        for v in range(len(rig.views)):
+            if not hit_masks[v].any():
+                continue
+            u, w = view_samples[v]
+            gate = (hit_masks[v] * inv_count)[:, None]
+            for m in range(M):
+                coords = T.mul(T.concat([u, w], axis=1), 1.0 / feats.strides[m])
+                samp = T.bilinear_sample(feats.get(v, m, t).data, coords)
+                w_m = T.reshape(
+                    T.narrow(T.narrow(pattern.weights, 1, t, 1), 2, m, 1), (N, K)
+                )
+                term = T.mul(T.mul(samp, T.reshape(w_m, (N * K, 1))), gate)
+                acc_t = term if acc_t is None else T.add(acc_t, term)
+        if acc_t is None:
+            acc_t = T.Tensor(np.zeros((N * K, feats.channels), dtype=centers.data.dtype))
+        frame_rows.append(T.reshape(acc_t, (N, K, feats.channels)))
+    return T.concat(frame_rows, axis=1)
+
+
+def per_scale_sample_lidar(centers_xy, pattern, pyramid):
+    """The LiDAR sampler as one graph per scale."""
+    N = centers_xy.shape[0]
+    K = pattern.offsets.shape[2]
+    rng = pyramid.det_range
+    base = T.reshape(centers_xy, (N, 1, 2))
+    acc = None
+    for r in range(pyramid.num_scales):
+        cols, rows = pyramid.maps[r].width, pyramid.maps[r].height
+        off_r = T.reshape(T.narrow(pattern.offsets, 1, r, 1), (N, K, 2))
+        shift = np.array([-rng.x_min, -rng.y_min])
+        scale = np.array([cols / (rng.x_max - rng.x_min), rows / (rng.y_max - rng.y_min)])
+        uv = T.mul(T.add(T.add(base, off_r), shift), scale)
+        samp = T.bilinear_sample(pyramid.maps[r].data, uv)
+        term = T.mul(samp, T.reshape(T.narrow(pattern.weights, 1, r, 1), (N, K, 1)))
+        acc = term if acc is None else T.add(acc, term)
+    return acc
+
+
+def _rows_and_gradients(sampler, centers, offsets, weights, branch, *args):
+    off = T.Tensor(offsets, requires_grad=True)
+    w = T.Tensor(weights, requires_grad=True)
+    rows = sampler(centers, SamplingPattern(off, w, branch), *args)
+    rows = rows.feat if isinstance(rows, RoIFeature) else rows
+    rows.backward(np.random.default_rng(0).normal(size=rows.shape))
+    return rows.data, off.grad, w.grad
+
+
+@pytest.mark.parametrize("pattern_dtype", [np.float64, np.float32])
+class TestPackedReadsMatchPerGridLoops:
+    # desk defaults with single-precision maps. Patterns are double when a
+    # query feature comes from the default embedding and single when every
+    # one comes from a map read; the gradients must come back in that dtype
+    def _desk(self, scene_id, branch, pattern_dtype):
+        cfg = RunConfig()
+        scene = generate_scene(cfg.model, cfg.sim, scene_id)
+        store = init_model_params(cfg.model, seed=scene_id)
+        batch = generate_queries(scene.gt_boxes, scene.rig, scene.feature_set(cfg.model),
+                                 cfg.model, cfg.sim.oracle, store["query.default_embedding"],
+                                 np.random.default_rng(scene_id))
+        pat = predict_pattern(batch, pattern_params(store, f"layer0.{branch}"), branch,
+                              cfg.model)
+        rng = np.random.default_rng(scene_id)
+        # widened offsets spread the points over several views
+        offsets = (pat.offsets.data * 4.0).astype(pattern_dtype)
+        weights = (pat.weights.data * rng.uniform(0.5, 1.5, pat.weights.shape)).astype(
+            pattern_dtype)
+        return cfg, scene, batch, offsets, weights
+
+    @staticmethod
+    def _assert_same(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_camera_rows_and_gradients(self, pattern_dtype):
+        multi_view_hits = 0
+        for scene_id in range(3):
+            cfg, scene, batch, offsets, weights = self._desk(scene_id, "camera", pattern_dtype)
+            args = (batch.centers(), offsets, weights, "camera", scene.feature_set(cfg.model),
+                    scene.rig)
+            self._assert_same(_rows_and_gradients(sample_camera, *args),
+                              _rows_and_gradients(per_view_sample_camera, *args))
+            centers = batch.centers().data
+            multi_view_hits += sum(
+                len(hit_views(centers[n] + offsets[n, t, k], scene.rig, t)) > 1
+                for n in range(offsets.shape[0]) for t in range(offsets.shape[1])
+                for k in range(offsets.shape[2])
+            )
+        # points read from two views check the order the terms are added in
+        assert multi_view_hits > 0
+
+    def test_lidar_rows_and_gradients(self, pattern_dtype):
+        for scene_id in range(3):
+            cfg, scene, batch, offsets, weights = self._desk(scene_id, "lidar", pattern_dtype)
+            args = (batch.centers_xy(), offsets, weights, "lidar",
+                    scene.lidar_pyramid(cfg.model))
+            self._assert_same(_rows_and_gradients(sample_lidar, *args),
+                              _rows_and_gradients(per_scale_sample_lidar, *args))
+
+
+class TestGradsuiteMapCoverage:
+    # (builder, indices of its map inputs, fewest map elements FD must probe)
+    CASES = [
+        ("sample_camera", [3, 4], 40),
+        ("sample_lidar", [3, 4], 40),
+        ("bilinear_sample_packed", [0], 40),
+        ("compute_loss", [2, 3], 12),
+    ]
+
+    @pytest.mark.parametrize("name,maps,probes", CASES)
+    def test_maps_get_analytic_gradients(self, name, maps, probes):
+        rng = np.random.default_rng(np.random.SeedSequence([0, 23, 0]))
+        fn, inputs = gradsuite.BUILDERS[name](rng)
+        for t in inputs:
+            t.requires_grad = True
+        T.sum_(fn(inputs)).backward()
+        cap = gradsuite.ELEMENT_CAPS.get(name)
+        # maps no point reads get none, but the reads reach some map
+        assert any(inputs[i].grad is not None and np.any(inputs[i].grad != 0.0)
+                   for i in maps)
+        for i in maps:
+            assert min(inputs[i].size, cap or inputs[i].size) >= probes
 
 
 # ---------------------------------------------------------------------------

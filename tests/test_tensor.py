@@ -252,6 +252,8 @@ PRIMITIVES = {
     "concat": (lambda ins: T.concat([ins[0], ins[1]], axis=1), [(3, 2), (3, 4)], None),
     "narrow": (lambda ins: T.narrow(ins[0], 1, 1, 2), [(3, 4)], None),
     "gather_rows": (lambda ins: T.gather_rows(ins[0], [2, 0, 2]), [(4, 3)], None),
+    "scatter_add_rows": (
+        lambda ins: T.scatter_add_rows(ins[0], [2, 0, 2], 4), [(3, 3)], None),
     "bilinear": (lambda ins: T.bilinear_sample(ins[0], ins[1]), [(5, 6, 2), (4, 2)], "coords"),
 }
 
@@ -313,3 +315,72 @@ def test_bilinear_coords_kink_note():
     with T.track_kinks() as k:
         T.bilinear_sample(grid, T.Tensor([[1.5 + 1e-5, 2.2]]))
     assert k.min_distance() < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# packed bilinear reads: the same numbers as one grid at a time
+# ---------------------------------------------------------------------------
+
+
+class TestBilinearPacked:
+    SHAPES = np.array([[4, 5], [3, 7]])  # (H, W) of two grids
+    C = 3
+
+    def _setup(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        grids = [rng.normal(size=(h, w, self.C)).astype(dtype) for h, w in self.SHAPES]
+        map_idx = np.arange(40) % 2
+        hw = self.SHAPES[map_idx]
+        # in bounds, on the border texels, and outside on every side
+        coords = np.concatenate([
+            rng.uniform(0.5, hw[:10, ::-1] - 0.5),
+            rng.uniform(-0.5, 0.5, size=(10, 2)) + hw[10:20, ::-1] * rng.integers(0, 2, (10, 2)),
+            rng.uniform(-3.0, hw[20:, ::-1] + 3.0),
+        ])
+        return grids, map_idx, coords
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_grid_reads_bit_for_bit(self, dtype):
+        for seed in range(5):
+            grids, map_idx, coords = self._setup(seed, dtype)
+            values = T.Tensor(np.concatenate([g.reshape(-1, self.C) for g in grids]),
+                              requires_grad=True)
+            c = T.Tensor(coords, requires_grad=True)
+            packed = T.bilinear_sample_packed(values, self.SHAPES, [0, 20], map_idx, c)
+            seed_grad = np.random.default_rng(seed).normal(size=packed.shape).astype(dtype)
+            packed.backward(seed_grad)
+            want_dvalues = []
+            want_dcoords = np.zeros_like(c.grad)
+            for g, grid in enumerate(grids):
+                sel = map_idx == g
+                gt = T.Tensor(grid, requires_grad=True)
+                ct = T.Tensor(coords[sel], requires_grad=True)
+                out = T.bilinear_sample(gt, ct)
+                assert np.array_equal(packed.data[sel], out.data)
+                out.backward(seed_grad[sel])
+                want_dvalues.append(gt.grad.reshape(-1, self.C))
+                want_dcoords[sel] = ct.grad
+            assert np.array_equal(values.grad, np.concatenate(want_dvalues))
+            assert np.array_equal(c.grad, want_dcoords)
+
+    def test_no_read_from_the_neighbouring_grid(self):
+        grids, map_idx, coords = self._setup(0, np.float64)
+        for g in range(2):
+            sel = map_idx == g
+            poisoned = [np.full_like(x, np.nan) for x in grids]
+            poisoned[g] = grids[g]
+            values = T.Tensor(np.concatenate([x.reshape(-1, self.C) for x in poisoned]))
+            out = T.bilinear_sample_packed(values, self.SHAPES, [0, 20], map_idx[sel],
+                                           coords[sel])
+            assert np.all(np.isfinite(out.data))
+            assert np.array_equal(out.data, T.bilinear_sample(grids[g], coords[sel]).data)
+
+    def test_values_vjp_stays_in_each_grid(self):
+        grids, map_idx, coords = self._setup(1, np.float64)
+        values = T.Tensor(np.concatenate([g.reshape(-1, self.C) for g in grids]),
+                          requires_grad=True)
+        sel = map_idx == 0
+        out = T.bilinear_sample_packed(values, self.SHAPES, [0, 20], map_idx[sel], coords[sel])
+        out.backward()
+        assert np.any(values.grad[:20] != 0.0)
+        assert np.all(values.grad[20:] == 0.0)
