@@ -21,7 +21,7 @@ from .config import RunConfig
 from .decoder import decode_layer
 from .paqg import generate_queries
 from .params import init_model_params
-from .rias import adaptive_mix, mix_params, pattern_params, predict_pattern, sample_camera, sample_lidar
+from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
 from .scenesim import generate_scene
 
 KERNELS = ("sample_lidar", "sample_camera", "adaptive_mix", "full_layer")
@@ -41,18 +41,6 @@ class BenchReport:
     p99_ms: float
     queries_per_s: float
     parts_ms: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "config": self.config,
-            "repetitions": self.repetitions,
-            "p50_ms": self.p50_ms,
-            "p90_ms": self.p90_ms,
-            "p99_ms": self.p99_ms,
-            "queries_per_s": self.queries_per_s,
-            "parts_ms": self.parts_ms,
-        }
 
 
 def _percentiles(samples: list) -> tuple:
@@ -94,10 +82,10 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
         scene.gt_boxes, scene.rig, feats, mcfg,
         cfg.sim.oracle, store["query.default_embedding"], rng,
     )
-    pp_lid = pattern_params(store, "layer0.lidar")
-    pp_cam = pattern_params(store, "layer0.camera")
-    mp_lid = mix_params(store, "layer0.lidar")
-    mp_cam = mix_params(store, "layer0.camera")
+    pp_lid = store.group("layer0.lidar")
+    pp_cam = store.group("layer0.camera")
+    mp_lid = store.group("layer0.lidar.mix")
+    mp_cam = store.group("layer0.camera.mix")
     centers = batch.centers()
     centers_xy = batch.centers_xy()
 

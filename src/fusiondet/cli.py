@@ -9,13 +9,17 @@ codes: 0 success, 2 config error, 1 any other failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bench import KERNELS, BenchError, bench_kernel, machine_info
 from .config import ConfigError, RunConfig
+from .fileio import write_json
 from .gradsuite import run_suite
 from .metrics import evaluate_detections, write_bins_csv, write_report_json
 from .params import (
@@ -35,7 +39,7 @@ from .scenesim import (
     load_manifest,
     write_dataset,
 )
-from .train import run_inference, train_loop
+from .train import DivergenceError, run_inference, train_loop
 
 CONFIG_EXIT = 2
 ERROR_EXIT = 1
@@ -81,15 +85,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _check_dataset(cfg: RunConfig, dataset_dir: str):
-    manifest = load_manifest(dataset_dir)
+def _load_scenes(cfg: RunConfig, dataset_dir: str) -> list:
+    """The dataset's scenes, after checking it was generated for ``cfg``."""
+    have = load_manifest(dataset_dir).get("dataset_hash")
     want = dataset_hash(cfg)
-    have = manifest.get("dataset_hash")
     if have != want:
         raise CliError(
             f"dataset hash mismatch: dataset {have}, config {want} "
             "(model/sim sections differ)"
         )
+    return load_dataset(dataset_dir)
 
 
 def _load_params(cfg: RunConfig, checkpoint: str | None):
@@ -107,12 +112,14 @@ def _load_params(cfg: RunConfig, checkpoint: str | None):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    _check_dataset(cfg, args.dataset)
-    scenes = load_dataset(args.dataset)
+    scenes = _load_scenes(cfg, args.dataset)
     store, start_step, velocity = _load_params(cfg, args.resume)
     log_path = args.out + ".log.jsonl"
     mode = "a" if args.resume else "w"
-    with open(log_path, mode, encoding="utf-8") as log_fh:
+    # a diverging run ends in one DivergenceError line, without numpy's
+    # overflow warnings before it
+    with open(log_path, mode, encoding="utf-8") as log_fh, \
+            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         def log_fn(rec):
             log_fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -125,8 +132,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
-    _check_dataset(cfg, args.dataset)
-    scenes = load_dataset(args.dataset)
+    scenes = _load_scenes(cfg, args.dataset)
     store, _, _ = _load_params(cfg, args.checkpoint)
     preds, _ = run_inference(
         cfg, scenes, store, fusion=args.fusion,
@@ -139,8 +145,7 @@ def cmd_infer(args) -> int:
         ],
         **_report_extra(cfg),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+    write_json(args.out, doc)
     print(f"wrote predictions for {len(scenes)} scenes to {args.out}")
     return 0
 
@@ -159,8 +164,7 @@ def _evaluate(cfg: RunConfig, scenes, store, fusion, oracle_uncertainty):
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    _check_dataset(cfg, args.dataset)
-    scenes = load_dataset(args.dataset)
+    scenes = _load_scenes(cfg, args.dataset)
     store, _, _ = _load_params(cfg, args.checkpoint)
     report = _evaluate(cfg, scenes, store, args.fusion, args.oracle_uncertainty)
     write_report_json(
@@ -174,8 +178,7 @@ def cmd_eval(args) -> int:
 
 def cmd_robustness(args) -> int:
     cfg = _load_config(args)
-    _check_dataset(cfg, args.dataset)
-    scenes = load_dataset(args.dataset)
+    scenes = _load_scenes(cfg, args.dataset)
     store, _, _ = _load_params(cfg, args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
     scenario_names = args.scenario or [
@@ -204,8 +207,7 @@ def cmd_robustness(args) -> int:
             "nds": report.nds_value,
             "nds_drop": clean.nds_value - report.nds_value,
         }
-    with open(os.path.join(args.out, f"summary_{args.fusion}.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+    write_json(os.path.join(args.out, f"summary_{args.fusion}.json"), summary)
     print(json.dumps(summary["scenarios"], sort_keys=True, indent=1))
     return 0
 
@@ -214,8 +216,7 @@ def cmd_gradcheck(args) -> int:
     results = run_suite(num_seeds=args.seeds)
     doc = {"results": results, "version": __version__}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+        write_json(args.out, doc)
     ok = True
     for name, res in results.items():
         print(f"{name:22s} max_rel={res['max_rel_error']:.3e} "
@@ -228,10 +229,10 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     kernels = [args.kernel] if args.kernel else list(KERNELS)
     reports = [bench_kernel(k, cfg, args.reps) for k in kernels]
-    doc = {"reports": [r.to_dict() for r in reports], **_report_extra(cfg), **machine_info()}
+    doc = {"reports": [dataclasses.asdict(r) for r in reports],
+           **_report_extra(cfg), **machine_info()}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+        write_json(args.out, doc)
     for r in reports:
         print(f"{r.kernel:14s} p50 {r.p50_ms:7.3f} ms  p90 {r.p90_ms:7.3f} ms  "
               f"{r.queries_per_s:9.0f} q/s")
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
-    except (CliError, SimError, CheckpointError, BenchError, OSError) as exc:
+    except (CliError, SimError, CheckpointError, BenchError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 
+from . import tensor as T
 from .geometry import DetectionRange
 
 
@@ -105,6 +106,11 @@ class ModelSection:
     def hash(self) -> str:
         """Hash of this section alone: what a checkpoint was trained for."""
         return _hash(dataclasses.asdict(self))
+
+    @property
+    def dtype(self):
+        """The parameter and feature dtype that ``precision`` selects."""
+        return T.DOUBLE if self.precision == "double" else T.SINGLE
 
     def detection_range(self) -> DetectionRange:
         return DetectionRange(

@@ -23,7 +23,7 @@ from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from .geometry import CameraRig, DetectionRange
 from .params import ParamStore
 from .queries import QueryBatch, boxes_to_state, state_to_boxes
-from .rias import adaptive_mix, mix_params, pattern_params, predict_pattern, sample_camera, sample_lidar
+from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
 
 
 @dataclass
@@ -50,17 +50,16 @@ class LayerPrediction:
         return state_to_boxes(self.box_state.data, scores=best, class_ids=cls)
 
 
-def refine_box(features: T.Tensor, state: T.Tensor, store: ParamStore, prefix: str,
-               cfg: ModelSection) -> T.Tensor:
+def refine_box(features: T.Tensor, state: T.Tensor, params, cfg: ModelSection) -> T.Tensor:
     """Residual box update from the fused query feature.
 
-    Center moves by head output times ``center_step`` times the range
-    extent per axis (48 m in x/y and 6 m in z at the desk defaults), sizes
-    update in log space, yaw via an additive (sin, cos) pair that is
-    renormalized, velocity additively.
+    ``params`` is the layer's two-layer refine head group
+    (``ParamStore.group("layer0.refine")``). Center moves by head output
+    times ``center_step`` times the range extent per axis (48 m in x/y and
+    6 m in z at the desk defaults), sizes update in log space, yaw via an
+    additive (sin, cos) pair that is renormalized, velocity additively.
     """
-    h = T.relu(T.linear(features, store[f"{prefix}.refine.w1"], store[f"{prefix}.refine.b1"]))
-    resid = T.linear(h, store[f"{prefix}.refine.w2"], store[f"{prefix}.refine.b2"])
+    resid = T.mlp(features, params)
 
     extent = cfg.detection_range().extent
     center_scale = (extent * cfg.center_step)
@@ -108,22 +107,23 @@ def decode_layer(
     centers = batch.centers()
     centers_xy = batch.centers_xy()
 
-    pat_lid = predict_pattern(batch, pattern_params(store, f"{prefix}.lidar"), "lidar", cfg)
+    def group(name):
+        return store.group(f"{prefix}.{name}")
+
+    pat_lid = predict_pattern(batch, group("lidar"), "lidar", cfg)
     roi_lid = sample_lidar(centers_xy, pat_lid, lidar_feats)
-    mix_lid = adaptive_mix(batch.features, roi_lid, mix_params(store, f"{prefix}.lidar"))
+    mix_lid = adaptive_mix(batch.features, roi_lid, group("lidar.mix"))
 
-    pat_cam = predict_pattern(batch, pattern_params(store, f"{prefix}.camera"), "camera", cfg)
+    pat_cam = predict_pattern(batch, group("camera"), "camera", cfg)
     roi_cam = sample_camera(centers, pat_cam, cam_feats, rig)
-    mix_cam = adaptive_mix(batch.features, roi_cam, mix_params(store, f"{prefix}.camera"))
+    mix_cam = adaptive_mix(batch.features, roi_cam, group("camera.mix"))
 
-    dist_cam = uaf.predict_distance(uaf.pool_roi(roi_cam),
-                                    uaf.distance_params(store, f"{prefix}.camera.dist"))
-    dist_lid = uaf.predict_distance(uaf.pool_roi(roi_lid),
-                                    uaf.distance_params(store, f"{prefix}.lidar.dist"))
-    reg_cam = uaf.regress_xy(roi_cam, uaf.distance_params(store, f"{prefix}.camera.reg"),
-                             centers_xy)
-    reg_lid = uaf.regress_xy(roi_lid, uaf.distance_params(store, f"{prefix}.lidar.reg"),
-                             centers_xy)
+    pool_cam = uaf.pool_roi(roi_cam)
+    pool_lid = uaf.pool_roi(roi_lid)
+    dist_cam = uaf.predict_distance(pool_cam, group("camera.dist"))
+    dist_lid = uaf.predict_distance(pool_lid, group("lidar.dist"))
+    reg_cam = uaf.regress_xy(pool_cam, group("camera.reg"), centers_xy)
+    reg_lid = uaf.regress_xy(pool_lid, group("lidar.reg"), centers_xy)
 
     if fusion == "equal":
         u_cam = np.full(batch.count, 0.5)
@@ -136,13 +136,14 @@ def decode_layer(
         u_cam = uaf.uncertainty_from_distance(dist_cam)
         u_lid = uaf.uncertainty_from_distance(dist_lid)
 
-    fused = uaf.fuse(mix_cam, u_cam, mix_lid, u_lid, uaf.fuse_params(store, prefix))
+    fuse_p = group("fuse")
+    fused = uaf.fuse(mix_cam, u_cam, mix_lid, u_lid, fuse_p)
     # bound the refined query feature before the heads and the next layer
-    fused = T.layer_norm(fused, store[f"{prefix}.fuse.ln_gain"],
-                         store[f"{prefix}.fuse.ln_shift"])
+    fused = T.layer_norm(fused, fuse_p.ln_gain, fuse_p.ln_shift)
 
-    logits = T.linear(fused, store[f"{prefix}.cls.w"], store[f"{prefix}.cls.b"])
-    new_state = refine_box(fused, batch.box_state, store, prefix, cfg)
+    cls_p = group("cls")
+    logits = T.linear(fused, cls_p.w, cls_p.b)
+    new_state = refine_box(fused, batch.box_state, group("refine"), cfg)
 
     pred = LayerPrediction(
         class_logits=logits,

@@ -10,6 +10,7 @@ subgradient conventions.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .config import ModelSection, TrainSection
 from .decoder import compute_loss, decode, match_layers, oracle_distance_targets, refine_box
 from .featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
 from .geometry import Box3D, CameraRig, CameraView, DetectionRange, make_rigid
-from .params import ParamStore
+from .params import ParamStore, init_model_params
 from .queries import QueryBatch, boxes_to_state
-from .rias import MixParams, RoIFeature, SamplingPattern, adaptive_mix, sample_camera, sample_lidar
+from .rias import RoIFeature, SamplingPattern, adaptive_mix, sample_camera, sample_lidar
 
 KINK_MARGIN = 1e-4
 GRAD_TOL = 1e-4
@@ -92,22 +93,15 @@ def _build_adaptive_mix(rng):
     N, S, C = 3, 4, 6
     qf = T.Tensor(rng.normal(size=(N, C)), dtype=np.float64)
     roi = T.Tensor(rng.normal(size=(N, S, C)), dtype=np.float64)
-    names = [
-        ("chan_w", (C, C * C)), ("chan_b", (C * C,)),
-        ("spat_w", (C, S * S)), ("spat_b", (S * S,)),
-        ("ln_chan_gain", (C,)), ("ln_chan_shift", (C,)),
-        ("ln_spat_gain", (S,)), ("ln_spat_shift", (S,)),
-        ("agg_w", (S * C, C)), ("agg_b", (C,)),
-        ("ln_out_gain", (C,)), ("ln_out_shift", (C,)),
-    ]
-    tensors = {n: T.Tensor(rng.normal(0.0, 0.4, size=s), dtype=np.float64) for n, s in names}
+    # the mixer's parameter layout at S = K sampled rows, redrawn at random
+    layout = init_model_params(_mini_model(C, num_points=S), seed=0).group("layer0.lidar.mix")
+    mp = SimpleNamespace(**{n: T.Tensor(rng.normal(0.0, 0.4, size=t.shape), dtype=np.float64)
+                            for n, t in vars(layout).items()})
 
     def fn(ins):
-        mp = MixParams(**tensors)
         return adaptive_mix(ins[0], RoIFeature(ins[1], "lidar"), mp)
 
-    inputs = [qf, roi, tensors["chan_w"], tensors["agg_w"], tensors["ln_chan_gain"]]
-    return fn, inputs
+    return fn, [qf, roi, mp.chan_w, mp.agg_w, mp.ln_chan_gain]
 
 
 def _lidar_pyramid(rng, C=4):
@@ -176,7 +170,7 @@ def _build_predict_uncertainty(rng):
     w1, b1, w2, b2 = _tensors(rng, (C, C), (C,), (C, 1), (1,), scale=0.5)
 
     def fn(ins):
-        dp = uaf.DistanceParams(ins[1], ins[2], ins[3], ins[4])
+        dp = SimpleNamespace(w1=ins[1], b1=ins[2], w2=ins[3], b2=ins[4])
         return uaf.predict_uncertainty(RoIFeature(ins[0], "lidar"), dp)
 
     return fn, [roi, w1, b1, w2, b2]
@@ -190,15 +184,15 @@ def _build_fuse(rng):
     w1, b1, w2, b2 = _tensors(rng, (2 * C, 2 * C), (2 * C,), (2 * C, C), (C,), scale=0.4)
 
     def fn(ins):
-        fp = uaf.FuseParams(ins[4], ins[5], ins[6], ins[7])
+        fp = SimpleNamespace(w1=ins[4], b1=ins[5], w2=ins[6], b2=ins[7])
         return uaf.fuse(ins[0], ins[1], ins[2], ins[3], fp)
 
     return fn, [fc, u_c, fl, u_l, w1, b1, w2, b2]
 
 
-def _mini_model(C=6, n_cls=2) -> ModelSection:
+def _mini_model(C=6, n_cls=2, num_points=2) -> ModelSection:
     return ModelSection(
-        channels=C, num_queries=4, num_top=2, num_random=2, num_points=2,
+        channels=C, num_queries=4, num_top=2, num_random=2, num_points=num_points,
         num_layers=1, num_cam_scales=1, num_lidar_scales=1, num_frames=1,
         num_views=2, num_classes=n_cls, range_xy=[-10.0, 10.0],
         range_z=[-2.0, 2.0], precision="double", center_step=0.05,
@@ -207,8 +201,6 @@ def _mini_model(C=6, n_cls=2) -> ModelSection:
 
 def _mini_store(rng, cfg: ModelSection) -> ParamStore:
     """Random small parameters with the decoder's naming scheme."""
-    from .params import init_model_params
-
     store = init_model_params(cfg, seed=int(rng.integers(1 << 30)))
     for name, t in store.items():
         t.data = t.data.astype(np.float64) + rng.normal(0.0, 0.15, size=t.data.shape)
@@ -230,7 +222,7 @@ def _build_refine_box(rng):
     st = T.Tensor(state, dtype=np.float64)
 
     def fn(ins):
-        return refine_box(ins[0], ins[1], store, "layer0", cfg)
+        return refine_box(ins[0], ins[1], store.group("layer0.refine"), cfg)
 
     return fn, [qf, st, store["layer0.refine.w1"], store["layer0.refine.w2"]]
 

@@ -11,12 +11,12 @@ labels, hence no AAE) still reports a composite.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import atomic_open, write_json
 from .geometry import Box3D
 
 RECALL_SAMPLES = 101
@@ -260,7 +260,7 @@ def distance_binned_ap(
 
 
 def write_bins_csv(path: str, report: MetricsReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "map", "num_gt"])
         for label, row in report.distance_bins.items():
@@ -273,5 +273,4 @@ def write_report_json(path: str, report: MetricsReport, extra: dict | None = Non
     doc = report.to_dict()
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+    write_json(path, doc)

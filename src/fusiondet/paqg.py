@@ -216,9 +216,8 @@ def generate_queries(
     n_pad = cfg.num_queries - len(initialized)
     rand_boxes = random_queries(n_pad, det_range, rng)
 
-    dtype = T.DOUBLE if cfg.precision == "double" else T.SINGLE
     feature_rows = [f for f, _ in initialized] + [default_embedding] * len(rand_boxes)
     boxes = [b for _, b in initialized] + rand_boxes
     features = T.concat([T.reshape(f, (1, cfg.channels)) for f in feature_rows], axis=0)
-    state = T.Tensor(boxes_to_state(boxes, dtype=dtype))
+    state = T.Tensor(boxes_to_state(boxes, dtype=cfg.dtype))
     return QueryBatch(features=features, box_state=state)

@@ -20,11 +20,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import tensor as T
 from .config import ModelSection
+from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"FDCP"
 CHECKPOINT_VERSION = 1
@@ -34,25 +36,35 @@ class CheckpointError(ValueError):
     pass
 
 
-def _dtype_of(precision: str):
-    return T.DOUBLE if precision == "double" else T.SINGLE
-
-
 class ParamStore:
     """Ordered name -> Tensor map of trainable parameters."""
 
     def __init__(self):
         self._params: dict[str, T.Tensor] = {}
+        self._groups: dict | None = None
 
     def add(self, name: str, data: np.ndarray) -> T.Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
         t = T.Tensor(data, requires_grad=True)
         self._params[name] = t
+        self._groups = None
         return t
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self._params[name]
+
+    def group(self, prefix: str) -> SimpleNamespace:
+        """The store's own tensors named ``prefix.<name>``, as attributes
+        ``<name>``; direct children only (``layer0.lidar`` has ``offset_w``,
+        not ``mix.chan_w``). Built once per store; KeyError if none exist."""
+        if self._groups is None:
+            groups: dict = {}
+            for name, t in self._params.items():
+                head, _, leaf = name.rpartition(".")
+                setattr(groups.setdefault(head, SimpleNamespace()), leaf, t)
+            self._groups = groups
+        return self._groups[prefix]
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -82,7 +94,7 @@ def _ring_bias(K: int, rest: int, radius_raw: float, dims: int) -> np.ndarray:
 
 
 def init_model_params(cfg: ModelSection, seed: int) -> ParamStore:
-    dtype = _dtype_of(cfg.precision)
+    dtype = cfg.dtype
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A17]))
     C = cfg.channels
     K = cfg.num_points
@@ -94,6 +106,14 @@ def init_model_params(cfg: ModelSection, seed: int) -> ParamStore:
 
     def p(name, arr):
         return store.add(name, np.asarray(arr, dtype=dtype))
+
+    def head(prefix, n_in, n_hidden, n_out, zero_out):
+        """Two-layer head: He-initialized hidden layer, output layer He or zero."""
+        p(f"{prefix}.w1", _he(rng, n_in, (n_in, n_hidden)))
+        p(f"{prefix}.b1", np.zeros(n_hidden))
+        p(f"{prefix}.w2", np.zeros((n_hidden, n_out)) if zero_out
+          else _he(rng, n_hidden, (n_hidden, n_out)))
+        p(f"{prefix}.b2", np.zeros(n_out))
 
     # effective ring radius 0.5 of the box half-extent after tanh squashing
     radius_raw = math.atanh(min(0.5 / cfg.max_offset_factor, 0.99))
@@ -128,28 +148,16 @@ def init_model_params(cfg: ModelSection, seed: int) -> ParamStore:
             p(f"{base}.mix.ln_out_gain", np.ones(C))
             p(f"{base}.mix.ln_out_shift", np.zeros(C))
             # uncertainty: distance predictor and auxiliary BEV regressor
-            p(f"{base}.dist.w1", _he(rng, C, (C, C)))
-            p(f"{base}.dist.b1", np.zeros(C))
-            p(f"{base}.dist.w2", _he(rng, C, (C, 1)))
-            p(f"{base}.dist.b2", np.zeros(1))
-            p(f"{base}.reg.w1", _he(rng, C, (C, C)))
-            p(f"{base}.reg.b1", np.zeros(C))
-            p(f"{base}.reg.w2", np.zeros((C, 2)))
-            p(f"{base}.reg.b2", np.zeros(2))
+            head(f"{base}.dist", C, C, 1, zero_out=False)
+            head(f"{base}.reg", C, C, 2, zero_out=True)
 
         base = f"layer{layer}"
-        p(f"{base}.fuse.w1", _he(rng, 2 * C, (2 * C, 2 * C)))
-        p(f"{base}.fuse.b1", np.zeros(2 * C))
-        p(f"{base}.fuse.w2", _he(rng, 2 * C, (2 * C, C)))
-        p(f"{base}.fuse.b2", np.zeros(C))
+        head(f"{base}.fuse", 2 * C, 2 * C, C, zero_out=False)
         p(f"{base}.fuse.ln_gain", np.ones(C))
         p(f"{base}.fuse.ln_shift", np.zeros(C))
         p(f"{base}.cls.w", np.zeros((C, n_cls)))
         p(f"{base}.cls.b", np.full(n_cls, -2.0))  # sigmoid ~ 0.12 prior
-        p(f"{base}.refine.w1", _he(rng, C, (C, C)))
-        p(f"{base}.refine.b1", np.zeros(C))
-        p(f"{base}.refine.w2", np.zeros((C, 10)))
-        p(f"{base}.refine.b2", np.zeros(10))
+        head(f"{base}.refine", C, C, 10, zero_out=True)
     return store
 
 
@@ -198,7 +206,7 @@ def save_checkpoint(path: str, store: ParamStore, step: int, model_hash: str,
         },
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))

@@ -19,7 +19,6 @@ from . import tensor as T
 from .config import ModelSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from .geometry import CameraRig, invert_rigid
-from .params import ParamStore
 from .queries import QueryBatch
 
 
@@ -45,63 +44,11 @@ class RoIFeature:
     branch: str
 
 
-@dataclass
-class PatternParams:
-    offset_w: T.Tensor
-    offset_b: T.Tensor
-    weight_w: T.Tensor
-    weight_b: T.Tensor
-
-
-@dataclass
-class MixParams:
-    chan_w: T.Tensor
-    chan_b: T.Tensor
-    spat_w: T.Tensor
-    spat_b: T.Tensor
-    ln_chan_gain: T.Tensor
-    ln_chan_shift: T.Tensor
-    ln_spat_gain: T.Tensor
-    ln_spat_shift: T.Tensor
-    agg_w: T.Tensor
-    agg_b: T.Tensor
-    ln_out_gain: T.Tensor
-    ln_out_shift: T.Tensor
-
-
-def pattern_params(store: ParamStore, prefix: str) -> PatternParams:
-    return PatternParams(
-        offset_w=store[f"{prefix}.offset_w"],
-        offset_b=store[f"{prefix}.offset_b"],
-        weight_w=store[f"{prefix}.weight_w"],
-        weight_b=store[f"{prefix}.weight_b"],
-    )
-
-
-def mix_params(store: ParamStore, prefix: str) -> MixParams:
-    return MixParams(
-        chan_w=store[f"{prefix}.mix.chan_w"],
-        chan_b=store[f"{prefix}.mix.chan_b"],
-        spat_w=store[f"{prefix}.mix.spat_w"],
-        spat_b=store[f"{prefix}.mix.spat_b"],
-        ln_chan_gain=store[f"{prefix}.mix.ln_chan_gain"],
-        ln_chan_shift=store[f"{prefix}.mix.ln_chan_shift"],
-        ln_spat_gain=store[f"{prefix}.mix.ln_spat_gain"],
-        ln_spat_shift=store[f"{prefix}.mix.ln_spat_shift"],
-        agg_w=store[f"{prefix}.mix.agg_w"],
-        agg_b=store[f"{prefix}.mix.agg_b"],
-        ln_out_gain=store[f"{prefix}.mix.ln_out_gain"],
-        ln_out_shift=store[f"{prefix}.mix.ln_out_shift"],
-    )
-
-
-def predict_pattern(
-    batch: QueryBatch,
-    params: PatternParams,
-    branch: str,
-    cfg: ModelSection,
-) -> SamplingPattern:
+def predict_pattern(batch: QueryBatch, params, branch: str, cfg: ModelSection) -> SamplingPattern:
     """Predict a sampling pattern from the batch's query features.
+
+    ``params`` is the branch's parameter group (``offset_w``, ``offset_b``,
+    ``weight_w``, ``weight_b``; ``ParamStore.group("layer0.lidar")``).
 
     Offsets are scaled by the boxes' half-extents and rotated by their yaw.
     LiDAR predicts R = ``num_lidar_scales`` groups of K points in BEV with
@@ -109,8 +56,6 @@ def predict_pattern(
     T = ``num_frames`` groups of K 3D points with weights normalized over
     (M, K) within each frame, M = ``num_cam_scales``.
     """
-    if cfg.num_points < 1:
-        raise ValueError("need at least one sampling point")
     if branch == "lidar":
         G, M, dims = cfg.num_lidar_scales, 1, 2
     else:
@@ -238,12 +183,13 @@ def sample_camera(
     return RoIFeature(feat=T.reshape(rows, (N, Tt * K, C)), branch="camera")
 
 
-def adaptive_mix(features: T.Tensor, roi: RoIFeature, params: MixParams) -> T.Tensor:
+def adaptive_mix(features: T.Tensor, roi: RoIFeature, params) -> T.Tensor:
     """Channel then spatial correlation mixing, aggregated back to C channels.
 
     Mixing matrices are generated from the query feature; the flattened
     result is projected to C and residual-added to the query, followed by
-    layer norm.
+    layer norm. ``params`` is the branch's mixer group
+    (``ParamStore.group("layer0.lidar.mix")``).
     """
     N, S, C = roi.feat.shape
     if params.agg_w.shape != (S * C, C):

@@ -30,8 +30,9 @@ from .classes import (
     SIZE_PRIORS,
     SPEED_SCALE,
 )
-from .config import ModelSection, RunConfig, ScenarioSection, SimSection
+from .config import ConfigError, ModelSection, RunConfig, ScenarioSection, SimSection
 from .featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
+from .fileio import atomic_open, write_json
 from .geometry import (
     Box3D,
     CameraRig,
@@ -93,7 +94,6 @@ class SceneSample:
     def feature_set(self, cfg: ModelSection) -> CameraFeatureSet:
         key = ("cam", cfg.precision)
         if key not in self._cache:
-            dtype = T.DOUBLE if cfg.precision == "double" else T.SINGLE
             maps = {k: FeatureMap(T.Tensor(v), scale_id=k[1]) for k, v in self.cam_maps.items()}
             # per-scale pixel-to-texel ratio, recovered from the map shapes
             img_w = self.rig.views[0].image_size[0]
@@ -102,16 +102,15 @@ class SceneSample:
                 for m in range(cfg.num_cam_scales)
             ]
             self._cache[key] = CameraFeatureSet(
-                maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides, dtype
+                maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides, cfg.dtype
             )
         return self._cache[key]
 
     def lidar_pyramid(self, cfg: ModelSection) -> LidarFeaturePyramid:
         key = ("lidar", cfg.precision)
         if key not in self._cache:
-            dtype = T.DOUBLE if cfg.precision == "double" else T.SINGLE
             maps = [FeatureMap(T.Tensor(m), scale_id=r) for r, m in enumerate(self.lidar_maps)]
-            self._cache[key] = LidarFeaturePyramid(maps, self.det_range, dtype)
+            self._cache[key] = LidarFeaturePyramid(maps, self.det_range, cfg.dtype)
         return self._cache[key]
 
 
@@ -594,8 +593,17 @@ def dataset_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _save_array(d: str, fname: str, arr: np.ndarray):
+    with atomic_open(os.path.join(d, fname), "wb") as fh:
+        np.save(fh, arr)
+
+
 def write_dataset(out_dir: str, cfg: RunConfig, scenes: list):
+    """Atomic file writes, manifest removed first and written last."""
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     names = []
     for sc in scenes:
         name = f"scene_{sc.scene_id:04d}"
@@ -610,15 +618,14 @@ def write_dataset(out_dir: str, cfg: RunConfig, scenes: list):
             "det_range": sc.det_range.to_dict(),
             "num_frames": len(sc.points),
         }
-        with open(os.path.join(d, "scene.json"), "w", encoding="utf-8") as fh:
-            json.dump(side, fh, sort_keys=True, indent=1)
+        write_json(os.path.join(d, "scene.json"), side)
         for t, (p, ids) in enumerate(zip(sc.points, sc.obj_ids)):
-            np.save(os.path.join(d, f"points_t{t}.npy"), p.astype(np.float32))
-            np.save(os.path.join(d, f"obj_ids_t{t}.npy"), ids.astype(np.int32))
+            _save_array(d, f"points_t{t}.npy", p.astype(np.float32))
+            _save_array(d, f"obj_ids_t{t}.npy", ids.astype(np.int32))
         for (v, m, t), grid in sorted(sc.cam_maps.items()):
-            np.save(os.path.join(d, f"cam_v{v}_m{m}_t{t}.npy"), grid.astype(np.float32))
+            _save_array(d, f"cam_v{v}_m{m}_t{t}.npy", grid.astype(np.float32))
         for r, grid in enumerate(sc.lidar_maps):
-            np.save(os.path.join(d, f"lidar_r{r}.npy"), grid.astype(np.float32))
+            _save_array(d, f"lidar_r{r}.npy", grid.astype(np.float32))
     manifest = {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg.hash(),
@@ -628,8 +635,7 @@ def write_dataset(out_dir: str, cfg: RunConfig, scenes: list):
         "scenes": names,
         "config": cfg.to_dict(),
     }
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    write_json(manifest_path, manifest)
 
 
 def load_manifest(dataset_dir: str) -> dict:
@@ -637,41 +643,71 @@ def load_manifest(dataset_dir: str) -> dict:
     if not os.path.exists(path):
         raise SimError(f"no dataset manifest at {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SimError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+
+
+def _load_array(d: str, fname: str, shape: tuple) -> np.ndarray:
+    """One stored array; SimError unless it loads with ``shape`` (None
+    matches any size)."""
+    path = os.path.join(d, fname)
+    try:
+        arr = np.load(path)
+    except FileNotFoundError:
+        raise SimError(f"dataset file {path} is missing") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise SimError(f"dataset file {path} does not load: {exc}") from None
+    if arr.ndim != len(shape) or any(w not in (None, h) for h, w in zip(arr.shape, shape)):
+        want = ", ".join("N" if w is None else str(w) for w in shape)
+        raise SimError(f"dataset file {path} has shape {arr.shape}, expected ({want})")
+    return arr
 
 
 def load_dataset(dataset_dir: str) -> list:
+    """The scenes of a written dataset; SimError unless every file the
+    manifest's config implies loads with its shape: per frame points (N, 4)
+    and N ids, V*M*T camera maps (H/stride, W/stride, C), R LiDAR maps
+    halving from ``sim.bev_grid``."""
     manifest = load_manifest(dataset_dir)
+    try:
+        cfg = RunConfig.from_dict(manifest["config"])
+        names = [str(name) for name in manifest["scenes"]]
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise SimError(f"dataset manifest in {dataset_dir} is not valid: {exc!r}") from None
+    model, sim, C = cfg.model, cfg.sim, cfg.model.channels
+    strides = [cfg_stride(m, sim.base_stride) for m in range(model.num_cam_scales)]
     scenes = []
-    for name in manifest["scenes"]:
+    for name in names:
         d = os.path.join(dataset_dir, name)
-        with open(os.path.join(d, "scene.json"), "r", encoding="utf-8") as fh:
-            side = json.load(fh)
-        n_frames = side["num_frames"]
-        points = [np.load(os.path.join(d, f"points_t{t}.npy")) for t in range(n_frames)]
-        obj_ids = [np.load(os.path.join(d, f"obj_ids_t{t}.npy")) for t in range(n_frames)]
-        cam_maps = {}
-        for fname in sorted(os.listdir(d)):
-            if fname.startswith("cam_") and fname.endswith(".npy"):
-                stem = fname[4:-4]
-                v, m, t = (int(part[1:]) for part in stem.split("_"))
-                cam_maps[(v, m, t)] = np.load(os.path.join(d, fname))
-        lidar_maps = []
-        r = 0
-        while os.path.exists(os.path.join(d, f"lidar_r{r}.npy")):
-            lidar_maps.append(np.load(os.path.join(d, f"lidar_r{r}.npy")))
-            r += 1
-        scenes.append(
-            SceneSample(
-                scene_id=side["scene_id"],
-                seed=side["seed"],
-                gt_boxes=[Box3D.from_dict(b) for b in side["gt_boxes"]],
-                rig=CameraRig.from_dict(side["rig"]),
-                det_range=DetectionRange.from_dict(side["det_range"]),
-                points=points,
-                obj_ids=obj_ids,
-                cam_maps=cam_maps,
-                lidar_maps=lidar_maps,
+        points = [_load_array(d, f"points_t{t}.npy", (None, 4)) for t in range(model.num_frames)]
+        obj_ids = [_load_array(d, f"obj_ids_t{t}.npy", (len(p),)) for t, p in enumerate(points)]
+        cam_maps = {
+            (v, m, t): _load_array(d, f"cam_v{v}_m{m}_t{t}.npy",
+                                   (sim.image_height // s, sim.image_width // s, C))
+            for v in range(model.num_views)
+            for m, s in enumerate(strides)
+            for t in range(model.num_frames)
+        }
+        lidar_maps = [_load_array(d, f"lidar_r{r}.npy", (sim.bev_grid >> r, sim.bev_grid >> r, C))
+                      for r in range(model.num_lidar_scales)]
+        try:
+            with open(os.path.join(d, "scene.json"), "r", encoding="utf-8") as fh:
+                side = json.load(fh)
+            scenes.append(
+                SceneSample(
+                    scene_id=side["scene_id"],
+                    seed=side["seed"],
+                    gt_boxes=[Box3D.from_dict(b) for b in side["gt_boxes"]],
+                    rig=CameraRig.from_dict(side["rig"]),
+                    det_range=DetectionRange.from_dict(side["det_range"]),
+                    points=points,
+                    obj_ids=obj_ids,
+                    cam_maps=cam_maps,
+                    lidar_maps=lidar_maps,
+                )
             )
-        )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise SimError(f"scene file {d}/scene.json is not valid: {exc!r}") from None
     return scenes

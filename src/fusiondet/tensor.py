@@ -126,12 +126,6 @@ class Tensor:
 
     # -- autograd ------------------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, seed=None):
         tape = Tape.trace(self)
         backward(tape, seed)
@@ -709,6 +703,12 @@ def linear(x, weight, bias=None) -> Tensor:
     if bias is not None:
         out = add(out, bias)
     return out
+
+
+def mlp(x, p) -> Tensor:
+    """Two-layer ReLU head relu(x @ p.w1 + p.b1) @ p.w2 + p.b2; ``p`` is any
+    object carrying those four tensors, such as a ParamStore group."""
+    return linear(relu(linear(x, p.w1, p.b1)), p.w2, p.b2)
 
 
 def clamp_min(a, floor: float) -> Tensor:

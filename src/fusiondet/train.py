@@ -2,10 +2,13 @@
 
 One step = one scene: generate queries with the perspective oracle, decode,
 match, backprop, update. All randomness is derived from (seed, step) so a
-resumed run reproduces an uninterrupted one exactly.
+resumed run reproduces an uninterrupted one exactly. A non-finite box,
+logit, loss or gradient norm stops the run before the update.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,6 +17,10 @@ from .config import RunConfig
 from .decoder import compute_loss, decode, match_layers
 from .paqg import generate_queries
 from .params import ParamStore
+
+
+class DivergenceError(ArithmeticError):
+    pass
 
 
 def _scene_order(num_scenes: int, seed: int, epoch: int) -> np.ndarray:
@@ -27,13 +34,16 @@ def _query_rng(seed: int, salt: int, unique: int) -> np.random.Generator:
 
 def sgd_update(store: ParamStore, velocity: dict, lr: float, momentum: float,
                clip_norm: float):
-    """In-place momentum step with optional global-norm gradient clipping."""
+    """In-place momentum step with optional global-norm gradient clipping;
+    DivergenceError, before any change, if the gradient norm is not finite."""
     total_sq = 0.0
     for _, t in store.items():
         if t.grad is not None:
             total_sq += float(np.sum(t.grad.astype(np.float64) ** 2))
     scale = 1.0
     norm = float(np.sqrt(total_sq))
+    if not math.isfinite(norm):
+        raise DivergenceError("the gradient norm is not finite")
     if clip_norm > 0 and norm > clip_norm:
         scale = float(clip_norm / norm)
     for name, t in store.items():
@@ -48,6 +58,11 @@ def sgd_update(store: ParamStore, velocity: dict, lr: float, momentum: float,
         velocity[name] = v
         t.data = t.data + v
     return norm
+
+
+def _require_finite(step: int, what: str, values):
+    if not np.all(np.isfinite(values)):
+        raise DivergenceError(f"training diverged at step {step}: {what} is not finite")
 
 
 def train_loop(
@@ -78,11 +93,18 @@ def train_loop(
             batch, scene.feature_set(mcfg), scene.lidar_pyramid(mcfg),
             scene.rig, store, mcfg, fusion="uaf",
         )
+        for layer, pred in enumerate(preds):
+            _require_finite(step, f"layer {layer}'s box state", pred.box_state.data)
+            _require_finite(step, f"layer {layer}'s class logits", pred.class_logits.data)
         matching = match_layers(preds, scene.gt_boxes, tcfg, mcfg)
         loss, terms = compute_loss(preds, scene.gt_boxes, matching, tcfg, mcfg)
+        _require_finite(step, "the loss", terms["total"])
         store.zero_grad()
         loss.backward()
-        sgd_update(store, velocity, tcfg.lr, tcfg.momentum, tcfg.clip_norm)
+        try:
+            sgd_update(store, velocity, tcfg.lr, tcfg.momentum, tcfg.clip_norm)
+        except DivergenceError as exc:
+            raise DivergenceError(f"training diverged at step {step}: {exc}") from None
         rec = {"step": step, **{k: round(v, 6) for k, v in terms.items()}}
         records.append(rec)
         if log_fn is not None and (step % max(1, tcfg.log_every) == 0):

@@ -9,47 +9,10 @@ derived from the auxiliary BEV regressor against a matched ground-truth box
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .params import ParamStore
 from .rias import RoIFeature
-
-
-@dataclass
-class DistanceParams:
-    w1: T.Tensor
-    b1: T.Tensor
-    w2: T.Tensor
-    b2: T.Tensor
-
-
-@dataclass
-class FuseParams:
-    w1: T.Tensor
-    b1: T.Tensor
-    w2: T.Tensor
-    b2: T.Tensor
-
-
-def distance_params(store: ParamStore, prefix: str) -> DistanceParams:
-    return DistanceParams(
-        w1=store[f"{prefix}.w1"],
-        b1=store[f"{prefix}.b1"],
-        w2=store[f"{prefix}.w2"],
-        b2=store[f"{prefix}.b2"],
-    )
-
-
-def fuse_params(store: ParamStore, prefix: str) -> FuseParams:
-    return FuseParams(
-        w1=store[f"{prefix}.fuse.w1"],
-        b1=store[f"{prefix}.fuse.b1"],
-        w2=store[f"{prefix}.fuse.w2"],
-        b2=store[f"{prefix}.fuse.b2"],
-    )
 
 
 def pool_roi(roi: RoIFeature) -> T.Tensor:
@@ -79,23 +42,23 @@ def uncertainty_from_distance(d):
     return np.minimum(1.0 - np.exp(-d), _BELOW_ONE)
 
 
-def predict_distance(pooled: T.Tensor, params: DistanceParams) -> T.Tensor:
-    """Nonnegative distance estimate from a pooled RoI feature: (N,) values."""
-    h = T.relu(T.linear(pooled, params.w1, params.b1))
-    raw = T.linear(h, params.w2, params.b2)
-    return T.reshape(T.softplus(raw), (pooled.shape[0],))
+def predict_distance(pooled: T.Tensor, params) -> T.Tensor:
+    """Nonnegative distance estimate from a pooled RoI feature: (N,) values.
+
+    ``params`` is a two-layer head group (``ParamStore.group("layer0.lidar.dist")``).
+    """
+    return T.reshape(T.softplus(T.mlp(pooled, params)), (pooled.shape[0],))
 
 
-def predict_uncertainty(roi: RoIFeature, params: DistanceParams) -> T.Tensor:
+def predict_uncertainty(roi: RoIFeature, params) -> T.Tensor:
     """Predicted per-query uncertainty in [0, 1), differentiable."""
     return uncertainty_from_distance(predict_distance(pool_roi(roi), params))
 
 
-def regress_xy(roi: RoIFeature, params: DistanceParams, centers_xy: T.Tensor) -> T.Tensor:
-    """Modality-specific BEV position estimate: query center + learned residual."""
-    h = T.relu(T.linear(pool_roi(roi), params.w1, params.b1))
-    offset = T.linear(h, params.w2, params.b2)
-    return T.add(centers_xy, offset)
+def regress_xy(pooled: T.Tensor, params, centers_xy: T.Tensor) -> T.Tensor:
+    """Modality-specific BEV position estimate from a pooled RoI feature:
+    query center + learned residual (``params`` as in :func:`predict_distance`)."""
+    return T.add(centers_xy, T.mlp(pooled, params))
 
 
 def oracle_distance_xy(est_xy: np.ndarray, gt_xy: np.ndarray) -> np.ndarray:
@@ -108,14 +71,14 @@ def fuse(
     u_cam,
     feat_lid: T.Tensor,
     u_lid,
-    params: FuseParams,
+    params,
 ) -> T.Tensor:
-    """FFN over the concatenation of (1-u)-weighted modality features."""
+    """FFN (a two-layer head group) over the concatenation of (1-u)-weighted
+    modality features."""
     w_cam = _fusion_weight(u_cam, feat_cam)
     w_lid = _fusion_weight(u_lid, feat_lid)
     cat = T.concat([T.mul(feat_cam, w_cam), T.mul(feat_lid, w_lid)], axis=1)
-    h = T.relu(T.linear(cat, params.w1, params.b1))
-    return T.linear(h, params.w2, params.b2)
+    return T.mlp(cat, params)
 
 
 def _fusion_weight(u, like: T.Tensor):

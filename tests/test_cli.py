@@ -131,6 +131,49 @@ class TestTrain:
         assert open(c1 + ".log.jsonl").read() == open(c2 + ".log.jsonl").read()
 
 
+    def test_diverging_run_stops_with_one_line(self, workspace, capsys):
+        tmp_path, cfg, ds = workspace
+        ckpt = str(tmp_path / "model.fdcp")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--dataset", ds, "--out", ckpt,
+                     "-O", "train.lr=1e30"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "diverged at step" in err[0]
+        assert not os.path.exists(ckpt)
+
+
+class TestMalformedDataset:
+    def _eval(self, tmp_path, cfg, ds, capsys):
+        capsys.readouterr()
+        code = main(["eval", "--config", cfg, "--dataset", ds,
+                     "--out", str(tmp_path / "r.json")])
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def test_truncated_camera_map(self, workspace, capsys):
+        tmp_path, cfg, ds = workspace
+        path = os.path.join(ds, "scene_0000", "cam_v0_m0_t0.npy")
+        data = open(path, "rb").read()
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        code, err = self._eval(tmp_path, cfg, ds, capsys)
+        assert code == 1 and len(err) == 1 and "cam_v0_m0_t0.npy" in err[0]
+
+    def test_missing_lidar_scale(self, workspace, capsys):
+        tmp_path, cfg, ds = workspace
+        os.remove(os.path.join(ds, "scene_0001", "lidar_r1.npy"))
+        code, err = self._eval(tmp_path, cfg, ds, capsys)
+        assert code == 1 and len(err) == 1
+        assert "lidar_r1.npy" in err[0] and "missing" in err[0]
+
+    def test_camera_map_of_wrong_shape(self, workspace, capsys):
+        tmp_path, cfg, ds = workspace
+        path = os.path.join(ds, "scene_0002", "cam_v1_m1_t0.npy")
+        np.save(path, np.load(path)[:-1])
+        code, err = self._eval(tmp_path, cfg, ds, capsys)
+        assert code == 1 and len(err) == 1
+        assert "cam_v1_m1_t0.npy" in err[0] and "expected" in err[0]
+
+
 class TestEvalAndInfer:
     def test_eval_report_schema(self, workspace):
         tmp_path, cfg, ds = workspace

@@ -148,7 +148,7 @@ class TestRefineBox:
         boxes = [Box3D(rng.uniform(-5, 5, 3), rng.uniform(0.5, 3, 3),
                        rng.uniform(-3, 3), rng.normal(0, 1, 2)) for _ in range(3)]
         state = T.Tensor(boxes_to_state(boxes), dtype=np.float64)
-        out = refine_box(qf, state, store, "layer0", model)
+        out = refine_box(qf, state, store.group("layer0.refine"), model)
         np.testing.assert_allclose(out.data, state.data, atol=1e-9)
 
     def test_log_size_residual_doubles_length(self):
@@ -163,7 +163,7 @@ class TestRefineBox:
         box = Box3D([1.0, 2.0, 0.5], [2.0, 1.0, 1.5], 0.3, [0.0, 0.0])
         state = T.Tensor(boxes_to_state([box]), dtype=np.float64)
         qf = T.Tensor(np.zeros((1, model.channels)), dtype=np.float64)
-        out = state_to_boxes(refine_box(qf, state, store, "layer0", model).data)
+        out = state_to_boxes(refine_box(qf, state, store.group("layer0.refine"), model).data)
         np.testing.assert_allclose(out[0].size, [4.0, 1.0, 1.5], atol=1e-12)
         np.testing.assert_allclose(out[0].center, box.center, atol=1e-12)
 

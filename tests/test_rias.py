@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +26,9 @@ from fusiondet.paqg import generate_queries
 from fusiondet.params import init_model_params
 from fusiondet.queries import QueryBatch, boxes_to_state
 from fusiondet.rias import (
-    MixParams,
-    PatternParams,
     RoIFeature,
     SamplingPattern,
     adaptive_mix,
-    mix_params,
-    pattern_params,
     predict_pattern,
     sample_camera,
     sample_lidar,
@@ -306,8 +303,7 @@ class TestPackedReadsMatchPerGridLoops:
         batch = generate_queries(scene.gt_boxes, scene.rig, scene.feature_set(cfg.model),
                                  cfg.model, cfg.sim.oracle, store["query.default_embedding"],
                                  np.random.default_rng(scene_id))
-        pat = predict_pattern(batch, pattern_params(store, f"layer0.{branch}"), branch,
-                              cfg.model)
+        pat = predict_pattern(batch, store.group(f"layer0.{branch}"), branch, cfg.model)
         rng = np.random.default_rng(scene_id)
         # widened offsets spread the points over several views
         offsets = (pat.offsets.data * 4.0).astype(pattern_dtype)
@@ -402,7 +398,7 @@ class TestPredictPattern:
         store = init_model_params(cfg, seed=0)
         rng = np.random.default_rng(0)
         batch = _batch(rng, cfg, 3)
-        pp = pattern_params(store, "layer0.lidar")
+        pp = store.group("layer0.lidar")
         pat = predict_pattern(batch, pp, "lidar", cfg)
         # zero weights => offsets depend only on the ring bias: |Delta| = 0.5 *
         # half-extent in the box plane
@@ -425,7 +421,7 @@ class TestPredictPattern:
         store = init_model_params(cfg, seed=0)
         rng = np.random.default_rng(1)
         batch = _batch(rng, cfg, 2)
-        pat = predict_pattern(batch, pattern_params(store, "layer0.lidar"), "lidar", cfg)
+        pat = predict_pattern(batch, store.group("layer0.lidar"), "lidar", cfg)
         R, K = cfg.num_lidar_scales, cfg.num_points
         np.testing.assert_allclose(pat.weights.data, 1.0 / (R * K), atol=1e-12)
 
@@ -437,9 +433,9 @@ class TestPredictPattern:
             if name.endswith("weight_w"):
                 t.data = rng.normal(size=t.data.shape)
         batch = _batch(rng, cfg, 5)
-        lid = predict_pattern(batch, pattern_params(store, "layer0.lidar"), "lidar", cfg)
+        lid = predict_pattern(batch, store.group("layer0.lidar"), "lidar", cfg)
         np.testing.assert_allclose(lid.weights.data.sum(axis=(1, 2)), 1.0, atol=1e-6)
-        cam = predict_pattern(batch, pattern_params(store, "layer0.camera"), "camera", cfg)
+        cam = predict_pattern(batch, store.group("layer0.camera"), "camera", cfg)
         np.testing.assert_allclose(cam.weights.data.sum(axis=(2, 3)), 1.0, atol=1e-6)
 
     def test_offsets_bounded_by_half_extents_times_factor(self):
@@ -450,7 +446,7 @@ class TestPredictPattern:
             if "offset" in name:
                 t.data = rng.normal(0, 5, size=t.data.shape)
         batch = _batch(rng, cfg, 6)
-        pat = predict_pattern(batch, pattern_params(store, "layer0.lidar"), "lidar", cfg)
+        pat = predict_pattern(batch, store.group("layer0.lidar"), "lidar", cfg)
         half = batch.half_extents().data
         bound = cfg.max_offset_factor * np.linalg.norm(half[:, :2], axis=1)
         norms = np.linalg.norm(pat.offsets.data, axis=3)
@@ -593,7 +589,7 @@ class TestAdaptiveMix:
         N, S, C = 3, cfg.num_points, cfg.channels
         qf = T.Tensor(rng.normal(size=(N, C)), dtype=np.float64)
         roi = RoIFeature(T.Tensor(rng.normal(size=(N, S, C)), dtype=np.float64), "lidar")
-        out = adaptive_mix(qf, roi, mix_params(store, "layer0.lidar"))
+        out = adaptive_mix(qf, roi, store.group("layer0.lidar.mix"))
         want = T.layer_norm(qf, T.Tensor(np.ones(C)), T.Tensor(np.zeros(C))).data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -606,7 +602,7 @@ class TestAdaptiveMix:
                 t.data = t.data + rng.normal(0, 0.3, size=t.data.shape)
         qf = T.Tensor(rng.normal(size=(2, cfg.channels)), dtype=np.float64)
         roi = RoIFeature(T.Tensor(np.zeros((2, cfg.num_points, cfg.channels))), "lidar")
-        out = adaptive_mix(qf, roi, mix_params(store, "layer0.lidar"))
+        out = adaptive_mix(qf, roi, store.group("layer0.lidar.mix"))
         assert np.all(np.isfinite(out.data))
 
     def test_shape_mismatch_errors(self):
@@ -615,7 +611,7 @@ class TestAdaptiveMix:
         qf = T.Tensor(np.zeros((2, cfg.channels)))
         roi = RoIFeature(T.Tensor(np.zeros((2, cfg.num_points + 1, cfg.channels))), "lidar")
         with pytest.raises(ValueError):
-            adaptive_mix(qf, roi, mix_params(store, "layer0.lidar"))
+            adaptive_mix(qf, roi, store.group("layer0.lidar.mix"))
 
     def test_gradients(self):
         rng = np.random.default_rng(12)
@@ -631,7 +627,7 @@ class TestAdaptiveMix:
         roi_data = T.Tensor(rng.normal(size=(N, S, C)), dtype=np.float64)
 
         def fn(ins):
-            return adaptive_mix(ins[0], RoIFeature(ins[1], "lidar"), MixParams(**params))
+            return adaptive_mix(ins[0], RoIFeature(ins[1], "lidar"), SimpleNamespace(**params))
 
         rep = T.grad_check(fn, [qf, roi_data])
         assert rep.passed
@@ -678,12 +674,12 @@ class TestFullBlockGradient:
 
             def fn(ins):
                 qf_in, state_in = ins[0], ins[1]
-                pat = predict_pattern(QueryBatch(qf_in, state_in), PatternParams(**pp),
+                pat = predict_pattern(QueryBatch(qf_in, state_in), SimpleNamespace(**pp),
                                       "lidar", pattern_cfg)
                 pyr = LidarFeaturePyramid(
                     [FeatureMap(ins[2], 0), FeatureMap(ins[3], 1)], det)
                 roi = sample_lidar(T.narrow(state_in, 1, 0, 2), pat, pyr)
-                return adaptive_mix(qf_in, roi, MixParams(**mp))
+                return adaptive_mix(qf_in, roi, SimpleNamespace(**mp))
 
             with T.track_kinks() as tracker:
                 with T.no_grad():

@@ -1,6 +1,7 @@
 """Uncertainty mapping, pooling and weighted fusion."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ def _roi(arr):
     return RoIFeature(T.Tensor(np.asarray(arr, dtype=np.float64)), "lidar")
 
 
-def _dist_params(rng, C, out_dim=1, scale=0.5):
-    return uaf.DistanceParams(
+def _dist_head(rng, C, out_dim=1, scale=0.5):
+    return SimpleNamespace(
         w1=T.Tensor(rng.normal(0, scale, size=(C, C)), dtype=np.float64),
         b1=T.Tensor(np.zeros(C), dtype=np.float64),
         w2=T.Tensor(rng.normal(0, scale, size=(C, out_dim)), dtype=np.float64),
@@ -23,8 +24,8 @@ def _dist_params(rng, C, out_dim=1, scale=0.5):
     )
 
 
-def _fuse_params(rng, C, scale=0.4):
-    return uaf.FuseParams(
+def _fuse_head(rng, C, scale=0.4):
+    return SimpleNamespace(
         w1=T.Tensor(rng.normal(0, scale, size=(2 * C, 2 * C)), dtype=np.float64),
         b1=T.Tensor(np.zeros(2 * C), dtype=np.float64),
         w2=T.Tensor(rng.normal(0, scale, size=(2 * C, C)), dtype=np.float64),
@@ -79,7 +80,7 @@ class TestPredictUncertainty:
     def test_zero_distance_head(self):
         rng = np.random.default_rng(1)
         C = 4
-        p = _dist_params(rng, C)
+        p = _dist_head(rng, C)
         p.w1.data *= 0.0
         p.w2.data *= 0.0
         p.b2.data = np.array([-40.0])  # softplus(-40) ~ 0
@@ -89,7 +90,7 @@ class TestPredictUncertainty:
     def test_ln4_head(self):
         rng = np.random.default_rng(2)
         C = 4
-        p = _dist_params(rng, C)
+        p = _dist_head(rng, C)
         p.w1.data *= 0.0
         p.w2.data *= 0.0
         # softplus(b2) = ln 4  =>  b2 = ln(e^{ln4} - 1) = ln 3
@@ -100,11 +101,11 @@ class TestPredictUncertainty:
     def test_gradient(self):
         rng = np.random.default_rng(3)
         C = 4
-        p = _dist_params(rng, C)
+        p = _dist_head(rng, C)
         roi_arr = T.Tensor(rng.normal(size=(2, 3, C)), dtype=np.float64)
 
         def fn(ins):
-            dp = uaf.DistanceParams(ins[1], ins[2], ins[3], ins[4])
+            dp = SimpleNamespace(w1=ins[1], b1=ins[2], w2=ins[3], b2=ins[4])
             return uaf.predict_uncertainty(RoIFeature(ins[0], "lidar"), dp)
 
         rep = T.grad_check(fn, [roi_arr, p.w1, p.b1, p.w2, p.b2])
@@ -113,7 +114,7 @@ class TestPredictUncertainty:
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(4)
         C = 6
-        p = _dist_params(rng, C, scale=2.0)
+        p = _dist_head(rng, C, scale=2.0)
         u = uaf.predict_uncertainty(_roi(rng.normal(size=(50, 4, C)) * 5), p)
         assert np.all((u.data >= 0) & (u.data < 1))
 
@@ -122,7 +123,7 @@ class TestFuse:
     def test_zero_uncertainty_is_unweighted_concat(self):
         rng = np.random.default_rng(8)
         C = 5
-        fp = _fuse_params(rng, C)
+        fp = _fuse_head(rng, C)
         fc = T.Tensor(rng.normal(size=(3, C)), dtype=np.float64)
         fl = T.Tensor(rng.normal(size=(3, C)), dtype=np.float64)
         got = uaf.fuse(fc, 0.0, fl, 0.0, fp).data
@@ -133,7 +134,7 @@ class TestFuse:
     def test_half_uncertainty_scales_one_side(self):
         rng = np.random.default_rng(9)
         C = 4
-        fp = _fuse_params(rng, C)
+        fp = _fuse_head(rng, C)
         fc = T.Tensor(rng.normal(size=(2, C)), dtype=np.float64)
         fl = T.Tensor(rng.normal(size=(2, C)), dtype=np.float64)
         got = uaf.fuse(fc, 0.0, fl, 0.5, fp).data
@@ -144,7 +145,7 @@ class TestFuse:
     def test_gradient(self):
         rng = np.random.default_rng(10)
         C = 4
-        fp = _fuse_params(rng, C)
+        fp = _fuse_head(rng, C)
         fc = T.Tensor(rng.normal(size=(2, C)), dtype=np.float64)
         fl = T.Tensor(rng.normal(size=(2, C)), dtype=np.float64)
         u_c = T.Tensor(rng.uniform(0.1, 0.8, size=(2,)), dtype=np.float64)
@@ -152,7 +153,7 @@ class TestFuse:
 
         def fn(ins):
             return uaf.fuse(ins[0], ins[1], ins[2], ins[3],
-                            uaf.FuseParams(ins[4], ins[5], ins[6], ins[7]))
+                            SimpleNamespace(w1=ins[4], b1=ins[5], w2=ins[6], b2=ins[7]))
 
         rep = T.grad_check(fn, [fc, u_c, fl, u_l, fp.w1, fp.b1, fp.w2, fp.b2])
         assert rep.passed
@@ -162,7 +163,7 @@ class TestFuse:
         # Lipschitz * (1 - u_cam) * |delta f_cam|
         rng = np.random.default_rng(11)
         C = 6
-        fp = _fuse_params(rng, C)
+        fp = _fuse_head(rng, C)
         fl = T.Tensor(rng.normal(size=(1, C)), dtype=np.float64)
         f1 = T.Tensor(rng.normal(size=(1, C)), dtype=np.float64)
         f2 = T.Tensor(rng.normal(size=(1, C)), dtype=np.float64)
@@ -181,7 +182,7 @@ class TestFuse:
         # regression of diff against (1 - u) must fit with R^2 > 0.99
         rng = np.random.default_rng(12)
         C = 6
-        fp = _fuse_params(rng, C)
+        fp = _fuse_head(rng, C)
         fl = T.Tensor(rng.normal(size=(1, C)), dtype=np.float64)
         base = rng.normal(size=(1, C))
         pert = rng.normal(size=(1, C))
