@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bench import KERNELS, BenchError, bench_kernel, machine_info
 from .config import ConfigError, RunConfig
-from .fileio import write_json
+from .fileio import atomic_open, write_json
 from .gradsuite import run_suite
 from .metrics import evaluate_detections, write_bins_csv, write_report_json
 from .params import (
@@ -115,13 +116,17 @@ def cmd_train(args) -> int:
     scenes = _load_scenes(cfg, args.dataset)
     store, start_step, velocity = _load_params(cfg, args.resume)
     log_path = args.out + ".log.jsonl"
-    mode = "a" if args.resume else "w"
-    # a diverging run ends in one DivergenceError line, without numpy's
-    # overflow warnings before it
-    with open(log_path, mode, encoding="utf-8") as log_fh, \
+    # the log is written whole or not at all, so a resumed run starts from a
+    # copy of the log it continues; a diverging run ends in one
+    # DivergenceError line, without numpy's overflow warnings before it
+    with atomic_open(log_path, "wb") as log_fh, \
             np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if args.resume and os.path.exists(log_path):
+            with open(log_path, "rb") as old:
+                shutil.copyfileobj(old, log_fh)
+
         def log_fn(rec):
-            log_fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            log_fh.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
 
         train_loop(cfg, scenes, store, start_step=start_step, log_fn=log_fn,
                    velocity=velocity)

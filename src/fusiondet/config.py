@@ -102,6 +102,8 @@ class ModelSection:
             if len(bounds) != 2 or not bounds[0] < bounds[1]:
                 raise ConfigError(f"model.{name} must be [min, max] with min < max, "
                                   f"got {json.dumps(bounds)}")
+        if self.max_offset_factor <= 0:
+            raise ConfigError("model.max_offset_factor must be positive")
 
     def hash(self) -> str:
         """Hash of this section alone: what a checkpoint was trained for."""
@@ -166,6 +168,10 @@ class SimSection:
             raise ConfigError("sim object counts invalid")
         if self.num_scenes < 1:
             raise ConfigError("sim.num_scenes must be >= 1")
+        if self.base_stride < 1:
+            raise ConfigError("sim.base_stride must be >= 1")
+        if self.focal <= 0:
+            raise ConfigError("sim.focal must be positive")
         self.oracle.validate()
 
 
@@ -200,6 +206,8 @@ class EvalSection:
     bins: list = field(default_factory=lambda: [0.0, 10.0, 20.0, 30.0])
 
     def validate(self):
+        if not self.thresholds or min(self.thresholds) <= 0:
+            raise ConfigError("eval.thresholds must be a non-empty list of positive distances")
         if sorted(self.thresholds) != list(self.thresholds):
             raise ConfigError("eval.thresholds must be ascending")
         if sorted(self.bins) != list(self.bins):
@@ -240,6 +248,18 @@ class RunConfig:
     def validate(self):
         for sec in (self.model, self.sim, self.train, self.eval, self.scenario):
             sec.validate()
+        # every camera scale and every BEV scale must have a whole texel
+        # count, so the map strides are exact
+        cam = self.sim.base_stride * 2 ** (self.model.num_cam_scales - 1)
+        for name in ("image_width", "image_height"):
+            size = getattr(self.sim, name)
+            if size < 1 or size % cam:
+                raise ConfigError(f"sim.{name} must be a positive multiple of {cam} "
+                                  f"(sim.base_stride * 2^(model.num_cam_scales - 1)), got {size}")
+        bev = 2 ** (self.model.num_lidar_scales - 1)
+        if self.sim.bev_grid < 1 or self.sim.bev_grid % bev:
+            raise ConfigError(f"sim.bev_grid must be a positive multiple of {bev} "
+                              f"(2^(model.num_lidar_scales - 1)), got {self.sim.bev_grid}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

@@ -1,79 +1,49 @@
-"""Feature-grid containers for both modalities and bilinear sampling over them.
+"""Feature-grid containers for both modalities and the PAQG read over them.
 
 Camera features are indexed by (view, scale, frame) and live on texel grids
 whose pixel-to-texel ratio is the per-scale stride; LiDAR features are BEV
-grids over the detection range, one per scale.
+grids over the detection range, one per scale. Each container holds its
+maps only as one packed buffer, the form ``T.bilinear_sample_packed`` reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .geometry import CameraRig, DetectionRange, align_temporal, project_to_view
+from .geometry import DetectionRange
 
 
 class FeatureMapError(ValueError):
     pass
 
 
-@dataclass
-class FeatureMap:
-    """One dense (H, W, C) feature grid."""
-
-    data: T.Tensor
-    scale_id: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.data, T.Tensor):
-            self.data = T.Tensor(self.data)
-        if self.data.ndim != 3:
-            raise FeatureMapError("feature map must be (H, W, C)")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
 def _pack(maps: list, dtype) -> tuple:
-    """Pack (H, W, C) maps row-major into one (S, C) buffer of ``dtype`` (by
-    default the maps' common dtype), in list order.
+    """Pack (H, W, C) maps (arrays or Tensors) row-major into one (S, C)
+    buffer of ``dtype`` (by default the maps' common dtype), in list order.
 
-    Returns the buffer, each map's (H, W) shape and start row, and the maps
-    rebuilt as views into the buffer, so no map is held twice. The buffer is
-    a ``T.concat`` of the maps, so gradients reach maps that require them.
+    Returns the buffer and each map's (H, W) shape and start row. The buffer
+    is a ``T.concat`` of the maps, so gradients reach maps that require them.
     """
-    if len({fm.channels for fm in maps}) != 1:
+    maps = [m if isinstance(m, T.Tensor) else T.Tensor(m) for m in maps]
+    if any(m.ndim != 3 for m in maps):
+        raise FeatureMapError("feature map must be (H, W, C)")
+    if len({m.shape[2] for m in maps}) != 1:
         raise FeatureMapError("inconsistent channel counts")
-    C = maps[0].channels
-    values = T.concat([T.reshape(fm.data, (fm.height * fm.width, C)) for fm in maps],
+    C = maps[0].shape[2]
+    values = T.concat([T.reshape(m, (m.shape[0] * m.shape[1], C)) for m in maps],
                       dtype=dtype)
-    shapes = np.array([(fm.height, fm.width) for fm in maps], dtype=np.int64)
+    shapes = np.array([m.shape[:2] for m in maps], dtype=np.int64)
     sizes = shapes[:, 0] * shapes[:, 1]
-    starts = np.cumsum(sizes) - sizes
-    views = [
-        FeatureMap(T.Tensor(values.data[s:s + n].reshape(h, w, C)), fm.scale_id)
-        for fm, s, n, (h, w) in zip(maps, starts, sizes, shapes)
-    ]
-    return values, shapes, starts, views
+    return values, shapes, np.cumsum(sizes) - sizes
 
 
 class CameraFeatureSet:
     """Complete V x M x T grid of camera feature maps plus per-scale strides.
 
-    The maps live in one packed buffer (``values``, ``shapes``, ``starts``,
-    as read by ``T.bilinear_sample_packed``) in (view, scale, frame) order,
-    converted to ``dtype`` if given; ``get`` returns a view into it.
+    ``maps`` maps (view, scale, frame) to an (H, W, C) array or Tensor. They
+    are packed into one buffer (``values``, ``shapes``, ``starts``) in
+    (view, scale, frame) order, converted to ``dtype`` if given.
     """
 
     def __init__(self, maps: dict, num_views: int, num_scales: int, num_frames: int, strides,
@@ -90,23 +60,16 @@ class CameraFeatureSet:
             for m in range(num_scales)
             for t in range(num_frames)
         ]
-        ordered = []
         for key in keys:
             if key not in maps:
                 raise FeatureMapError(f"missing camera map {key}")
-            fm = maps[key]
-            ordered.append(fm if isinstance(fm, FeatureMap) else FeatureMap(fm, scale_id=key[1]))
-        self.values, self.shapes, self.starts, views = _pack(ordered, dtype)
-        self.maps = dict(zip(keys, views))
-        self.channels = ordered[0].channels
+        self.values, self.shapes, self.starts = _pack([maps[k] for k in keys], dtype)
+        self.channels = self.values.shape[1]
 
     def index(self, view, scale, frame):
         """Position of map (view, scale, frame) in the packed buffer; works
         elementwise on integer arrays."""
         return (view * self.num_scales + scale) * self.num_frames + frame
-
-    def get(self, view: int, scale: int, frame: int) -> FeatureMap:
-        return self.maps[(view, scale, frame)]
 
 
 class LidarFeaturePyramid:
@@ -116,46 +79,35 @@ class LidarFeaturePyramid:
     def __init__(self, maps: list, det_range: DetectionRange, dtype=None):
         if not maps:
             raise FeatureMapError("pyramid needs at least one scale")
-        ordered = [
-            fm if isinstance(fm, FeatureMap) else FeatureMap(fm, scale_id=r)
-            for r, fm in enumerate(maps)
-        ]
-        self.values, self.shapes, self.starts, self.maps = _pack(ordered, dtype)
+        self.values, self.shapes, self.starts = _pack(maps, dtype)
         self.det_range = det_range
-        self.channels = ordered[0].channels
+        self.channels = self.values.shape[1]
 
     @property
     def num_scales(self) -> int:
-        return len(self.maps)
+        return len(self.shapes)
 
 
-def sample_view_scale_mean(
-    feats: CameraFeatureSet,
-    p3,
-    rig: CameraRig,
-    t: int,
-    hit,
-) -> T.Tensor:
-    """Mean over hit views of the sum over scales of bilinear samples at p3.
+def sample_view_scale_mean(feats: CameraFeatureSet, box, view, uv, num_boxes: int,
+                           frame: int = 0) -> T.Tensor:
+    """Per box, the mean over its hit views of the sum over scales of
+    bilinear reads at its projected center, all in one packed read.
 
-    The point is temporally aligned to frame t, projected per view at full
-    pixel resolution, and coordinates are rescaled by the per-scale stride.
+    Hit r says that box ``box[r]`` projects into view ``view[r]`` at
+    full-resolution pixel ``uv[r]`` in ``frame``; hits come in box then view
+    order, and each pixel is divided by the per-scale stride. Returns
+    (num_boxes, C) rows, summed in box, view, scale order; a box with no hit
+    gets a zero row.
     """
-    hit = list(hit)
-    if not hit:
+    box = np.asarray(box, dtype=np.int64)
+    if box.size == 0:
         raise FeatureMapError("empty hit-view set")
-    p_t = align_temporal(np.asarray(p3, dtype=float), rig, t)
-    acc = None
-    for v in hit:
-        proj = project_to_view(p_t, rig.views[v])
-        if proj is None:
-            continue
-        u, v_pix, _ = proj
-        for m in range(feats.num_scales):
-            stride = feats.strides[m]
-            coords = np.array([u / stride, v_pix / stride])
-            s = T.bilinear_sample(feats.get(v, m, t).data, coords)
-            acc = s if acc is None else T.add(acc, s)
-    if acc is None:
-        raise FeatureMapError("no hit view produced a projection")
-    return T.mul(acc, 1.0 / len(hit))
+    M = feats.num_scales
+    scale = np.tile(np.arange(M), box.size)
+    coords = np.repeat(np.asarray(uv, dtype=np.float64), M, axis=0)
+    coords = coords / np.asarray(feats.strides, dtype=np.float64)[scale][:, None]
+    samp = T.bilinear_sample_packed(feats.values, feats.shapes, feats.starts,
+                                    feats.index(np.repeat(view, M), scale, frame), coords)
+    rows = T.scatter_add_rows(samp, np.repeat(box, M), num_boxes)
+    count = np.bincount(box, minlength=num_boxes)
+    return T.mul(rows, (1.0 / np.maximum(count, 1))[:, None])

@@ -267,19 +267,6 @@ def hit_views(p, rig: CameraRig, t: int = 0) -> list:
     return [i for i, v in enumerate(rig.views) if project_to_view(p_t, v) is not None]
 
 
-def project_to_bev(p, rng: DetectionRange, grid: tuple) -> tuple:
-    """Affine map from world XY onto continuous BEV grid coordinates."""
-    cols, rows = grid
-    dx = rng.x_max - rng.x_min
-    dy = rng.y_max - rng.y_min
-    if dx <= 0 or dy <= 0 or cols <= 0 or rows <= 0:
-        raise GeometryError("degenerate detection range or grid")
-    p = np.asarray(p, dtype=float)
-    u = (p[..., 0] - rng.x_min) / dx * cols
-    v = (p[..., 1] - rng.y_min) / dy * rows
-    return (u, v)
-
-
 # ---------------------------------------------------------------------------
 # rotated BEV IoU and NMS
 # ---------------------------------------------------------------------------

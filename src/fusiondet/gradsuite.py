@@ -18,11 +18,11 @@ from . import tensor as T
 from . import uaf
 from .config import ModelSection, TrainSection
 from .decoder import compute_loss, decode, match_layers, oracle_distance_targets, refine_box
-from .featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
+from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from .geometry import Box3D, CameraRig, CameraView, DetectionRange, make_rigid
 from .params import ParamStore, init_model_params
 from .queries import QueryBatch, boxes_to_state
-from .rias import RoIFeature, SamplingPattern, adaptive_mix, sample_camera, sample_lidar
+from .rias import SamplingPattern, adaptive_mix, sample_camera, sample_lidar
 
 KINK_MARGIN = 1e-4
 GRAD_TOL = 1e-4
@@ -59,9 +59,15 @@ def _tiny_pattern(rng, n, groups, k, dims, weight_shape):
 
 
 def _build_bilinear(rng):
+    # one (H, W, C) grid, read as the one-grid case of the packed layout
     grid = T.Tensor(rng.normal(size=(6, 7, 3)), dtype=np.float64)
     coords = T.Tensor(rng.uniform(0.8, 5.8, size=(5, 2)), dtype=np.float64)
-    return lambda ins: T.bilinear_sample(ins[0], ins[1]), [grid, coords]
+
+    def fn(ins):
+        return T.bilinear_sample_packed(T.reshape(ins[0], (6 * 7, 3)), [(6, 7)], [0],
+                                        np.zeros(5, dtype=np.int64), ins[1])
+
+    return fn, [grid, coords]
 
 
 def _build_bilinear_packed(rng):
@@ -99,51 +105,38 @@ def _build_adaptive_mix(rng):
                             for n, t in vars(layout).items()})
 
     def fn(ins):
-        return adaptive_mix(ins[0], RoIFeature(ins[1], "lidar"), mp)
+        return adaptive_mix(ins[0], ins[1], mp)
 
     return fn, [qf, roi, mp.chan_w, mp.agg_w, mp.ln_chan_gain]
 
 
-def _lidar_pyramid(rng, C=4):
-    det_range = DetectionRange(-10, 10, -10, 10, -2, 2)
-    maps = [
-        FeatureMap(T.Tensor(rng.normal(size=(8, 8, C)), dtype=np.float64), 0),
-        FeatureMap(T.Tensor(rng.normal(size=(4, 4, C)), dtype=np.float64), 1),
-    ]
-    return LidarFeaturePyramid(maps, det_range)
-
-
 def _build_sample_lidar(rng):
     N, R, K, C = 3, 2, 2, 4
-    pyramid = _lidar_pyramid(rng, C)
+    det_range = DetectionRange(-10, 10, -10, 10, -2, 2)
+    maps = _tensors(rng, (8, 8, C), (4, 4, C))
     centers = T.Tensor(rng.uniform(-6, 6, size=(N, 2)), dtype=np.float64)
     off, w = _tiny_pattern(rng, N, R, K, 2, (N, R, K))
 
     def fn(ins):
-        pat = SamplingPattern(ins[1], ins[2], "lidar")
-        pyr = LidarFeaturePyramid(
-            [FeatureMap(ins[3], 0), FeatureMap(ins[4], 1)], pyramid.det_range
-        )
-        return sample_lidar(ins[0], pat, pyr).feat
+        pat = SamplingPattern(ins[1], ins[2])
+        return sample_lidar(ins[0], pat, LidarFeaturePyramid(ins[3:5], det_range))
 
-    return fn, [centers, off, w, pyramid.maps[0].data, pyramid.maps[1].data]
+    return fn, [centers, off, w] + maps
 
 
-def _camera_set(rng, rig, C=4, M=1, Tt=1):
-    maps = {}
-    for v in range(rig.num_views):
-        for m in range(M):
-            for t in range(Tt):
-                maps[(v, m, t)] = FeatureMap(
-                    T.Tensor(rng.normal(size=(8, 12, C)), dtype=np.float64), m
-                )
+def _camera_maps(rng, rig, C=4, M=1, Tt=1) -> dict:
+    return {(v, m, t): T.Tensor(rng.normal(size=(8, 12, C)), dtype=np.float64)
+            for v in range(rig.num_views) for m in range(M) for t in range(Tt)}
+
+
+def _camera_set(maps: dict, rig, M=1, Tt=1) -> CameraFeatureSet:
     return CameraFeatureSet(maps, rig.num_views, M, Tt, [4.0 * (2 ** m) for m in range(M)])
 
 
 def _build_sample_camera(rng):
     N, K, C, M, Tt = 3, 2, 4, 1, 1
     rig = _tiny_rig(2)
-    feats = _camera_set(rng, rig, C, M, Tt)
+    maps = _camera_maps(rng, rig, C, M, Tt)
     centers = T.Tensor(
         np.column_stack(
             [rng.uniform(3.0, 8.0, N), rng.uniform(-2.0, 2.0, N), rng.uniform(-0.5, 0.5, N)]
@@ -151,17 +144,12 @@ def _build_sample_camera(rng):
         dtype=np.float64,
     )
     off, w = _tiny_pattern(rng, N, Tt, K, 3, (N, Tt, M, K))
-    map_inputs = [feats.get(v, 0, 0).data for v in range(rig.num_views)]
 
     def fn(ins):
-        pat = SamplingPattern(ins[1], ins[2], "camera")
-        packed = CameraFeatureSet(
-            {(v, 0, 0): FeatureMap(ins[3 + v], 0) for v in range(rig.num_views)},
-            rig.num_views, M, Tt, feats.strides,
-        )
-        return sample_camera(ins[0], pat, packed, rig).feat
+        pat = SamplingPattern(ins[1], ins[2])
+        return sample_camera(ins[0], pat, _camera_set(dict(zip(maps, ins[3:])), rig, M, Tt), rig)
 
-    return fn, [centers, off, w] + map_inputs
+    return fn, [centers, off, w] + list(maps.values())
 
 
 def _build_predict_uncertainty(rng):
@@ -171,7 +159,7 @@ def _build_predict_uncertainty(rng):
 
     def fn(ins):
         dp = SimpleNamespace(w1=ins[1], b1=ins[2], w2=ins[3], b2=ins[4])
-        return uaf.predict_uncertainty(RoIFeature(ins[0], "lidar"), dp)
+        return uaf.predict_uncertainty(ins[0], dp)
 
     return fn, [roi, w1, b1, w2, b2]
 
@@ -231,10 +219,9 @@ def _build_compute_loss(rng):
     cfg = _mini_model()
     store = _mini_store(rng, cfg)
     rig = _tiny_rig(cfg.num_views)
-    feats = _camera_set(rng, rig, cfg.channels, cfg.num_cam_scales, cfg.num_frames)
-    det_range = cfg.detection_range()
-    maps = [FeatureMap(T.Tensor(rng.normal(size=(8, 8, cfg.channels)), dtype=np.float64), 0)]
-    pyramid = LidarFeaturePyramid(maps, det_range)
+    M, Tt = cfg.num_cam_scales, cfg.num_frames
+    feats = _camera_set(_camera_maps(rng, rig, cfg.channels, M, Tt), rig, M, Tt)
+    pyramid = LidarFeaturePyramid(_tensors(rng, (8, 8, cfg.channels)), cfg.detection_range())
     gts = [
         Box3D([5.0, 4.0, 0.0], [2.0, 1.0, 1.2], 0.4, [0.5, 0.0], class_id=0),
         Box3D([-4.0, -5.0, 0.2], [1.0, 0.8, 1.6], -1.0, [0.0, 0.0], class_id=1),

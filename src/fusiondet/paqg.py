@@ -24,7 +24,7 @@ from .geometry import (
     Box3D,
     CameraRig,
     DetectionRange,
-    hit_views,
+    align_temporal,
     nms_3d,
     project_to_view,
     unproject_center,
@@ -184,17 +184,24 @@ def init_queries(
     det_range: DetectionRange,
 ) -> list:
     """Per-box features: view-mean/scale-sum bilinear reads at the projected
-    center (current frame); boxes outside every frustum get the learned
-    default embedding."""
-    feats = []
-    for box in boxes:
-        box = _clamp_to_range(box, det_range)
-        hit = hit_views(box.center, rig, 0)
-        if hit:
-            feats.append((sample_view_scale_mean(cam_feats, box.center, rig, 0, hit), box))
-        else:
-            feats.append((default_embedding, box))
-    return feats
+    center (current frame), for all boxes in one packed read; boxes outside
+    every frustum get the learned default embedding."""
+    boxes = [_clamp_to_range(box, det_range) for box in boxes]
+    hit_box, hit_view, hit_uv = [], [], []
+    for i, box in enumerate(boxes):
+        p = align_temporal(box.center, rig, 0)
+        for v, view in enumerate(rig.views):
+            proj = project_to_view(p, view)
+            if proj is not None:
+                hit_box.append(i)
+                hit_view.append(v)
+                hit_uv.append(proj[:2])
+    if not hit_box:
+        return [(default_embedding, box) for box in boxes]
+    rows = sample_view_scale_mean(cam_feats, hit_box, hit_view, hit_uv, len(boxes))
+    seen = set(hit_box)
+    return [(T.narrow(rows, 0, i, 1) if i in seen else default_embedding, box)
+            for i, box in enumerate(boxes)]
 
 
 def generate_queries(
@@ -218,6 +225,10 @@ def generate_queries(
 
     feature_rows = [f for f, _ in initialized] + [default_embedding] * len(rand_boxes)
     boxes = [b for _, b in initialized] + rand_boxes
+    # joined row by row: the batch dtype (under single precision, float32
+    # only when every row is the default embedding) and the order in which
+    # the embedding's gradients add up follow from it, and outputs depend on
+    # both
     features = T.concat([T.reshape(f, (1, cfg.channels)) for f in feature_rows], axis=0)
     state = T.Tensor(boxes_to_state(boxes, dtype=cfg.dtype))
     return QueryBatch(features=features, box_state=state)

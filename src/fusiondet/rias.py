@@ -33,15 +33,6 @@ class SamplingPattern:
 
     offsets: T.Tensor
     weights: T.Tensor
-    branch: str
-
-
-@dataclass
-class RoIFeature:
-    """Per-query sampled feature rows: (N, S, C) with S=K or S=T*K."""
-
-    feat: T.Tensor
-    branch: str
 
 
 def predict_pattern(batch: QueryBatch, params, branch: str, cfg: ModelSection) -> SamplingPattern:
@@ -90,16 +81,16 @@ def predict_pattern(batch: QueryBatch, params, branch: str, cfg: ModelSection) -
     else:
         per_frame = T.reshape(raw_w, (N, G, M * K))
         weights = T.reshape(T.softmax(per_frame, axis=-1), (N, G, M, K))
-    return SamplingPattern(offsets=offsets, weights=weights, branch=branch)
+    return SamplingPattern(offsets=offsets, weights=weights)
 
 
 def sample_lidar(
     centers_xy: T.Tensor,
     pattern: SamplingPattern,
     pyramid: LidarFeaturePyramid,
-) -> RoIFeature:
+) -> T.Tensor:
     """Weighted multi-scale BEV samples at K offset points per query, all
-    scales in one packed read."""
+    scales in one packed read: (N, K, C) rows."""
     N, R, K, _ = pattern.offsets.shape
     rng = pyramid.det_range
     # the conversions return the gradients w.r.t. the pattern in its own
@@ -113,7 +104,7 @@ def sample_lidar(
     map_idx = np.broadcast_to(np.arange(R).reshape(1, R, 1), (N, R, K))
     samp = T.bilinear_sample_packed(pyramid.values, pyramid.shapes, pyramid.starts, map_idx, uv)
     term = T.mul(samp, T.astype(T.reshape(pattern.weights, (N, R, K, 1)), samp.dtype))
-    return RoIFeature(feat=T.sum_(term, axis=1), branch="lidar")
+    return T.sum_(term, axis=1)
 
 
 def sample_camera(
@@ -121,8 +112,9 @@ def sample_camera(
     pattern: SamplingPattern,
     feats: CameraFeatureSet,
     rig: CameraRig,
-) -> RoIFeature:
-    """Hit-view-averaged, scale-weighted camera samples per (frame, point).
+) -> T.Tensor:
+    """Hit-view-averaged, scale-weighted camera samples per (frame, point):
+    (N, T*K, C) rows.
 
     Sample points are temporally aligned per frame; points outside every
     view's frustum produce zero rows. Hit decisions (and the 1/|V| factor)
@@ -163,8 +155,7 @@ def sample_camera(
     # 3. compact to the hit (frame, view, point) triples, M scale rows each
     t_h, v_h, p_h = np.nonzero(hit)
     if t_h.size == 0:
-        return RoIFeature(feat=T.Tensor(np.zeros((N, Tt * K, C), dtype=centers.data.dtype)),
-                          branch="camera")
+        return T.Tensor(np.zeros((N, Tt * K, C), dtype=centers.data.dtype))
     inv_count = 1.0 / np.maximum(hit.sum(axis=1), 1)  # (T, P): 1 / hit views
     m_r = np.tile(np.arange(M), t_h.size)
     t_r, v_r, p_r = (np.repeat(a, M) for a in (t_h, v_h, p_h))
@@ -180,25 +171,26 @@ def sample_camera(
                            ((n_r * Tt + t_r) * M + m_r) * K + k_r)
     term = T.mul(T.mul(samp, T.astype(w_rows, samp.dtype)), inv_count[t_r, p_r][:, None])
     rows = T.scatter_add_rows(term, (n_r * Tt + t_r) * K + k_r, N * Tt * K)
-    return RoIFeature(feat=T.reshape(rows, (N, Tt * K, C)), branch="camera")
+    return T.reshape(rows, (N, Tt * K, C))
 
 
-def adaptive_mix(features: T.Tensor, roi: RoIFeature, params) -> T.Tensor:
-    """Channel then spatial correlation mixing, aggregated back to C channels.
+def adaptive_mix(features: T.Tensor, roi: T.Tensor, params) -> T.Tensor:
+    """Channel then spatial correlation mixing of the (N, S, C) sampled rows
+    ``roi``, aggregated back to C channels.
 
     Mixing matrices are generated from the query feature; the flattened
     result is projected to C and residual-added to the query, followed by
     layer norm. ``params`` is the branch's mixer group
     (``ParamStore.group("layer0.lidar.mix")``).
     """
-    N, S, C = roi.feat.shape
+    N, S, C = roi.shape
     if params.agg_w.shape != (S * C, C):
         raise ValueError(
             f"mix params expect S*C={params.agg_w.shape[0]}, got {S * C}"
         )
     w_c = T.reshape(T.linear(features, params.chan_w, params.chan_b), (N, C, C))
     m_c = T.relu(
-        T.layer_norm(T.matmul(roi.feat, w_c), params.ln_chan_gain, params.ln_chan_shift)
+        T.layer_norm(T.matmul(roi, w_c), params.ln_chan_gain, params.ln_chan_shift)
     )
     w_s = T.reshape(T.linear(features, params.spat_w, params.spat_b), (N, S, S))
     m_s = T.relu(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .classes import (
     CLASS_INTENSITY,
     CLASS_MIX,
@@ -31,7 +30,7 @@ from .classes import (
     SPEED_SCALE,
 )
 from .config import ConfigError, ModelSection, RunConfig, ScenarioSection, SimSection
-from .featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
+from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from .fileio import atomic_open, write_json
 from .geometry import (
     Box3D,
@@ -94,7 +93,6 @@ class SceneSample:
     def feature_set(self, cfg: ModelSection) -> CameraFeatureSet:
         key = ("cam", cfg.precision)
         if key not in self._cache:
-            maps = {k: FeatureMap(T.Tensor(v), scale_id=k[1]) for k, v in self.cam_maps.items()}
             # per-scale pixel-to-texel ratio, recovered from the map shapes
             img_w = self.rig.views[0].image_size[0]
             strides = [
@@ -102,15 +100,15 @@ class SceneSample:
                 for m in range(cfg.num_cam_scales)
             ]
             self._cache[key] = CameraFeatureSet(
-                maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides, cfg.dtype
+                self.cam_maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides,
+                cfg.dtype,
             )
         return self._cache[key]
 
     def lidar_pyramid(self, cfg: ModelSection) -> LidarFeaturePyramid:
         key = ("lidar", cfg.precision)
         if key not in self._cache:
-            maps = [FeatureMap(T.Tensor(m), scale_id=r) for r, m in enumerate(self.lidar_maps)]
-            self._cache[key] = LidarFeaturePyramid(maps, self.det_range, cfg.dtype)
+            self._cache[key] = LidarFeaturePyramid(self.lidar_maps, self.det_range, cfg.dtype)
         return self._cache[key]
 
 

@@ -396,16 +396,6 @@ def absolute(a) -> Tensor:
     return _make(np.abs(a.data), "abs", (a,), (lambda g: g * sign,))
 
 
-def sin(a) -> Tensor:
-    a = _wrap(a)
-    return _make(np.sin(a.data), "sin", (a,), (lambda g: g * np.cos(a.data),))
-
-
-def cos(a) -> Tensor:
-    a = _wrap(a)
-    return _make(np.cos(a.data), "cos", (a,), (lambda g: -g * np.sin(a.data),))
-
-
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out = np.tanh(a.data)
@@ -714,16 +704,6 @@ def mlp(x, p) -> Tensor:
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor) via relu; gradient is 0 where a < floor."""
     return add(relu(sub(a, floor)), floor)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = _wrap(t)
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else t.ndim + 1 + axis, 1)
-        expanded.append(reshape(t, tuple(shape)))
-    return concat(expanded, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .rias import RoIFeature
 
 
-def pool_roi(roi: RoIFeature) -> T.Tensor:
+def pool_roi(roi: T.Tensor) -> T.Tensor:
     """Mean over the S sampled rows: (N, S, C) -> (N, C)."""
-    return T.mean(roi.feat, axis=1)
+    return T.mean(roi, axis=1)
 
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -50,7 +49,7 @@ def predict_distance(pooled: T.Tensor, params) -> T.Tensor:
     return T.reshape(T.softplus(T.mlp(pooled, params)), (pooled.shape[0],))
 
 
-def predict_uncertainty(roi: RoIFeature, params) -> T.Tensor:
+def predict_uncertainty(roi: T.Tensor, params) -> T.Tensor:
     """Predicted per-query uncertainty in [0, 1), differentiable."""
     return uncertainty_from_distance(predict_distance(pool_roi(roi), params))
 

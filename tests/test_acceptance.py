@@ -94,7 +94,7 @@ def test_criterion_2_gradient_suite():
 
 
 def test_criterion_3_sampling_oracle_equivalence():
-    from fusiondet.featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
+    from fusiondet.featuremaps import CameraFeatureSet, LidarFeaturePyramid
     from fusiondet.geometry import DetectionRange
     from fusiondet.rias import SamplingPattern, sample_camera, sample_lidar
     from test_rias import _normalized_weights, _random_rig
@@ -112,11 +112,11 @@ def test_criterion_3_sampling_oracle_equivalence():
         centers = rng.uniform(-10, 10, size=(N, 2))
         offs = rng.normal(0, 1.5, size=(N, R, K, 2))
         w = _normalized_weights(rng, (N, R, K), (1, 2))
-        pyr = LidarFeaturePyramid([FeatureMap(T.Tensor(g), r) for r, g in enumerate(grids)], det)
+        pyr = LidarFeaturePyramid(grids, det)
         got = sample_lidar(
             T.Tensor(centers, dtype=np.float64),
             SamplingPattern(T.Tensor(offs, dtype=np.float64),
-                            T.Tensor(w, dtype=np.float64), "lidar"), pyr).feat.data
+                            T.Tensor(w, dtype=np.float64)), pyr).data
         worst = max(worst, float(np.abs(got - ref_sample_lidar(centers, offs, w, grids, det)).max()))
         # camera: vary V, M, T, K
         V = int(rng.integers(1, 4))
@@ -127,8 +127,7 @@ def test_criterion_3_sampling_oracle_equivalence():
         strides = [2.0 * 2 ** m for m in range(M)]
         cgrids = {(v, m, t): rng.normal(size=(int(48 // strides[m] * 2), int(64 // strides[m] * 2), C))
                   for v in range(V) for m in range(M) for t in range(Tt)}
-        feats = CameraFeatureSet({k: FeatureMap(T.Tensor(g), k[1]) for k, g in cgrids.items()},
-                                 V, M, Tt, strides)
+        feats = CameraFeatureSet(cgrids, V, M, Tt, strides)
         c3 = np.column_stack([rng.uniform(-8, 8, N), rng.uniform(-8, 8, N),
                               rng.uniform(-0.5, 1.5, N)])
         offs_c = rng.normal(0, 1.0, size=(N, Tt, Kc, 3))
@@ -136,7 +135,7 @@ def test_criterion_3_sampling_oracle_equivalence():
         got = sample_camera(
             T.Tensor(c3, dtype=np.float64),
             SamplingPattern(T.Tensor(offs_c, dtype=np.float64),
-                            T.Tensor(w_c, dtype=np.float64), "camera"), feats, rig).feat.data
+                            T.Tensor(w_c, dtype=np.float64)), feats, rig).data
         worst = max(worst, float(np.abs(got - ref_sample_camera(c3, offs_c, w_c, cgrids, strides, rig)).max()))
     _verdict(3, "sample_lidar/sample_camera match dense loop references",
              worst < 1e-10, f"worst |diff| {worst:.2e}")

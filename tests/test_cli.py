@@ -140,6 +140,23 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "diverged at step" in err[0]
         assert not os.path.exists(ckpt)
+        assert not os.path.exists(ckpt + ".log.jsonl")
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    def test_diverging_resume_keeps_the_previous_log(self, workspace, capsys):
+        tmp_path, cfg, ds = workspace
+        ckpt = str(tmp_path / "model.fdcp")
+        assert main(["train", "--config", cfg, "--dataset", ds, "--out", ckpt]) == 0
+        log, model = open(ckpt + ".log.jsonl", "rb").read(), open(ckpt, "rb").read()
+        cfg8 = _write_cfg(tmp_path / "cfg8.json", **{"train.steps": 8})
+        capsys.readouterr()
+        assert main(["train", "--config", cfg8, "--dataset", ds, "--out", ckpt,
+                     "--resume", ckpt, "-O", "train.lr=1e300"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "diverged at step" in err[0]
+        assert open(ckpt + ".log.jsonl", "rb").read() == log
+        assert open(ckpt, "rb").read() == model
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
 class TestMalformedDataset:

@@ -120,6 +120,62 @@ class TestDetectionRange:
         assert not os.path.exists(tmp_path / "o")
 
 
+# (dotted key, JSON text of the value): type-correct, but a simulator, model
+# or eval setting the program cannot run with
+BAD_SIZES = [
+    ("sim.base_stride", "0"),
+    ("sim.bev_grid", "127"),
+    ("sim.bev_grid", "0"),
+    ("sim.focal", "-1"),
+    ("sim.image_width", "4"),
+    ("sim.image_width", "330"),
+    ("sim.image_height", "0"),
+    ("model.max_offset_factor", "0"),
+    ("eval.thresholds", "[]"),
+    ("eval.thresholds", "[0, 1]"),
+]
+
+
+class TestSizes:
+    @pytest.mark.parametrize("dotted,raw", BAD_SIZES)
+    def test_from_dict_rejects(self, dotted, raw):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(_nested(dotted, json.loads(raw)))
+
+    @pytest.mark.parametrize("dotted,raw", BAD_SIZES)
+    def test_override_rejects(self, dotted, raw):
+        cfg = RunConfig()
+        cfg.apply_override(dotted, raw)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("dotted,raw", BAD_SIZES)
+    def test_cli_exit_2(self, tmp_path, capsys, dotted, raw):
+        assert main(["generate", "-O", f"{dotted}={raw}", "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, "config error:")
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_eval_with_no_thresholds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["eval", "-O", "eval.thresholds=[]", "--dataset", str(tmp_path / "ds"),
+                     "--out", str(out)]) == 2
+        _one_line_error(capsys, "config error:")
+        assert not os.path.exists(out)
+
+    def test_sizes_follow_the_scale_counts(self):
+        cfg = RunConfig()
+        cfg.apply_override("sim.image_width", "336")  # 21 texels at stride 16
+        cfg.apply_override("sim.bev_grid", "96")
+        cfg.validate()
+        cfg.apply_override("model.num_lidar_scales", "7")  # 96 is not a multiple of 64
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        cfg = RunConfig()
+        cfg.apply_override("model.num_cam_scales", "5")  # 320 is not a multiple of 128
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+
 class TestIntInFloatLeaf:
     def test_int_kept_as_written(self):
         cfg = RunConfig.from_dict({"sim": {"focal": 150}})

@@ -1,5 +1,5 @@
 """Feature grids and bilinear sampling: boundary behavior, linearity,
-view-mean/scale-sum aggregation."""
+packing, view-mean/scale-sum aggregation."""
 
 import math
 
@@ -9,35 +9,38 @@ import pytest
 from fusiondet import tensor as T
 from fusiondet.featuremaps import (
     CameraFeatureSet,
-    FeatureMap,
     FeatureMapError,
     LidarFeaturePyramid,
     sample_view_scale_mean,
 )
-from fusiondet.geometry import CameraRig, CameraView, DetectionRange, make_rigid
+from fusiondet.geometry import (
+    CameraRig,
+    CameraView,
+    DetectionRange,
+    make_rigid,
+    project_to_view,
+)
 
 
-def _map(values, scale=0):
+def _map(values):
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    return FeatureMap(T.Tensor(arr), scale_id=scale)
+    return arr[:, :, None] if arr.ndim == 2 else arr
 
 
 class TestBilinear:
     def test_exact_texel_center(self):
         fm = _map([[0.0, 1.0], [2.0, 3.0]])
-        out = T.bilinear_sample(fm.data, T.Tensor([0.5, 0.5], dtype=np.float64))
+        out = T.bilinear_sample(fm, T.Tensor([0.5, 0.5], dtype=np.float64))
         np.testing.assert_allclose(out.data, [0.0])
 
     def test_four_texel_mean(self):
         fm = _map([[0.0, 1.0], [2.0, 3.0]])
-        out = T.bilinear_sample(fm.data, T.Tensor([1.0, 1.0], dtype=np.float64))
+        out = T.bilinear_sample(fm, T.Tensor([1.0, 1.0], dtype=np.float64))
         np.testing.assert_allclose(out.data, [1.5])
 
     def test_zero_padding(self):
         fm = _map([[0.0, 1.0], [2.0, 3.0]])
-        out = T.bilinear_sample(fm.data, T.Tensor([-3.0, -3.0], dtype=np.float64))
+        out = T.bilinear_sample(fm, T.Tensor([-3.0, -3.0], dtype=np.float64))
         np.testing.assert_allclose(out.data, [0.0])
 
     def test_linearity(self):
@@ -46,10 +49,10 @@ class TestBilinear:
         B = rng.normal(size=(6, 5, 3))
         alpha, beta = 0.37, -1.21
         coords = T.Tensor(rng.uniform(-1, 7, size=(50, 2)), dtype=np.float64)
-        lhs = T.bilinear_sample(_map(alpha * A + beta * B).data, coords).data
+        lhs = T.bilinear_sample(_map(alpha * A + beta * B), coords).data
         rhs = (
-            alpha * T.bilinear_sample(_map(A).data, coords).data
-            + beta * T.bilinear_sample(_map(B).data, coords).data
+            alpha * T.bilinear_sample(_map(A), coords).data
+            + beta * T.bilinear_sample(_map(B), coords).data
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -60,7 +63,7 @@ class TestBilinear:
             np.column_stack([rng.uniform(0.5, 8.5, 30), rng.uniform(0.5, 7.5, 30)]),
             dtype=np.float64,
         )
-        out = T.bilinear_sample(fm.data, coords)
+        out = T.bilinear_sample(fm, coords)
         np.testing.assert_allclose(out.data, 2.75, atol=1e-12)
 
     def test_gradients_away_from_lattice(self):
@@ -93,9 +96,7 @@ def _const_set(values_per_view, M=1, Tt=1, C=1):
                     const = np.asarray(val[m], dtype=float)
                 else:
                     const = val
-                maps[(v, m, t)] = FeatureMap(
-                    T.Tensor(np.full((10, 20, C), const, dtype=np.float64)), m
-                )
+                maps[(v, m, t)] = np.full((10, 20, C), const, dtype=np.float64)
     return CameraFeatureSet(maps, V, M, Tt, [10.0 * 2 ** m for m in range(M)])
 
 
@@ -121,60 +122,88 @@ class TestContainers:
         det = DetectionRange(-10, 10, -10, 10, -2, 2)
         with pytest.raises(FeatureMapError):
             LidarFeaturePyramid(
-                [_map(np.zeros((4, 4))), FeatureMap(T.Tensor(np.zeros((2, 2, 3))), 1)],
+                [_map(np.zeros((4, 4))), np.zeros((2, 2, 3))],
                 det,
             )
 
 
+    def test_map_must_be_h_w_c(self):
+        with pytest.raises(FeatureMapError):
+            CameraFeatureSet({(0, 0, 0): np.zeros((4, 4))}, 1, 1, 1, [8.0])
+
+
 class TestPacking:
-    def test_maps_are_views_into_one_buffer(self):
+    def test_maps_are_packed_in_view_scale_frame_order(self):
         rng = np.random.default_rng(3)
         raw = {(v, m, 0): rng.normal(size=(6 // (m + 1), 8 // (m + 1), 2))
                for v in range(2) for m in range(2)}
-        feats = CameraFeatureSet({k: _map(g, k[1]) for k, g in raw.items()}, 2, 2, 1,
-                                 [4.0, 8.0], dtype=np.float32)
-        assert feats.values.dtype == np.float32
-        for (v, m, t), g in raw.items():
-            fm = feats.get(v, m, t)
-            assert np.shares_memory(fm.data.data, feats.values.data)
-            assert np.array_equal(fm.data.data, g.astype(np.float32))
-            start = feats.starts[feats.index(v, m, t)]
-            assert np.array_equal(feats.values.data[start:start + g.shape[0] * g.shape[1]],
-                                  fm.data.data.reshape(-1, 2))
+        feats = CameraFeatureSet(raw, 2, 2, 1, [4.0, 8.0], dtype=np.float32)
+        assert feats.values.dtype == np.float32 and feats.channels == 2
+        start = 0
+        for v, m, t in sorted(raw):
+            g = raw[(v, m, t)]
+            i = feats.index(v, m, t)
+            assert feats.shapes[i].tolist() == list(g.shape[:2]) and feats.starts[i] == start
+            stop = start + g.shape[0] * g.shape[1]
+            assert np.array_equal(feats.values.data[start:stop],
+                                  g.astype(np.float32).reshape(-1, 2))
+            start = stop
+        assert feats.values.shape[0] == start
 
     def test_pyramid_is_packed_in_scale_order(self):
         det = DetectionRange(-10, 10, -10, 10, -2, 2)
         grids = [np.arange(4 * 4 * 3.0).reshape(4, 4, 3), -np.ones((2, 2, 3))]
-        pyr = LidarFeaturePyramid([_map(g, r) for r, g in enumerate(grids)], det)
+        pyr = LidarFeaturePyramid(grids, det)
         assert pyr.shapes.tolist() == [[4, 4], [2, 2]] and pyr.starts.tolist() == [0, 16]
         assert np.array_equal(pyr.values.data, np.concatenate([g.reshape(-1, 3) for g in grids]))
-        assert all(np.shares_memory(fm.data.data, pyr.values.data) for fm in pyr.maps)
+        assert pyr.num_scales == 2 and pyr.channels == 3
+
+
+def _hits(points, rig):
+    """(box, view, pixel) of every view each point projects into, in point
+    then view order."""
+    box, view, uv = [], [], []
+    for i, p in enumerate(points):
+        for v, cam in enumerate(rig.views):
+            proj = project_to_view(p, cam)
+            if proj is not None:
+                box.append(i)
+                view.append(v)
+                uv.append(proj[:2])
+    return box, view, uv
 
 
 class TestSampleViewScaleMean:
     def test_single_view_constant(self):
         feats = _const_set([7.0])
         rig = _rig(1)
-        out = sample_view_scale_mean(feats, [10.0, 0.0, 0.0], rig, 0, [0])
-        np.testing.assert_allclose(out.data, [7.0], atol=1e-12)
+        out = sample_view_scale_mean(feats, *_hits([[10.0, 0.0, 0.0]], rig), 1)
+        np.testing.assert_allclose(out.data, [[7.0]], atol=1e-12)
 
     def test_mean_over_two_views(self):
         feats = _const_set([3.0, 5.0], M=1)
         rig = _rig(2)
-        # point visible in view 0 only geometrically, but the mean semantics
-        # are exercised by passing both hit indices with overlapping views
+        # two coincident views both see the point, so the mean covers both
         rig2 = CameraRig([rig.views[0], rig.views[0]], [np.eye(4)])
-        out = sample_view_scale_mean(feats, [10.0, 0.0, 0.0], rig2, 0, [0, 1])
-        np.testing.assert_allclose(out.data, [4.0], atol=1e-12)
+        out = sample_view_scale_mean(feats, *_hits([[10.0, 0.0, 0.0]], rig2), 1)
+        np.testing.assert_allclose(out.data, [[4.0]], atol=1e-12)
 
     def test_sum_over_scales(self):
         # Eq. style: scales are summed, views averaged
         feats = _const_set([[2.0, 0.5]], M=2)
         rig = _rig(1)
-        out = sample_view_scale_mean(feats, [10.0, 0.0, 0.0], rig, 0, [0])
-        np.testing.assert_allclose(out.data, [2.5], atol=1e-12)
+        out = sample_view_scale_mean(feats, *_hits([[10.0, 0.0, 0.0]], rig), 1)
+        np.testing.assert_allclose(out.data, [[2.5]], atol=1e-12)
+
+    def test_one_row_per_box_zero_where_unseen(self):
+        feats = _const_set([[2.0, 0.5]], M=2)
+        rig = _rig(1)
+        # the middle point is behind the camera
+        out = sample_view_scale_mean(
+            feats, *_hits([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0], [20.0, 1.0, 0.0]], rig), 3)
+        np.testing.assert_allclose(out.data, [[2.5], [0.0], [2.5]], atol=1e-12)
 
     def test_empty_hit_set_errors(self):
         feats = _const_set([1.0])
         with pytest.raises(FeatureMapError):
-            sample_view_scale_mean(feats, [10.0, 0.0, 0.0], _rig(1), 0, [])
+            sample_view_scale_mean(feats, [], [], np.zeros((0, 2)), 1)

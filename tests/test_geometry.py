@@ -18,7 +18,6 @@ from fusiondet.geometry import (
     invert_rigid,
     make_rigid,
     nms_3d,
-    project_to_bev,
     project_to_view,
     rot_z,
     unproject_center,
@@ -131,24 +130,6 @@ class TestHitViews:
         ang = math.pi / 8
         p = np.array([math.cos(ang), math.sin(ang), 0.0]) * 10.0
         assert hit_views(p, rig) == [0, 1]
-
-
-class TestProjectToBev:
-    RANGE = DetectionRange(-54, 54, -54, 54, -5, 3)
-
-    def test_center(self):
-        assert project_to_bev([0.0, 0.0, 0.0], self.RANGE, (128, 128)) == (64.0, 64.0)
-
-    def test_corner(self):
-        assert project_to_bev([-54.0, -54.0, 0.0], self.RANGE, (128, 128)) == (0.0, 0.0)
-
-    def test_affine_by_hand(self):
-        # u = (27+54)/108*128 = 96
-        assert project_to_bev([27.0, 0.0, 0.0], self.RANGE, (128, 128)) == (96.0, 64.0)
-
-    def test_degenerate_grid_errors(self):
-        with pytest.raises(GeometryError):
-            project_to_bev([0.0, 0.0, 0.0], self.RANGE, (0, 128))
 
 
 # ---------------------------------------------------------------------------

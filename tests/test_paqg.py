@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fusiondet import paqg
 from fusiondet import tensor as T
-from fusiondet.config import ModelSection, OracleSection, SimSection
-from fusiondet.geometry import Box3D, project_to_view, unproject_center
+from fusiondet.config import ModelSection, OracleSection, RunConfig, SimSection
+from fusiondet.geometry import (
+    Box3D,
+    align_temporal,
+    hit_views,
+    project_to_view,
+    unproject_center,
+)
+from fusiondet.params import init_model_params
 from fusiondet.paqg import (
     PerspectiveProposal,
     generate_queries,
@@ -19,6 +27,7 @@ from fusiondet.paqg import (
     select_topk,
 )
 from fusiondet.scenesim import generate_scene
+from test_rias import packed_map
 
 
 def _model(**kw) -> ModelSection:
@@ -250,8 +259,7 @@ class TestGenerateQueries:
         scene, model, sim = _scene()
         const_val = 1.25
         feats = scene.feature_set(model)
-        for fm in feats.maps.values():
-            fm.data.data = np.full_like(fm.data.data, const_val)
+        feats.values.data[:] = const_val
         emb = T.Tensor(np.zeros(model.channels))
         boxes = [Box3D([10.0, 0.0, 0.5], [4, 2, 1.5], 0.0, score=1.0)]
         rows = init_queries(boxes, feats, scene.rig, emb, model.detection_range())
@@ -282,3 +290,91 @@ class TestGenerateQueries:
         for (fa, ba), (fb, bb) in zip(fwd, rev[::-1]):
             np.testing.assert_allclose(np.asarray(fa.data), np.asarray(fb.data))
             assert ba.score == bb.score
+
+
+# ---------------------------------------------------------------------------
+# the batched query-feature read gives the per-box loop's numbers bit for bit
+# ---------------------------------------------------------------------------
+
+
+def per_box_init_queries(boxes, cam_feats, rig, default_embedding, det_range):
+    """The query init as one bilinear read per (box, hit view, scale): views
+    averaged and scales summed box by box, in view then scale order."""
+    out = []
+    for box in boxes:
+        box = paqg._clamp_to_range(box, det_range)
+        hit = hit_views(box.center, rig, 0)
+        if not hit:
+            out.append((default_embedding, box))
+            continue
+        p = align_temporal(box.center, rig, 0)
+        acc = None
+        for v in hit:
+            u, w, _ = project_to_view(p, rig.views[v])
+            for m in range(cam_feats.num_scales):
+                stride = cam_feats.strides[m]
+                s = T.bilinear_sample(packed_map(cam_feats, cam_feats.index(v, m, 0)),
+                                      np.array([u / stride, w / stride]))
+                acc = s if acc is None else T.add(acc, s)
+        out.append((T.mul(acc, 1.0 / len(hit)), box))
+    return out
+
+
+class TestBatchedQueryFeatures:
+    def _generate(self, scene, cfg, oracle, emb, seed):
+        return generate_queries(scene.gt_boxes, scene.rig, scene.feature_set(cfg.model),
+                                cfg.model, oracle, emb, np.random.default_rng(seed))
+
+    def _features_state_and_grad(self, scene, cfg, oracle, seed):
+        emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
+        batch = self._generate(scene, cfg, oracle, emb, seed)
+        batch.features.backward(np.random.default_rng(seed).normal(size=batch.features.shape))
+        return batch.features.data, batch.box_state.data, emb.grad
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_matches_per_box_reads(self, precision, monkeypatch):
+        cfg = RunConfig()
+        cfg.model.precision = precision
+        oracle = OracleSection(pixel_sigma=4.0, fp_rate=2.0)
+        read_rows = 0
+        for scene_id in range(6):
+            scene = generate_scene(cfg.model, cfg.sim, scene_id)
+            got = self._features_state_and_grad(scene, cfg, oracle, scene_id)
+            with monkeypatch.context() as m:
+                m.setattr(paqg, "init_queries", per_box_init_queries)
+                want = self._features_state_and_grad(scene, cfg, oracle, scene_id)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            # the last row is a random query, which carries the default embedding
+            read_rows += int(np.sum(np.any(got[0] != got[0][-1], axis=1)))
+        assert read_rows > 0
+
+    def test_one_packed_read_per_batch(self, monkeypatch):
+        cfg = RunConfig()
+        scene = generate_scene(cfg.model, cfg.sim, 0)
+        emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
+        calls = []
+        packed = T.bilinear_sample_packed
+        monkeypatch.setattr(T, "bilinear_sample_packed",
+                            lambda *a: calls.append(a) or packed(*a))
+        monkeypatch.setattr(T, "bilinear_sample", None)  # the one-grid reads are gone
+        self._generate(scene, cfg, cfg.sim.oracle, emb, 0)
+        assert len(calls) == 1
+        # no proposal, so no read; the batch is the float32 default embedding
+        batch = self._generate(scene, cfg, OracleSection(miss_rate=1.0, fp_rate=0.0), emb, 0)
+        assert len(calls) == 1
+        assert batch.features.dtype == np.float32
+        assert np.array_equal(batch.features.data,
+                              np.tile(emb.data, (cfg.model.num_queries, 1)))
+
+    def test_all_miss_boxes_keep_the_default_embedding(self):
+        cfg = RunConfig()
+        scene = generate_scene(cfg.model, cfg.sim, 0)
+        emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
+        det = cfg.model.detection_range()
+        boxes = [Box3D([x, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0) for x in (0.0, 0.5)]
+        for init in (init_queries, per_box_init_queries):
+            rows = init(boxes, scene.feature_set(cfg.model), scene.rig, emb, det)
+            assert [f is emb for f, _ in rows] == [True, True]
+        features = T.concat([T.reshape(f, (1, cfg.model.channels)) for f, _ in rows])
+        assert features.dtype == np.float32

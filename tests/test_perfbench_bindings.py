@@ -75,6 +75,22 @@ def test_traced_decode_records_every_layer_span(perfbench):
     assert calls["decoder.decode"] == 1
 
 
+def test_traced_inference_records_one_query_read_per_scene(perfbench):
+    workloads, spans = perfbench
+    cfg = RunConfig()
+    scenes = [generate_scene(cfg.model, cfg.sim, i) for i in range(3)]
+    store = init_model_params(cfg.model, seed=0)
+    with spans.Tracer() as tracer:
+        workloads.install_spans(tracer)
+        train.run_inference(cfg, scenes, store)
+    _, _, calls = tracer.summarize([spans.SETUP_OP])
+    assert calls["paqg.generate_queries"] == len(scenes)
+    assert calls["featuremaps.sample_view_scale_mean"] == len(scenes)
+    assert calls["geometry.nms_3d"] == len(scenes)
+    # no program code reads through the one-grid wrapper any more
+    assert calls["tensor.bilinear_sample"] == 0
+
+
 def test_build_config_applies_every_override(perfbench):
     workloads, _ = perfbench
     assert {"train", "train_dense", "robustness"} <= set(workloads.WORKLOADS)

@@ -14,7 +14,7 @@ import pytest
 from fusiondet import gradsuite
 from fusiondet import tensor as T
 from fusiondet.config import ModelSection, RunConfig
-from fusiondet.featuremaps import CameraFeatureSet, FeatureMap, LidarFeaturePyramid
+from fusiondet.featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from fusiondet.geometry import (
     CameraRig,
     CameraView,
@@ -26,7 +26,6 @@ from fusiondet.paqg import generate_queries
 from fusiondet.params import init_model_params
 from fusiondet.queries import QueryBatch, boxes_to_state
 from fusiondet.rias import (
-    RoIFeature,
     SamplingPattern,
     adaptive_mix,
     predict_pattern,
@@ -157,15 +156,13 @@ class TestOracleEquivalence:
             centers = rng.uniform(-10, 10, size=(N, 2))
             offsets = rng.normal(0, 1.5, size=(N, R, K, 2))
             weights = _normalized_weights(rng, (N, R, K), (1, 2))
-            pyramid = LidarFeaturePyramid(
-                [FeatureMap(T.Tensor(g), r) for r, g in enumerate(grids)], det
-            )
+            pyramid = LidarFeaturePyramid(grids, det)
             got = sample_lidar(
                 T.Tensor(centers, dtype=np.float64),
                 SamplingPattern(T.Tensor(offsets, dtype=np.float64),
-                                T.Tensor(weights, dtype=np.float64), "lidar"),
+                                T.Tensor(weights, dtype=np.float64)),
                 pyramid,
-            ).feat.data
+            ).data
             want = ref_sample_lidar(centers, offsets, weights, grids, det)
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-10
@@ -186,10 +183,7 @@ class TestOracleEquivalence:
                 (v, m, t): rng.normal(size=(48 // int(strides[m] // 2), 64 // int(strides[m] // 2), C))
                 for v in range(V) for m in range(M) for t in range(Tt)
             }
-            feats = CameraFeatureSet(
-                {k: FeatureMap(T.Tensor(g), k[1]) for k, g in grids.items()},
-                V, M, Tt, strides,
-            )
+            feats = CameraFeatureSet(grids, V, M, Tt, strides)
             centers = np.column_stack([
                 rng.uniform(-8, 8, N), rng.uniform(-8, 8, N), rng.uniform(-0.5, 1.5, N)
             ])
@@ -198,9 +192,9 @@ class TestOracleEquivalence:
             got = sample_camera(
                 T.Tensor(centers, dtype=np.float64),
                 SamplingPattern(T.Tensor(offsets, dtype=np.float64),
-                                T.Tensor(weights, dtype=np.float64), "camera"),
+                                T.Tensor(weights, dtype=np.float64)),
                 feats, rig,
-            ).feat.data
+            ).data
             want = ref_sample_camera(centers, offsets, weights, grids, strides, rig)
             worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < 1e-10
@@ -209,6 +203,12 @@ class TestOracleEquivalence:
 # ---------------------------------------------------------------------------
 # the packed reads give the per-view and per-scale loops' numbers bit for bit
 # ---------------------------------------------------------------------------
+
+
+def packed_map(feats, i) -> T.Tensor:
+    """Map ``i`` of a packed feature container as an (H, W, C) Tensor."""
+    (h, w), start = feats.shapes[i], feats.starts[i]
+    return T.Tensor(feats.values.data[start:start + h * w].reshape(h, w, feats.channels))
 
 
 def per_view_sample_camera(centers, pattern, feats, rig):
@@ -251,7 +251,7 @@ def per_view_sample_camera(centers, pattern, feats, rig):
             gate = (hit_masks[v] * inv_count)[:, None]
             for m in range(M):
                 coords = T.mul(T.concat([u, w], axis=1), 1.0 / feats.strides[m])
-                samp = T.bilinear_sample(feats.get(v, m, t).data, coords)
+                samp = T.bilinear_sample(packed_map(feats, feats.index(v, m, t)), coords)
                 w_m = T.reshape(
                     T.narrow(T.narrow(pattern.weights, 1, t, 1), 2, m, 1), (N, K)
                 )
@@ -271,22 +271,21 @@ def per_scale_sample_lidar(centers_xy, pattern, pyramid):
     base = T.reshape(centers_xy, (N, 1, 2))
     acc = None
     for r in range(pyramid.num_scales):
-        cols, rows = pyramid.maps[r].width, pyramid.maps[r].height
+        rows, cols = pyramid.shapes[r]
         off_r = T.reshape(T.narrow(pattern.offsets, 1, r, 1), (N, K, 2))
         shift = np.array([-rng.x_min, -rng.y_min])
         scale = np.array([cols / (rng.x_max - rng.x_min), rows / (rng.y_max - rng.y_min)])
         uv = T.mul(T.add(T.add(base, off_r), shift), scale)
-        samp = T.bilinear_sample(pyramid.maps[r].data, uv)
+        samp = T.bilinear_sample(packed_map(pyramid, r), uv)
         term = T.mul(samp, T.reshape(T.narrow(pattern.weights, 1, r, 1), (N, K, 1)))
         acc = term if acc is None else T.add(acc, term)
     return acc
 
 
-def _rows_and_gradients(sampler, centers, offsets, weights, branch, *args):
+def _rows_and_gradients(sampler, centers, offsets, weights, *args):
     off = T.Tensor(offsets, requires_grad=True)
     w = T.Tensor(weights, requires_grad=True)
-    rows = sampler(centers, SamplingPattern(off, w, branch), *args)
-    rows = rows.feat if isinstance(rows, RoIFeature) else rows
+    rows = sampler(centers, SamplingPattern(off, w), *args)
     rows.backward(np.random.default_rng(0).normal(size=rows.shape))
     return rows.data, off.grad, w.grad
 
@@ -320,8 +319,7 @@ class TestPackedReadsMatchPerGridLoops:
         multi_view_hits = 0
         for scene_id in range(3):
             cfg, scene, batch, offsets, weights = self._desk(scene_id, "camera", pattern_dtype)
-            args = (batch.centers(), offsets, weights, "camera", scene.feature_set(cfg.model),
-                    scene.rig)
+            args = (batch.centers(), offsets, weights, scene.feature_set(cfg.model), scene.rig)
             self._assert_same(_rows_and_gradients(sample_camera, *args),
                               _rows_and_gradients(per_view_sample_camera, *args))
             centers = batch.centers().data
@@ -336,8 +334,7 @@ class TestPackedReadsMatchPerGridLoops:
     def test_lidar_rows_and_gradients(self, pattern_dtype):
         for scene_id in range(3):
             cfg, scene, batch, offsets, weights = self._desk(scene_id, "lidar", pattern_dtype)
-            args = (batch.centers_xy(), offsets, weights, "lidar",
-                    scene.lidar_pyramid(cfg.model))
+            args = (batch.centers_xy(), offsets, weights, scene.lidar_pyramid(cfg.model))
             self._assert_same(_rows_and_gradients(sample_lidar, *args),
                               _rows_and_gradients(per_scale_sample_lidar, *args))
 
@@ -466,16 +463,16 @@ class TestClosedForm:
         N, R, K, C = 3, 2, 4, 2
         consts = [1.5, -0.75]
         grids = [np.full((8, 8, C), c) for c in consts]
-        pyramid = LidarFeaturePyramid([FeatureMap(T.Tensor(g), r) for r, g in enumerate(grids)], det)
+        pyramid = LidarFeaturePyramid(grids, det)
         centers = rng.uniform(-4, 4, size=(N, 2))
         offsets = rng.normal(0, 1, size=(N, R, K, 2))
         weights = _normalized_weights(rng, (N, R, K), (1, 2))
         out = sample_lidar(
             T.Tensor(centers, dtype=np.float64),
             SamplingPattern(T.Tensor(offsets, dtype=np.float64),
-                            T.Tensor(weights, dtype=np.float64), "lidar"),
+                            T.Tensor(weights, dtype=np.float64)),
             pyramid,
-        ).feat.data
+        ).data
         want = np.zeros((N, K, C))
         for r, c in enumerate(consts):
             want += weights[:, r, :, None] * c
@@ -485,16 +482,16 @@ class TestClosedForm:
         det = DetectionRange(-12, 12, -12, 12, -2, 2)
         rng = np.random.default_rng(6)
         grid = rng.normal(size=(8, 8, 3))
-        pyramid = LidarFeaturePyramid([FeatureMap(T.Tensor(grid), 0)], det)
+        pyramid = LidarFeaturePyramid([grid], det)
         center = np.array([[2.0, -3.0]])
         offsets = np.zeros((1, 1, 1, 2))
         weights = np.ones((1, 1, 1))
         out = sample_lidar(
             T.Tensor(center, dtype=np.float64),
             SamplingPattern(T.Tensor(offsets, dtype=np.float64),
-                            T.Tensor(weights, dtype=np.float64), "lidar"),
+                            T.Tensor(weights, dtype=np.float64)),
             pyramid,
-        ).feat.data
+        ).data
         u = (2.0 + 12) / 24 * 8
         v = (-3.0 + 12) / 24 * 8
         np.testing.assert_allclose(out[0, 0], ref_bilinear(grid, u, v), atol=1e-12)
@@ -508,10 +505,7 @@ class TestClosedForm:
         grids = {
             (0, m, 0): np.full((24, 32, C), consts[m]) for m in range(M)
         }
-        feats = CameraFeatureSet(
-            {k: FeatureMap(T.Tensor(g), k[1]) for k, g in grids.items()},
-            V, M, Tt, [2.0, 4.0],
-        )
+        feats = CameraFeatureSet(grids, V, M, Tt, [2.0, 4.0])
         # a point squarely inside view 0's frustum
         fwd = np.linalg.inv(rig.views[0].extrinsics)[:3, 2]
         center = (np.linalg.inv(rig.views[0].extrinsics)[:3, 3] + fwd * 10.0)[None, :]
@@ -520,9 +514,9 @@ class TestClosedForm:
         out = sample_camera(
             T.Tensor(center, dtype=np.float64),
             SamplingPattern(T.Tensor(offsets, dtype=np.float64),
-                            T.Tensor(weights, dtype=np.float64), "camera"),
+                            T.Tensor(weights, dtype=np.float64)),
             feats, rig,
-        ).feat.data
+        ).data
         want = (weights[0, 0, 0, :, None] * consts[0] + weights[0, 0, 1, :, None] * consts[1])
         np.testing.assert_allclose(out[0], np.broadcast_to(want, (K, C)), atol=1e-12)
 
@@ -530,19 +524,16 @@ class TestClosedForm:
         rng = np.random.default_rng(8)
         rig = _random_rig(rng, 1, 1)
         grids = {(0, 0, 0): rng.normal(size=(24, 32, 2))}
-        feats = CameraFeatureSet(
-            {k: FeatureMap(T.Tensor(g), 0) for k, g in grids.items()}, 1, 1, 1, [2.0]
-        )
+        feats = CameraFeatureSet(grids, 1, 1, 1, [2.0])
         # far behind the single camera
         fwd = np.linalg.inv(rig.views[0].extrinsics)[:3, 2]
         center = (-fwd * 50.0)[None, :]
         out = sample_camera(
             T.Tensor(center, dtype=np.float64),
             SamplingPattern(T.Tensor(np.zeros((1, 1, 2, 3)), dtype=np.float64),
-                            T.Tensor(np.full((1, 1, 1, 2), 0.5), dtype=np.float64),
-                            "camera"),
+                            T.Tensor(np.full((1, 1, 1, 2), 0.5), dtype=np.float64)),
             feats, rig,
-        ).feat.data
+        ).data
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_identical_hit_sets_give_identical_rows(self):
@@ -561,18 +552,16 @@ class TestClosedForm:
         grids = {
             (v, 0, t): np.full((24, 32, C), 3.0) for v in range(V) for t in range(Tt)
         }
-        feats = CameraFeatureSet(
-            {k: FeatureMap(T.Tensor(g), 0) for k, g in grids.items()}, V, 1, Tt, [2.0]
-        )
+        feats = CameraFeatureSet(grids, V, 1, Tt, [2.0])
         center = np.array([[8.0, 0.0, 0.5]])
         weights = _normalized_weights(rng, (1, Tt, 1, K), (2, 3))
         weights[0, 1] = weights[0, 0]
         out = sample_camera(
             T.Tensor(center, dtype=np.float64),
             SamplingPattern(T.Tensor(np.zeros((1, Tt, K, 3)), dtype=np.float64),
-                            T.Tensor(weights, dtype=np.float64), "camera"),
+                            T.Tensor(weights, dtype=np.float64)),
             feats, rig,
-        ).feat.data
+        ).data
         np.testing.assert_allclose(out[0, :K], out[0, K:], atol=1e-12)
 
 
@@ -588,7 +577,7 @@ class TestAdaptiveMix:
         rng = np.random.default_rng(10)
         N, S, C = 3, cfg.num_points, cfg.channels
         qf = T.Tensor(rng.normal(size=(N, C)), dtype=np.float64)
-        roi = RoIFeature(T.Tensor(rng.normal(size=(N, S, C)), dtype=np.float64), "lidar")
+        roi = T.Tensor(rng.normal(size=(N, S, C)), dtype=np.float64)
         out = adaptive_mix(qf, roi, store.group("layer0.lidar.mix"))
         want = T.layer_norm(qf, T.Tensor(np.ones(C)), T.Tensor(np.zeros(C))).data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
@@ -601,7 +590,7 @@ class TestAdaptiveMix:
             if ".mix." in name:
                 t.data = t.data + rng.normal(0, 0.3, size=t.data.shape)
         qf = T.Tensor(rng.normal(size=(2, cfg.channels)), dtype=np.float64)
-        roi = RoIFeature(T.Tensor(np.zeros((2, cfg.num_points, cfg.channels))), "lidar")
+        roi = T.Tensor(np.zeros((2, cfg.num_points, cfg.channels)))
         out = adaptive_mix(qf, roi, store.group("layer0.lidar.mix"))
         assert np.all(np.isfinite(out.data))
 
@@ -609,7 +598,7 @@ class TestAdaptiveMix:
         cfg = _mini_cfg()
         store = init_model_params(cfg, seed=0)
         qf = T.Tensor(np.zeros((2, cfg.channels)))
-        roi = RoIFeature(T.Tensor(np.zeros((2, cfg.num_points + 1, cfg.channels))), "lidar")
+        roi = T.Tensor(np.zeros((2, cfg.num_points + 1, cfg.channels)))
         with pytest.raises(ValueError):
             adaptive_mix(qf, roi, store.group("layer0.lidar.mix"))
 
@@ -627,7 +616,7 @@ class TestAdaptiveMix:
         roi_data = T.Tensor(rng.normal(size=(N, S, C)), dtype=np.float64)
 
         def fn(ins):
-            return adaptive_mix(ins[0], RoIFeature(ins[1], "lidar"), SimpleNamespace(**params))
+            return adaptive_mix(ins[0], ins[1], SimpleNamespace(**params))
 
         rep = T.grad_check(fn, [qf, roi_data])
         assert rep.passed
@@ -676,8 +665,7 @@ class TestFullBlockGradient:
                 qf_in, state_in = ins[0], ins[1]
                 pat = predict_pattern(QueryBatch(qf_in, state_in), SimpleNamespace(**pp),
                                       "lidar", pattern_cfg)
-                pyr = LidarFeaturePyramid(
-                    [FeatureMap(ins[2], 0), FeatureMap(ins[3], 1)], det)
+                pyr = LidarFeaturePyramid(ins[2:4], det)
                 roi = sample_lidar(T.narrow(state_in, 1, 0, 2), pat, pyr)
                 return adaptive_mix(qf_in, roi, SimpleNamespace(**mp))
 

@@ -237,8 +237,6 @@ PRIMITIVES = {
     "log": (lambda ins: T.log(ins[0]), [(3, 4)], "positive"),
     "sqrt": (lambda ins: T.sqrt(ins[0]), [(3, 4)], "positive"),
     "abs": (lambda ins: T.absolute(ins[0]), [(3, 4)], "kink"),
-    "sin": (lambda ins: T.sin(ins[0]), [(3, 4)], None),
-    "cos": (lambda ins: T.cos(ins[0]), [(3, 4)], None),
     "tanh": (lambda ins: T.tanh(ins[0]), [(3, 4)], None),
     "sigmoid": (lambda ins: T.sigmoid(ins[0]), [(3, 4)], None),
     "softplus": (lambda ins: T.softplus(ins[0]), [(3, 4)], None),

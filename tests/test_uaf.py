@@ -8,11 +8,10 @@ import pytest
 
 from fusiondet import tensor as T
 from fusiondet import uaf
-from fusiondet.rias import RoIFeature
 
 
 def _roi(arr):
-    return RoIFeature(T.Tensor(np.asarray(arr, dtype=np.float64)), "lidar")
+    return T.Tensor(np.asarray(arr, dtype=np.float64))
 
 
 def _dist_head(rng, C, out_dim=1, scale=0.5):
@@ -106,7 +105,7 @@ class TestPredictUncertainty:
 
         def fn(ins):
             dp = SimpleNamespace(w1=ins[1], b1=ins[2], w2=ins[3], b2=ins[4])
-            return uaf.predict_uncertainty(RoIFeature(ins[0], "lidar"), dp)
+            return uaf.predict_uncertainty(ins[0], dp)
 
         rep = T.grad_check(fn, [roi_arr, p.w1, p.b1, p.w2, p.b2])
         assert rep.passed
