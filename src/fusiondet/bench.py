@@ -24,7 +24,7 @@ from .params import init_model_params
 from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
 from .scenesim import generate_scene
 
-KERNELS = ("sample_lidar", "sample_camera", "adaptive_mix", "full_layer")
+KERNELS = ("generate_queries", "sample_lidar", "sample_camera", "adaptive_mix", "full_layer")
 
 
 class BenchError(ValueError):
@@ -68,6 +68,8 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
     kernel, timed on its own. Every stage kernel runs on layer-0 inputs built
     once, outside the timed region: ``predict_pattern`` and ``adaptive_mix``
     cover both branches, the two samplers one branch each.
+    ``generate_queries`` times query generation for scene 0 (oracle, lifting,
+    NMS, feature reads, random fill), each repetition from the same seed.
     """
     if kernel not in KERNELS:
         raise BenchError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
@@ -75,13 +77,14 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
     mcfg = cfg.model
     scene = generate_scene(mcfg, cfg.sim, scene_id=0)
     store = init_model_params(mcfg, seed=0)
-    rng = np.random.default_rng(0)
     feats = scene.feature_set(mcfg)
     pyramid = scene.lidar_pyramid(mcfg)
-    batch = generate_queries(
-        scene.gt_boxes, scene.rig, feats, mcfg,
-        cfg.sim.oracle, store["query.default_embedding"], rng,
-    )
+
+    def queries():
+        return generate_queries(scene.gt_boxes, scene.rig, feats, mcfg, cfg.sim.oracle,
+                                store["query.default_embedding"], np.random.default_rng(0))
+
+    batch = queries()
     pp_lid = store.group("layer0.lidar")
     pp_cam = store.group("layer0.camera")
     mp_lid = store.group("layer0.lidar.mix")
@@ -102,7 +105,10 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
             "adaptive_mix": lambda: (adaptive_mix(batch.features, roi_lid, mp_lid),
                                      adaptive_mix(batch.features, roi_cam, mp_cam)),
         }
-        if kernel == "full_layer":
+        if kernel == "generate_queries":
+            samples = _time_ms(queries, repetitions)
+            parts_ms = {}
+        elif kernel == "full_layer":
             samples = _time_ms(
                 lambda: decode_layer(0, batch, feats, pyramid, scene.rig, store, mcfg),
                 repetitions)

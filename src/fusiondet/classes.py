@@ -21,6 +21,10 @@ SIZE_JITTER = 0.08
 # mixture used when placing objects and drawing random-query sizes
 CLASS_MIX = np.array([0.5, 0.3, 0.2])
 
+# CLASS_MIX's cdf, built as rng.choice builds it: cumsum, then divide by the last entry
+_CLASS_CDF = np.cumsum(CLASS_MIX)
+_CLASS_CDF /= _CLASS_CDF[-1]
+
 # constant LiDAR return intensity per class (ground clutter uses 0.1)
 CLASS_INTENSITY = np.array([0.9, 0.6, 0.35])
 CLUTTER_INTENSITY = 0.1
@@ -29,3 +33,13 @@ CLUTTER_INTENSITY = 0.1
 SPEED_SCALE = np.array([2.5, 0.8, 0.0])
 
 NUM_CLASSES = len(CLASS_NAMES)
+
+
+def draw_class(rng: np.random.Generator) -> int:
+    """One class index drawn from CLASS_MIX.
+
+    Gives the draw of ``rng.choice(NUM_CLASSES, p=CLASS_MIX)`` and leaves
+    ``rng`` where that call leaves it (one ``random()`` and a cdf search),
+    without that call's checks of ``p``.
+    """
+    return int(_CLASS_CDF.searchsorted(rng.random(), side="right"))

@@ -239,7 +239,7 @@ def cmd_bench(args) -> int:
     if args.out:
         write_json(args.out, doc)
     for r in reports:
-        print(f"{r.kernel:14s} p50 {r.p50_ms:7.3f} ms  p90 {r.p90_ms:7.3f} ms  "
+        print(f"{r.kernel:16s} p50 {r.p50_ms:7.3f} ms  p90 {r.p90_ms:7.3f} ms  "
               f"{r.queries_per_s:9.0f} q/s")
     return 0
 

@@ -104,6 +104,8 @@ class ModelSection:
                                   f"got {json.dumps(bounds)}")
         if self.max_offset_factor <= 0:
             raise ConfigError("model.max_offset_factor must be positive")
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ConfigError("model.nms_iou must be in [0, 1]")
 
     def hash(self) -> str:
         """Hash of this section alone: what a checkpoint was trained for."""

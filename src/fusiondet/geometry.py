@@ -50,9 +50,16 @@ def invert_rigid(T: np.ndarray) -> np.ndarray:
 
 
 def apply_rigid(T: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 rigid transform to one point (3,) or many (N, 3)."""
-    pts = np.asarray(pts, dtype=float)
-    return pts @ T[:3, :3].T + T[:3, 3]
+    """Apply a 4x4 rigid transform to one point (3,) or many (N, 3); a stack
+    of transforms (..., 4, 4) broadcasts against the points.
+
+    Each point is its own (1, 3) row-vector product, so a point maps to the
+    same bits alone or in a batch; one (N, 3) @ (3, 3) product sums in a
+    different order and does not.
+    """
+    pts = np.ascontiguousarray(pts, dtype=float)
+    R_t = np.swapaxes(T[..., :3, :3], -1, -2)
+    return (pts[..., None, :] @ R_t)[..., 0, :] + T[..., :3, 3]
 
 
 def _check_rigid(T: np.ndarray, what: str):
@@ -152,13 +159,7 @@ class Box3D:
 
     def bev_corners(self) -> np.ndarray:
         """The 4 BEV footprint corners, counterclockwise, shape (4, 2)."""
-        l, w = self.size[0], self.size[1]
-        local = np.array(
-            [[l / 2, w / 2], [-l / 2, w / 2], [-l / 2, -w / 2], [l / 2, -w / 2]]
-        )
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        R = np.array([[c, -s], [s, c]])
-        return local @ R.T + self.center[:2]
+        return bev_corners(self.center[None], self.size[None], [self.yaw])[0]
 
     def to_dict(self) -> dict:
         return {
@@ -180,6 +181,58 @@ class Box3D:
             class_id=d["class_id"],
             score=d["score"],
         )
+
+
+_CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+def bev_corners(center, size, yaw) -> np.ndarray:
+    """BEV footprint corners of N boxes, counterclockwise, shape (N, 4, 2)."""
+    local = _CORNER_SIGNS * (size[:, None, :2] / 2)
+    c = [math.cos(a) for a in yaw]
+    s = [math.sin(a) for a in yaw]
+    R = np.array([c, np.negative(s), s, c]).T.reshape(-1, 2, 2)
+    # each box's R.T has the memory layout of a lone (2, 2) R.T, so its
+    # (4, 2) product sums as the one-box product does
+    return local @ R.transpose(0, 2, 1) + center[:, None, :2]
+
+
+@dataclass
+class BoxArray:
+    """N yaw-only boxes as arrays; row i holds what a Box3D would hold.
+
+    Nothing is checked or normalised here: whoever builds boxes from raw
+    values keeps sizes positive and wraps yaws with ``wrap_angles``, as
+    Box3D does for its own.
+    """
+
+    center: np.ndarray  # (N, 3)
+    size: np.ndarray  # (N, 3)
+    yaw: np.ndarray  # (N,)
+    velocity: np.ndarray  # (N, 2)
+    class_id: np.ndarray  # (N,)
+    score: np.ndarray  # (N,)
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def take(self, idx) -> "BoxArray":
+        return BoxArray(self.center[idx], self.size[idx], self.yaw[idx],
+                        self.velocity[idx], self.class_id[idx], self.score[idx])
+
+    @classmethod
+    def stack(cls, boxes) -> "BoxArray":
+        """The boxes of a sequence of Box3D (a BoxArray passes through)."""
+        if isinstance(boxes, BoxArray):
+            return boxes
+        a = np.array([b.center.tolist() + b.size.tolist() + [b.yaw] + b.velocity.tolist()
+                      + [b.class_id, b.score] for b in boxes], dtype=float).reshape(-1, 11)
+        return cls(a[:, 0:3], a[:, 3:6], a[:, 6], a[:, 7:9], a[:, 9].astype(np.int64), a[:, 10])
+
+
+def wrap_angles(a) -> np.ndarray:
+    """``wrap_angle`` of each angle in a sequence."""
+    return np.array([wrap_angle(x) for x in np.asarray(a, dtype=float).tolist()])
 
 
 @dataclass
@@ -226,45 +279,57 @@ class DetectionRange:
 # ---------------------------------------------------------------------------
 
 
+def unproject_points(uv, depth, views: list, view_index) -> np.ndarray:
+    """Lift image-space centers uv (N, 2) at depths (N,) into the world
+    frame; point i was seen by camera ``views[view_index[i]]``."""
+    uv = np.asarray(uv, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    if np.any(depth <= 0):
+        raise GeometryError("depth must be positive")
+    K = np.stack([view.intrinsics for view in views])
+    if np.any(np.abs(np.linalg.det(K)) < 1e-12):
+        raise GeometryError("singular intrinsics")
+    cam_to_world = np.stack([invert_rigid(view.extrinsics) for view in views])
+    pix = np.stack([uv[:, 0] * depth, uv[:, 1] * depth, depth], axis=1)
+    # one 3x3 solve per point, as a lone point's solve runs
+    rays = np.linalg.solve(K[view_index], pix[:, :, None])[:, :, 0]
+    return apply_rigid(cam_to_world[view_index], rays)
+
+
 def unproject_center(cx: float, cy: float, d: float, view: CameraView) -> np.ndarray:
     """Lift an image-space center at depth d back into the world frame."""
-    if d <= 0:
-        raise GeometryError("depth must be positive")
-    K = view.intrinsics
-    if abs(np.linalg.det(K)) < 1e-12:
-        raise GeometryError("singular intrinsics")
-    ray = np.linalg.solve(K, np.array([cx * d, cy * d, d]))
-    cam_to_world = invert_rigid(view.extrinsics)
-    return apply_rigid(cam_to_world, ray)
+    return unproject_points([[cx, cy]], [d], [view], [0])[0]
+
+
+def project_points(points, views: list, depth_floor: float = DEPTH_FLOOR):
+    """Pinhole projection of (N, 3) points into each of V views: (V, N, 3)
+    rows (u, v, depth) and a (V, N) mask of the points in front of a view's
+    near plane and inside its image; (u, v) mean nothing outside the mask."""
+    E = np.stack([view.extrinsics for view in views])[:, None]
+    K = np.stack([view.intrinsics for view in views])[:, None]
+    W, H = np.array([view.image_size for view in views], dtype=float).T[:, :, None]
+    p_cam = apply_rigid(E, points)
+    z = p_cam[..., 2]
+    front = z > depth_floor
+    z_front = np.where(front, z, 1.0)
+    u = K[..., 0, 0] * p_cam[..., 0] / z_front + K[..., 0, 2]
+    v = K[..., 1, 1] * p_cam[..., 1] / z_front + K[..., 1, 2]
+    hit = front & (0.0 <= u) & (u < W) & (0.0 <= v) & (v < H)
+    return np.stack([u, v, z], axis=-1), hit
 
 
 def project_to_view(p, view: CameraView, depth_floor: float = DEPTH_FLOOR):
     """Pinhole projection; None if behind the near plane or outside the image."""
-    p_cam = apply_rigid(view.extrinsics, np.asarray(p, dtype=float))
-    z = p_cam[2]
-    if z <= depth_floor:
-        return None
-    K = view.intrinsics
-    u = K[0, 0] * p_cam[0] / z + K[0, 2]
-    v = K[1, 1] * p_cam[1] / z + K[1, 2]
-    W, H = view.image_size
-    if not (0.0 <= u < W and 0.0 <= v < H):
-        return None
-    return (u, v, z)
+    uvz, hit = project_points(np.asarray(p, dtype=float)[None], [view], depth_floor)
+    return tuple(uvz[0, 0]) if hit[0, 0] else None
 
 
 def align_temporal(p, rig: CameraRig, t: int, current: int = 0) -> np.ndarray:
-    """Map a static world point into the ego frame of past frame t."""
+    """Map static world points (3,) or (N, 3) into the ego frame of past frame t."""
     if t >= rig.num_frames or current >= rig.num_frames:
         raise GeometryError("frame index out of range")
     rel = invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[current]
     return apply_rigid(rel, p)
-
-
-def hit_views(p, rig: CameraRig, t: int = 0) -> list:
-    """Indices of views in which the (temporally aligned) point projects."""
-    p_t = align_temporal(p, rig, t)
-    return [i for i, v in enumerate(rig.views) if project_to_view(p_t, v) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +377,46 @@ def convex_intersection_area(poly_a: np.ndarray, poly_b: np.ndarray) -> float:
     return _polygon_area(clipped)
 
 
-def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
-    """IoU of the yaw-rotated BEV footprints of two boxes."""
-    ca = a.bev_corners()
-    cb = b.bev_corners()
+def _corners_iou(ca: np.ndarray, cb: np.ndarray, area_a: float, area_b: float) -> float:
     inter = convex_intersection_area(ca, cb)
-    area_a = a.size[0] * a.size[1]
-    area_b = b.size[0] * b.size[1]
     union = area_a + area_b - inter
     if union <= 0:
         return 0.0
     return float(min(max(inter / union, 0.0), 1.0))
 
 
-def nms_3d(boxes: list, iou_threshold: float = 0.5) -> list:
+def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
+    """IoU of the yaw-rotated BEV footprints of two boxes."""
+    return _corners_iou(a.bev_corners(), b.bev_corners(),
+                        a.size[0] * a.size[1], b.size[0] * b.size[1])
+
+
+def nms_3d(boxes, iou_threshold: float = 0.5) -> list:
     """Greedy NMS on rotated BEV IoU; returns kept indices, score-descending.
 
-    Ties in score break by original index so output is input-order invariant
-    after the stable sort.
+    ``boxes`` is a BoxArray or a sequence of Box3D. Ties in score break by
+    original index so output is input-order invariant after the stable sort.
+    A kept box is tested only against the unsuppressed boxes after it in
+    score order whose BEV circumcircles overlap its own: footprints inside
+    disjoint circles share no area, so their IoU is 0 and suppresses nothing
+    at any threshold in [0, 1].
     """
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    kept = []
+    boxes = BoxArray.stack(boxes)
+    order = np.argsort(-boxes.score, kind="stable")
+    ranked = boxes.take(order)
+    corners = bev_corners(ranked.center, ranked.size, ranked.yaw)
+    length, width = ranked.size[:, 0], ranked.size[:, 1]
+    area = length * width
+    radius = 0.5 * np.hypot(length, width)
+    d = ranked.center[:, None, :2] - ranked.center[None, :, :2]
+    near = np.triu(np.hypot(d[..., 0], d[..., 1]) < radius[:, None] + radius[None], k=1)
     suppressed = np.zeros(len(boxes), dtype=bool)
-    for i in order:
-        if suppressed[i]:
+    kept = []
+    for a in range(len(boxes)):
+        if suppressed[a]:
             continue
-        kept.append(i)
-        for j in order:
-            if j == i or suppressed[j]:
-                continue
-            if bev_rotated_iou(boxes[i], boxes[j]) > iou_threshold:
-                suppressed[j] = True
+        kept.append(int(order[a]))
+        for b in np.flatnonzero(near[a] & ~suppressed):
+            if _corners_iou(corners[a], corners[b], area[a], area[b]) > iou_threshold:
+                suppressed[b] = True
     return kept

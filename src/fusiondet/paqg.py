@@ -7,50 +7,62 @@ views, ranked globally by score, and the top boxes are turned into queries
 whose features are bilinear reads of the camera maps at the projected
 centers. The remainder of the query budget is filled with random boxes
 carrying a learned default embedding.
+
+Every stage works on arrays (``Proposals``, ``BoxArray``); only the random
+draws, whose order is the generator's stream, run one proposal or box at a
+time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .classes import CLASS_MIX, NUM_CLASSES, SIZE_JITTER, SIZE_PRIORS
+from .classes import SIZE_JITTER, SIZE_PRIORS, draw_class
 from .config import ModelSection, OracleSection
 from .featuremaps import CameraFeatureSet, sample_view_scale_mean
 from .geometry import (
-    Box3D,
+    BoxArray,
     CameraRig,
     DetectionRange,
     align_temporal,
     nms_3d,
-    project_to_view,
-    unproject_center,
+    project_points,
+    unproject_points,
+    wrap_angles,
 )
 from .queries import QueryBatch, boxes_to_state
 
 
 @dataclass
-class PerspectiveProposal:
-    """One per-view detection: 2D center + raw 3D attributes."""
+class Proposals:
+    """Per-view detections as arrays: 2D centers plus raw 3D attributes."""
 
-    view: int
-    cx: float
-    cy: float
-    depth: float
-    size: np.ndarray
-    yaw: float
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    score: float = 1.0
-    class_id: int = 0
+    view: np.ndarray  # (N,) camera index
+    uv: np.ndarray  # (N, 2) pixel centers
+    depth: np.ndarray  # (N,)
+    size: np.ndarray  # (N, 3)
+    yaw: np.ndarray  # (N,)
+    velocity: np.ndarray  # (N, 2)
+    score: np.ndarray  # (N,)
+    class_id: np.ndarray  # (N,)
 
     def __post_init__(self):
-        if self.depth <= 0:
+        if np.any(self.depth <= 0):
             raise ValueError("proposal depth must be positive")
-        if not (0.0 <= self.score <= 1.0):
+        if np.any(self.size <= 0):
+            raise ValueError("proposal sizes must be positive")
+        if np.any((self.score < 0.0) | (self.score > 1.0)):
             raise ValueError("proposal score must be in [0, 1]")
+
+    def __len__(self) -> int:
+        return len(self.view)
+
+    def take(self, idx) -> "Proposals":
+        return Proposals(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 def perspective_oracle(
@@ -59,149 +71,147 @@ def perspective_oracle(
     oracle: OracleSection,
     rng: np.random.Generator,
     det_range: DetectionRange,
-) -> list:
+) -> Proposals:
     """Noisy proposals per view from ground truth, plus false positives.
 
     Scores decrease monotonically with the injected pixel-noise magnitude;
-    false-positive counts are Poisson per view with low scores.
+    false-positive counts are Poisson per view with low scores. Proposals
+    come in view order, each view's true positives (GT order) before its
+    false positives.
+
+    Draws with array arguments are written as numpy computes them
+    (``loc + scale * standard_normal``, ``low + (high - low) * random``):
+    the same numbers and stream, without ``normal``'s and ``uniform``'s
+    per-call argument checks, which cost more than the draws.
     """
-    proposals = []
-    sigma_max = 3.0 * oracle.pixel_sigma
+    o = oracle
+    # one normal draw per noise term: pixel (2), depth, size (3), yaw, velocity (2)
+    scale = np.array([o.pixel_sigma, o.pixel_sigma, o.depth_sigma, o.size_sigma,
+                      o.size_sigma, o.size_sigma, o.yaw_sigma, o.vel_sigma, o.vel_sigma])
+    max_depth = 0.9 * max(det_range.x_max, det_range.y_max)
+    # false-positive draws: pixel (u, v), depth, yaw, score
+    fp_low = np.array([0.0, 0.0, 2.0, -math.pi, 0.05])
+    gt = BoxArray.stack(gt_boxes)
+    uvz, hit = project_points(gt.center, rig.views)
+    tp, noise = [], []  # true positives: (view, GT index) and their noise rows
+    fp, fp_size, fp_draws = [], [], []  # false positives: (view, class), size, draws
     for v, view in enumerate(rig.views):
+        for g in np.flatnonzero(hit[v]).tolist():
+            if o.miss_rate > 0 and rng.random() < o.miss_rate:
+                continue
+            tp.append((v, g))
+            noise.append(0.0 + scale * rng.standard_normal(9))  # rng.normal(0.0, scale)
         W, H = view.image_size
-        for box in gt_boxes:
-            proj = project_to_view(box.center, view)
-            if proj is None:
-                continue
-            if oracle.miss_rate > 0 and rng.random() < oracle.miss_rate:
-                continue
-            du = rng.normal(0.0, oracle.pixel_sigma, size=2)
-            cx = float(np.clip(proj[0] + du[0], 0.0, W - 1e-3))
-            cy = float(np.clip(proj[1] + du[1], 0.0, H - 1e-3))
-            depth = proj[2] * math.exp(rng.normal(0.0, oracle.depth_sigma))
-            size = box.size * np.exp(rng.normal(0.0, oracle.size_sigma, size=3))
-            yaw = box.yaw + rng.normal(0.0, oracle.yaw_sigma)
-            vel = box.velocity + rng.normal(0.0, oracle.vel_sigma, size=2)
-            if sigma_max > 0:
-                score = float(np.clip(1.0 - np.linalg.norm(du) / sigma_max, 0.05, 1.0))
-            else:
-                score = 1.0
-            proposals.append(
-                PerspectiveProposal(
-                    view=v, cx=cx, cy=cy, depth=depth, size=size, yaw=yaw,
-                    velocity=vel, score=score, class_id=box.class_id,
-                )
-            )
-        for _ in range(rng.poisson(oracle.fp_rate)):
-            cls = int(rng.choice(NUM_CLASSES, p=CLASS_MIX))
-            size = SIZE_PRIORS[cls] * np.exp(rng.normal(0.0, SIZE_JITTER, size=3))
-            max_depth = 0.9 * max(det_range.x_max, det_range.y_max)
-            proposals.append(
-                PerspectiveProposal(
-                    view=v,
-                    cx=float(rng.uniform(0.0, W)),
-                    cy=float(rng.uniform(0.0, H)),
-                    depth=float(rng.uniform(2.0, max_depth)),
-                    size=size,
-                    yaw=float(rng.uniform(-math.pi, math.pi)),
-                    velocity=np.zeros(2),
-                    score=float(rng.uniform(0.05, 0.3)),
-                    class_id=cls,
-                )
-            )
-    return proposals
+        fp_span = np.array([W, H, max_depth, math.pi, 0.3]) - fp_low
+        for _ in range(rng.poisson(o.fp_rate)):
+            cls = draw_class(rng)
+            fp.append((v, cls))
+            fp_size.append(SIZE_PRIORS[cls] * np.exp(rng.normal(0.0, SIZE_JITTER, size=3)))
+            fp_draws.append(fp_low + fp_span * rng.random(5))  # rng.uniform(low, high)
+
+    tp_view, g = np.array(tp, dtype=np.int64).reshape(-1, 2).T
+    noise = np.array(noise).reshape(-1, 9)
+    uvz = uvz[tp_view, g]
+    edge = np.array([vw.image_size for vw in rig.views], dtype=float)[tp_view] - 1e-3
+    du = noise[:, 0:2]
+    sigma_max = 3.0 * o.pixel_sigma
+    if sigma_max > 0:
+        # each norm is one (1, 2) @ (2, 1) dot, the sum np.linalg.norm takes
+        norm = np.sqrt((du[:, None, :] @ du[:, :, None])[:, 0, 0])
+        score = np.clip(1.0 - norm / sigma_max, 0.05, 1.0)
+    else:
+        score = np.ones(len(tp))
+    fp_view, fp_cls = np.array(fp, dtype=np.int64).reshape(-1, 2).T
+    fp_draws = np.array(fp_draws).reshape(-1, 5)
+    # depth noise goes through math.exp and size noise through np.exp, as in
+    # the scalar oracle: the two round some inputs differently
+    proposals = Proposals(
+        view=np.concatenate([tp_view, fp_view]),
+        uv=np.concatenate([np.clip(uvz[:, :2] + du, 0.0, edge), fp_draws[:, 0:2]]),
+        depth=np.concatenate([uvz[:, 2] * [math.exp(x) for x in noise[:, 2].tolist()],
+                              fp_draws[:, 2]]),
+        size=np.concatenate([gt.size[g] * np.exp(np.ascontiguousarray(noise[:, 3:6])),
+                             np.reshape(fp_size, (-1, 3))]),
+        yaw=np.concatenate([gt.yaw[g] + noise[:, 6], fp_draws[:, 3]]),
+        velocity=np.concatenate([gt.velocity[g] + noise[:, 7:9], np.zeros((len(fp), 2))]),
+        score=np.concatenate([score, fp_draws[:, 4]]),
+        class_id=np.concatenate([gt.class_id[g], fp_cls]),
+    )
+    is_fp = np.arange(len(proposals)) >= len(tp)
+    return proposals.take(np.argsort(2 * proposals.view + is_fp, kind="stable"))
 
 
-def lift_proposals(proposals: list, rig: CameraRig) -> list:
+def lift_proposals(proposals: Proposals, rig: CameraRig) -> BoxArray:
     """Unproject proposal centers along their camera rays into 3D boxes."""
-    boxes = []
-    for p in proposals:
-        if p.view < 0 or p.view >= rig.num_views:
-            raise ValueError(f"proposal references missing view {p.view}")
-        center = unproject_center(p.cx, p.cy, p.depth, rig.views[p.view])
-        boxes.append(
-            Box3D(
-                center=center,
-                size=p.size,
-                yaw=p.yaw,
-                velocity=p.velocity,
-                class_id=p.class_id,
-                score=p.score,
-            )
-        )
-    return boxes
+    bad = (proposals.view < 0) | (proposals.view >= rig.num_views)
+    if np.any(bad):
+        raise ValueError(f"proposal references missing view {proposals.view[bad][0]}")
+    center = unproject_points(proposals.uv, proposals.depth, rig.views, proposals.view)
+    return BoxArray(center, proposals.size, wrap_angles(proposals.yaw),
+                    proposals.velocity, proposals.class_id, proposals.score)
 
 
-def select_topk(boxes: list, cfg: ModelSection) -> list:
+def select_topk(boxes: BoxArray, cfg: ModelSection) -> BoxArray:
     """Cross-view 3D NMS then global top-N_k by score (possibly fewer)."""
     kept = nms_3d(boxes, cfg.nms_iou)
-    return [boxes[i] for i in kept[: cfg.num_top]]
+    return boxes.take(np.array(kept[: cfg.num_top], dtype=np.int64))
 
 
 def random_queries(
     count: int,
     det_range: DetectionRange,
     rng: np.random.Generator,
-) -> list:
-    """Random boxes: uniform centers/yaw, class-prior sizes, zero velocity."""
-    out = []
-    for _ in range(count):
-        cls = int(rng.choice(NUM_CLASSES, p=CLASS_MIX))
-        center = np.array(
-            [
-                rng.uniform(det_range.x_min, det_range.x_max),
-                rng.uniform(det_range.y_min, det_range.y_max),
-                rng.uniform(det_range.z_min, det_range.z_max),
-            ]
-        )
-        size = SIZE_PRIORS[cls] * np.exp(rng.normal(0.0, SIZE_JITTER, size=3))
-        out.append(
-            Box3D(
-                center=center,
-                size=size,
-                yaw=float(rng.uniform(-math.pi, math.pi)),
-                velocity=np.zeros(2),
-                class_id=cls,
-                score=0.0,
-            )
-        )
-    return out
+) -> BoxArray:
+    """Random boxes: uniform centers/yaw, class-prior sizes, zero velocity.
 
-
-def _clamp_to_range(box: Box3D, det_range: DetectionRange) -> Box3D:
-    c = box.center.copy()
-    c[0] = np.clip(c[0], det_range.x_min, det_range.x_max)
-    c[1] = np.clip(c[1], det_range.y_min, det_range.y_max)
-    c[2] = np.clip(c[2], det_range.z_min, det_range.z_max)
-    return Box3D(c, box.size, box.yaw, box.velocity, box.class_id, box.score)
+    Per box, in stream order: the class, the center (x, y, z), the size
+    jitter, the yaw.
+    """
+    cls = np.zeros(count, dtype=np.int64)
+    size, u_center, u_yaw = np.zeros((count, 3)), np.zeros((count, 3)), np.zeros(count)
+    for i in range(count):
+        c = cls[i] = draw_class(rng)
+        u_center[i] = rng.random(3)
+        size[i] = SIZE_PRIORS[c] * np.exp(rng.normal(0.0, SIZE_JITTER, size=3))
+        u_yaw[i] = rng.random()
+    # rng.uniform(low, high), draw for draw
+    r = det_range
+    low = np.array([r.x_min, r.y_min, r.z_min])
+    center = low + (np.array([r.x_max, r.y_max, r.z_max]) - low) * u_center
+    yaw = -math.pi + (math.pi - -math.pi) * u_yaw
+    return BoxArray(center, size, wrap_angles(yaw), np.zeros((count, 2)), cls,
+                    np.zeros(count))
 
 
 def init_queries(
-    boxes: list,
+    boxes: BoxArray,
     cam_feats: CameraFeatureSet,
     rig: CameraRig,
     default_embedding: T.Tensor,
     det_range: DetectionRange,
-) -> list:
+) -> tuple:
     """Per-box features: view-mean/scale-sum bilinear reads at the projected
     center (current frame), for all boxes in one packed read; boxes outside
-    every frustum get the learned default embedding."""
-    boxes = [_clamp_to_range(box, det_range) for box in boxes]
-    hit_box, hit_view, hit_uv = [], [], []
-    for i, box in enumerate(boxes):
-        p = align_temporal(box.center, rig, 0)
-        for v, view in enumerate(rig.views):
-            proj = project_to_view(p, view)
-            if proj is not None:
-                hit_box.append(i)
-                hit_view.append(v)
-                hit_uv.append(proj[:2])
-    if not hit_box:
-        return [(default_embedding, box) for box in boxes]
-    rows = sample_view_scale_mean(cam_feats, hit_box, hit_view, hit_uv, len(boxes))
-    seen = set(hit_box)
-    return [(T.narrow(rows, 0, i, 1) if i in seen else default_embedding, box)
-            for i, box in enumerate(boxes)]
+    every frustum get the learned default embedding.
+
+    Returns the feature rows (one tensor per box) and the boxes with their
+    centers clamped to the detection range.
+    """
+    r = det_range
+    center = np.clip(boxes.center, [r.x_min, r.y_min, r.z_min], [r.x_max, r.y_max, r.z_max])
+    boxes = BoxArray(center, boxes.size, boxes.yaw, boxes.velocity, boxes.class_id,
+                     boxes.score)
+    uvz, hit = project_points(align_temporal(center, rig, 0), rig.views)
+    # hits in box then view order
+    hit_box, hit_view = np.nonzero(hit.T)
+    if hit_box.size == 0:
+        return [default_embedding] * len(boxes), boxes
+    uv = uvz[hit_view, hit_box, :2]
+    rows = sample_view_scale_mean(cam_feats, hit_box, hit_view, uv, len(boxes))
+    seen = np.zeros(len(boxes), dtype=bool)
+    seen[hit_box] = True
+    return [T.narrow(rows, 0, i, 1) if seen[i] else default_embedding
+            for i in range(len(boxes))], boxes
 
 
 def generate_queries(
@@ -216,19 +226,14 @@ def generate_queries(
     """Full query-generation pipeline; always returns exactly N_q queries."""
     det_range = cfg.detection_range()
     proposals = perspective_oracle(gt_boxes, rig, oracle, rng, det_range)
-    lifted = lift_proposals(proposals, rig)
-    top = select_topk(lifted, cfg)
-    initialized = init_queries(top, cam_feats, rig, default_embedding, det_range)
-
-    n_pad = cfg.num_queries - len(initialized)
-    rand_boxes = random_queries(n_pad, det_range, rng)
-
-    feature_rows = [f for f, _ in initialized] + [default_embedding] * len(rand_boxes)
-    boxes = [b for _, b in initialized] + rand_boxes
+    top = select_topk(lift_proposals(proposals, rig), cfg)
+    feature_rows, top = init_queries(top, cam_feats, rig, default_embedding, det_range)
+    rand = random_queries(cfg.num_queries - len(top), det_range, rng)
+    feature_rows += [default_embedding] * len(rand)
     # joined row by row: the batch dtype (under single precision, float32
     # only when every row is the default embedding) and the order in which
     # the embedding's gradients add up follow from it, and outputs depend on
     # both
     features = T.concat([T.reshape(f, (1, cfg.channels)) for f in feature_rows], axis=0)
-    state = T.Tensor(boxes_to_state(boxes, dtype=cfg.dtype))
-    return QueryBatch(features=features, box_state=state)
+    state = np.concatenate([boxes_to_state(top), boxes_to_state(rand)]).astype(cfg.dtype)
+    return QueryBatch(features=features, box_state=T.Tensor(state))

@@ -13,32 +13,26 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .geometry import Box3D
+from .geometry import Box3D, BoxArray
 
 STATE_DIM = 10
 
 
-def box_to_state_row(box: Box3D) -> np.ndarray:
-    return np.array(
-        [
-            box.center[0],
-            box.center[1],
-            box.center[2],
-            math.log(box.size[0]),
-            math.log(box.size[1]),
-            math.log(box.size[2]),
-            math.sin(box.yaw),
-            math.cos(box.yaw),
-            box.velocity[0],
-            box.velocity[1],
-        ]
-    )
+def boxes_to_state(boxes, dtype=np.float64) -> np.ndarray:
+    """State rows of a BoxArray or a sequence of Box3D, one per box.
 
-
-def boxes_to_state(boxes: list, dtype=np.float64) -> np.ndarray:
-    if not boxes:
-        return np.zeros((0, STATE_DIM), dtype=dtype)
-    return np.stack([box_to_state_row(b) for b in boxes]).astype(dtype)
+    Logs, sines and cosines are taken with ``math`` one element at a time:
+    numpy's vectorised ``log`` rounds some inputs differently.
+    """
+    boxes = BoxArray.stack(boxes)
+    state = np.empty((len(boxes), STATE_DIM))
+    state[:, 0:3] = boxes.center
+    state[:, 3:6] = np.reshape([math.log(x) for x in boxes.size.ravel().tolist()], (-1, 3))
+    yaw = boxes.yaw.tolist()
+    state[:, 6] = [math.sin(a) for a in yaw]
+    state[:, 7] = [math.cos(a) for a in yaw]
+    state[:, 8:10] = boxes.velocity
+    return state.astype(dtype)
 
 
 def state_to_boxes(state: np.ndarray, scores=None, class_ids=None) -> list:

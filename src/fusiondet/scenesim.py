@@ -22,12 +22,12 @@ import numpy as np
 
 from .classes import (
     CLASS_INTENSITY,
-    CLASS_MIX,
     CLUTTER_INTENSITY,
     NUM_CLASSES,
     SIZE_JITTER,
     SIZE_PRIORS,
     SPEED_SCALE,
+    draw_class,
 )
 from .config import ConfigError, ModelSection, RunConfig, ScenarioSection, SimSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
@@ -40,7 +40,7 @@ from .geometry import (
     bev_rotated_iou,
     invert_rigid,
     make_rigid,
-    project_to_view,
+    project_points,
     rot_z,
 )
 
@@ -160,7 +160,7 @@ def _place_objects(model: ModelSection, sim: SimSection, rng) -> list:
     boxes = []
     for _ in range(n):
         for attempt in range(sim.max_place_retries):
-            cls = int(rng.choice(NUM_CLASSES, p=CLASS_MIX))
+            cls = draw_class(rng)
             size = SIZE_PRIORS[cls] * np.exp(rng.normal(0.0, SIZE_JITTER, size=3))
             x = rng.uniform(det_range.x_min + sim.spawn_margin, det_range.x_max - sim.spawn_margin)
             y = rng.uniform(det_range.y_min + sim.spawn_margin, det_range.y_max - sim.spawn_margin)
@@ -426,9 +426,13 @@ def camera_features(
         raise SimError(
             f"channels must be >= {CONTENT_CHANNELS + POSENC_CHANNELS} for camera content"
         )
+    # each frame's boxes and their projections into every view
+    frame_boxes = [[box_at_frame(box, rig, t, sim.frame_dt) for box in gt_boxes]
+                   for t in range(model.num_frames)]
+    projected = [project_points(np.array([b.center for b in boxes]).reshape(-1, 3), rig.views)
+                 for boxes in frame_boxes]
     maps = {}
     for v in range(model.num_views):
-        view = rig.views[v]
         for m in range(model.num_cam_scales):
             stride = cfg_stride(m, sim.base_stride)
             h = sim.image_height // stride
@@ -441,10 +445,9 @@ def camera_features(
                 )
                 if sim.feature_noise > 0:
                     grid += rng.normal(0.0, sim.feature_noise, size=(h, w, C))
-                for box in gt_boxes:
-                    b_t = box_at_frame(box, rig, t, sim.frame_dt)
-                    proj = project_to_view(b_t.center, view)
-                    if proj is None:
+                uvz, hit = projected[t]
+                for b_t, proj, seen in zip(frame_boxes[t], uvz[v], hit[v]):
+                    if not seen:
                         continue
                     cx, cy = proj[0] / stride, proj[1] / stride
                     xx = np.arange(w) + 0.5

@@ -22,8 +22,8 @@ from fusiondet.config import OracleSection, RunConfig
 from fusiondet.decoder import decode, hungarian_match, _state_scale
 from fusiondet.geometry import (
     Box3D,
+    align_temporal,
     bev_rotated_iou,
-    hit_views,
     nms_3d,
     project_to_view,
     unproject_center,
@@ -220,6 +220,12 @@ def test_criterion_4_geometry_oracles():
 # ---------------------------------------------------------------------------
 # criterion 5: PAQG fidelity (exact up to 1e-9)
 # ---------------------------------------------------------------------------
+
+
+def hit_views(p, rig, t: int = 0) -> list:
+    """Indices of views in which the (temporally aligned) point projects."""
+    p_t = align_temporal(p, rig, t)
+    return [i for i, v in enumerate(rig.views) if project_to_view(p_t, v) is not None]
 
 
 def test_criterion_5_paqg_fidelity():

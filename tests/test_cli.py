@@ -278,6 +278,16 @@ class TestBenchAndGradcheck:
         # (p50 is load-sensitive; compare with p99)
         assert sum(rep["parts_ms"].values()) <= rep["p99_ms"] * 1.2
 
+    def test_bench_generate_queries(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        out = str(tmp_path / "bench3.json")
+        assert main(["bench", "--config", cfg, "--kernel", "generate_queries",
+                     "--reps", "30", "--out", out]) == 0
+        rep = json.load(open(out))["reports"][0]
+        assert rep["kernel"] == "generate_queries" and rep["repetitions"] >= 30
+        assert 0 < rep["p50_ms"] <= rep["p90_ms"] and rep["parts_ms"] == {}
+        assert capsys.readouterr().out.startswith("generate_queries")
+
     def test_gradcheck_quick(self, tmp_path):
         out = str(tmp_path / "grad.json")
         assert main(["gradcheck", "--seeds", "2", "--out", out]) == 0

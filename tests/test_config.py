@@ -131,6 +131,8 @@ BAD_SIZES = [
     ("sim.image_width", "330"),
     ("sim.image_height", "0"),
     ("model.max_offset_factor", "0"),
+    ("model.nms_iou", "-0.1"),
+    ("model.nms_iou", "1.5"),
     ("eval.thresholds", "[]"),
     ("eval.thresholds", "[0, 1]"),
 ]

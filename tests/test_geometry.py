@@ -5,19 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusiondet.geometry import (
     Box3D,
+    BoxArray,
     CameraRig,
     CameraView,
     DetectionRange,
     GeometryError,
     align_temporal,
+    bev_corners,
     bev_rotated_iou,
-    hit_views,
     invert_rigid,
     make_rigid,
     nms_3d,
+    project_points,
     project_to_view,
     rot_z,
     unproject_center,
@@ -112,6 +116,14 @@ def _front_view():
     return _azimuth_view(0.0)
 
 
+def hit_views(p, rig, t: int = 0) -> list:
+    """Indices of views in which the (temporally aligned) point projects,
+    from the batched hit mask."""
+    _, hit = project_points(align_temporal(np.asarray(p, dtype=float)[None], rig, t),
+                            rig.views)
+    return np.flatnonzero(hit[:, 0]).tolist()
+
+
 class TestHitViews:
     def test_single_forward_camera(self):
         rig = CameraRig([_front_view()], [np.eye(4)])
@@ -130,6 +142,20 @@ class TestHitViews:
         ang = math.pi / 8
         p = np.array([math.cos(ang), math.sin(ang), 0.0]) * 10.0
         assert hit_views(p, rig) == [0, 1]
+
+    def test_batch_matches_one_point_projections(self):
+        # every (view, point) entry of the batched projection is the lone
+        # point's projection, bit for bit
+        rng = np.random.default_rng(3)
+        views = [_azimuth_view(a) for a in (0.0, 0.8, 2.0, -2.5)]
+        points = np.column_stack([rng.uniform(-30, 30, (200, 2)), rng.uniform(-2, 2, 200)])
+        uvz, hit = project_points(points, views)
+        for v, view in enumerate(views):
+            for n, p in enumerate(points):
+                one = project_to_view(p, view)
+                assert hit[v, n] == (one is not None)
+                if one is not None:
+                    assert tuple(uvz[v, n]) == one
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +299,34 @@ class TestNms:
                 for _ in range(n)
             ]
             assert nms_3d(boxes, 0.5) == _brute_force_nms(boxes, 0.5)
+        # dense clusters: most pairs pass the circumcircle filter, many are
+        # suppressed, and scores tie
+        near_pairs = suppressed = 0
+        for _ in range(20):
+            centers = rng.uniform(-6, 6, (int(rng.integers(1, 5)), 2))
+            boxes = []
+            for _ in range(int(rng.integers(2, 41))):
+                cx, cy = centers[rng.integers(len(centers))] + rng.normal(0, 0.4, 2)
+                boxes.append(_box(cx, cy, rng.uniform(0.5, 4.5), rng.uniform(0.5, 2.5),
+                                  rng.uniform(-math.pi, math.pi),
+                                  score=float(rng.integers(0, 8)) / 8))
+            for thr in (0.1, 0.5, 0.8):
+                kept = nms_3d(boxes, thr)
+                assert kept == _brute_force_nms(boxes, thr)
+                suppressed += len(boxes) - len(kept)
+            xy = np.array([b.center[:2] for b in boxes])
+            r = np.array([0.5 * math.hypot(b.size[0], b.size[1]) for b in boxes])
+            gap = np.linalg.norm(xy[:, None] - xy[None], axis=-1)
+            near_pairs += int(np.sum(np.triu(gap < r[:, None] + r[None], k=1)))
+        assert near_pairs > 500 and suppressed > 100
+
+    def test_box_array_input_matches_box_list(self):
+        rng = np.random.default_rng(23)
+        boxes = [_box(rng.uniform(-3, 3), rng.uniform(-3, 3), 2, 1,
+                      rng.uniform(-math.pi, math.pi), score=float(rng.uniform(0, 1)))
+                 for _ in range(30)]
+        assert nms_3d(BoxArray.stack(boxes), 0.5) == nms_3d(boxes, 0.5)
+        assert nms_3d([], 0.5) == []
 
     def test_input_order_invariance(self):
         rng = np.random.default_rng(19)
@@ -288,6 +342,36 @@ class TestNms:
         assert kept_orig == kept_perm
 
 
+_coord = st.floats(-20.0, 20.0)
+_extent = st.floats(0.05, 8.0)
+_angle = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coord, _coord, _extent, _extent, _angle, _angle, _extent, _extent, _angle,
+       st.floats(0.0, 10.0))
+def test_disjoint_circumcircles_have_zero_iou(x, y, la, wa, yaw_a, direction, lb, wb, yaw_b,
+                                              extra):
+    # box b's center sits at least r_a + r_b from a's, with r = hypot(l, w) / 2:
+    # the footprints share no area, which is why nms_3d skips such pairs
+    a = _box(x, y, la, wa, yaw_a)
+    dist = 0.5 * (math.hypot(la, wa) + math.hypot(lb, wb)) + extra
+    b = _box(x + dist * math.cos(direction), y + dist * math.sin(direction), lb, wb, yaw_b)
+    r_a, r_b = 0.5 * math.hypot(la, wa), 0.5 * math.hypot(lb, wb)
+    if math.hypot(b.center[0] - x, b.center[1] - y) >= r_a + r_b:
+        assert bev_rotated_iou(a, b) == 0.0
+        assert bev_rotated_iou(b, a) == 0.0
+
+
+def test_box_array_corners_match_box3d():
+    rng = np.random.default_rng(29)
+    boxes = [Box3D(rng.normal(0, 10, 3), rng.uniform(0.2, 5, 3), rng.uniform(-4, 4))
+             for _ in range(50)]
+    array = BoxArray.stack(boxes)
+    for c, b in zip(bev_corners(array.center, array.size, array.yaw), boxes):
+        assert np.array_equal(c, b.bev_corners())
+
+
 # ---------------------------------------------------------------------------
 # type invariants
 # ---------------------------------------------------------------------------
@@ -298,6 +382,14 @@ def test_box_yaw_normalized():
     assert -math.pi < b.yaw <= math.pi
     assert b.yaw == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(-1e3, 1e3))
+def test_wrap_angle_is_idempotent(a):
+    # rebuilding a box from a wrapped yaw keeps its bits, so query generation
+    # wraps each yaw once where Box3D copies used to wrap it again
+    assert wrap_angle(wrap_angle(a)) == wrap_angle(a)
 
 
 def test_box_positive_sizes_enforced():

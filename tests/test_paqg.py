@@ -1,4 +1,5 @@
-"""Query generation: oracle proposals, lifting, top-k selection, random fill."""
+"""Query generation: oracle proposals, lifting, top-k selection, random fill,
+and the whole pipeline against its one-proposal-at-a-time reference."""
 
 import math
 
@@ -6,19 +7,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import paqg_reference as ref
 from fusiondet import paqg
 from fusiondet import tensor as T
+from fusiondet.classes import CLASS_MIX, NUM_CLASSES, draw_class
 from fusiondet.config import ModelSection, OracleSection, RunConfig, SimSection
-from fusiondet.geometry import (
-    Box3D,
-    align_temporal,
-    hit_views,
-    project_to_view,
-    unproject_center,
-)
+from fusiondet.geometry import Box3D, BoxArray, project_to_view, unproject_center
 from fusiondet.params import init_model_params
 from fusiondet.paqg import (
-    PerspectiveProposal,
+    Proposals,
     generate_queries,
     init_queries,
     lift_proposals,
@@ -27,7 +24,6 @@ from fusiondet.paqg import (
     select_topk,
 )
 from fusiondet.scenesim import generate_scene
-from test_rias import packed_map
 
 
 def _model(**kw) -> ModelSection:
@@ -49,36 +45,42 @@ def _scene(seed=0, model=None):
     return generate_scene(model, sim, 0), model, sim
 
 
+def _proposals(*rows) -> Proposals:
+    """Proposals from (view, cx, cy, depth) rows with unit sizes and yaw 0."""
+    view, cx, cy, depth = (np.array(c) for c in zip(*rows))
+    n = len(rows)
+    return Proposals(view=view.astype(np.int64), uv=np.stack([cx, cy], axis=1),
+                     depth=depth.astype(float), size=np.ones((n, 3)), yaw=np.zeros(n),
+                     velocity=np.zeros((n, 2)), score=np.ones(n),
+                     class_id=np.zeros(n, dtype=np.int64))
+
+
 class TestPerspectiveOracle:
     def test_noiseless_projects_onto_gt(self):
         scene, model, sim = _scene()
         props = perspective_oracle(scene.gt_boxes, scene.rig, _noiseless(),
                                    np.random.default_rng(0), model.detection_range())
-        assert props
-        for p in props:
-            gt = scene.gt_boxes[0]
+        assert len(props) > 0
+        for v, (cx, cy), score in zip(props.view, props.uv, props.score):
             # every proposal must sit exactly on some GT projection
             best = min(
-                np.hypot(p.cx - q[0], p.cy - q[1])
-                for q in (
-                    project_to_view(b.center, scene.rig.views[p.view])
-                    for b in scene.gt_boxes
-                )
+                np.hypot(cx - q[0], cy - q[1])
+                for q in (project_to_view(b.center, scene.rig.views[v]) for b in scene.gt_boxes)
                 if q is not None
             )
             assert best < 1e-9
-            assert p.score == 1.0
+            assert score == 1.0
 
     def test_full_miss_rate_leaves_only_false_positives(self):
         scene, model, sim = _scene()
         oracle = OracleSection(miss_rate=1.0, fp_rate=0.0)
         props = perspective_oracle(scene.gt_boxes, scene.rig, oracle,
                                    np.random.default_rng(0), model.detection_range())
-        assert props == []
+        assert len(props) == 0
         oracle = OracleSection(miss_rate=1.0, fp_rate=2.0)
         props = perspective_oracle(scene.gt_boxes, scene.rig, oracle,
                                    np.random.default_rng(0), model.detection_range())
-        assert all(p.score <= 0.3 for p in props)
+        assert len(props) > 0 and np.all(props.score <= 0.3)
 
     def test_seeded_runs_are_deterministic(self):
         scene, model, sim = _scene()
@@ -88,8 +90,13 @@ class TestPerspectiveOracle:
         b = perspective_oracle(scene.gt_boxes, scene.rig, oracle,
                                np.random.default_rng(42), model.detection_range())
         assert len(a) == len(b)
-        for pa, pb in zip(a, b):
-            assert pa.cx == pb.cx and pa.cy == pb.cy and pa.depth == pb.depth
+        assert np.array_equal(a.uv, b.uv) and np.array_equal(a.depth, b.depth)
+
+    def test_proposals_come_in_view_order(self):
+        scene, model, sim = _scene()
+        props = perspective_oracle(scene.gt_boxes, scene.rig, OracleSection(fp_rate=3.0),
+                                   np.random.default_rng(1), model.detection_range())
+        assert np.all(np.diff(props.view) >= 0)
 
     def test_lifted_centers_within_3sigma_bound(self):
         # pixel noise only; lifted centers stay within the 3-sigma-implied
@@ -108,15 +115,13 @@ class TestPerspectiveOracle:
             props = perspective_oracle(scene.gt_boxes, scene.rig, oracle, rng,
                                        model.detection_range())
             boxes = lift_proposals(props, scene.rig)
-            for p, b in zip(props, boxes):
-                view = scene.rig.views[p.view]
+            for v, (cx, cy), center in zip(props.view, props.uv, boxes.center):
+                view = scene.rig.views[v]
                 proj = min(
                     (
-                        (np.hypot(p.cx - q[0], p.cy - q[1]), g)
-                        for g, q in (
-                            (g, project_to_view(g.center, view))
-                            for g in scene.gt_boxes
-                        )
+                        (np.hypot(cx - q[0], cy - q[1]), g)
+                        for g, q in ((g, project_to_view(g.center, view))
+                                     for g in scene.gt_boxes)
                         if q is not None
                     ),
                     key=lambda x: x[0],
@@ -125,7 +130,7 @@ class TestPerspectiveOracle:
                 # 3 sigma in each pixel axis maps to ~3*sigma*sqrt(2)*d/f meters
                 bound = 3.0 * 2.0 * math.sqrt(2.0) * depth / view.intrinsics[0, 0]
                 total += 1
-                if np.linalg.norm(b.center - proj.center) <= bound:
+                if np.linalg.norm(center - proj.center) <= bound:
                     within += 1
         assert within / total >= 0.99
 
@@ -135,40 +140,41 @@ class TestLiftProposals:
         scene, model, sim = _scene()
         view = scene.rig.views[0]
         W, H = view.image_size
-        p = PerspectiveProposal(view=0, cx=W / 2, cy=H / 2, depth=10.0,
-                                size=np.array([4.0, 2.0, 1.5]), yaw=0.3)
-        (box,) = lift_proposals([p], scene.rig)
+        boxes = lift_proposals(_proposals((0, W / 2, H / 2, 10.0)), scene.rig)
         want = unproject_center(W / 2, H / 2, 10.0, view)
-        np.testing.assert_allclose(box.center, want, atol=1e-12)
+        np.testing.assert_allclose(boxes.center[0], want, atol=1e-12)
 
     def test_noiseless_equals_gt(self):
         scene, model, sim = _scene()
         props = perspective_oracle(scene.gt_boxes, scene.rig, _noiseless(),
                                    np.random.default_rng(0), model.detection_range())
-        boxes = lift_proposals(props, scene.rig)
-        for b in boxes:
-            err = min(np.linalg.norm(b.center - g.center) for g in scene.gt_boxes)
+        for center in lift_proposals(props, scene.rig).center:
+            err = min(np.linalg.norm(center - g.center) for g in scene.gt_boxes)
             assert err < 1e-9
 
     def test_depth_doubling_moves_along_ray(self):
         scene, model, sim = _scene()
         view = scene.rig.views[0]
         cam_center = np.linalg.inv(view.extrinsics)[:3, 3]
-        p1 = PerspectiveProposal(view=0, cx=70.0, cy=100.0, depth=5.0,
-                                 size=np.ones(3), yaw=0.0)
-        p2 = PerspectiveProposal(view=0, cx=70.0, cy=100.0, depth=10.0,
-                                 size=np.ones(3), yaw=0.0)
-        b1, b2 = lift_proposals([p1, p2], scene.rig)
-        np.testing.assert_allclose(
-            b2.center - cam_center, 2.0 * (b1.center - cam_center), atol=1e-9
-        )
+        c1, c2 = lift_proposals(_proposals((0, 70.0, 100.0, 5.0), (0, 70.0, 100.0, 10.0)),
+                                scene.rig).center
+        np.testing.assert_allclose(c2 - cam_center, 2.0 * (c1 - cam_center), atol=1e-9)
 
     def test_missing_view_errors(self):
         scene, model, sim = _scene()
-        p = PerspectiveProposal(view=99, cx=1.0, cy=1.0, depth=1.0,
-                                size=np.ones(3), yaw=0.0)
         with pytest.raises(ValueError):
-            lift_proposals([p], scene.rig)
+            lift_proposals(_proposals((99, 1.0, 1.0, 1.0)), scene.rig)
+
+    def test_invalid_proposals_rejected(self):
+        with pytest.raises(ValueError):
+            _proposals((0, 1.0, 1.0, 0.0))
+        props = _proposals((0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            Proposals(props.view, props.uv, props.depth, props.size, props.yaw,
+                      props.velocity, np.array([1.5]), props.class_id)
+        with pytest.raises(ValueError):
+            Proposals(props.view, props.uv, props.depth, np.zeros((1, 3)), props.yaw,
+                      props.velocity, props.score, props.class_id)
 
 
 class TestSelectTopk:
@@ -176,8 +182,8 @@ class TestSelectTopk:
         model = _model()
         b1 = Box3D([5.0, 0.0, 0.5], [4.0, 2.0, 1.5], 0.0, score=0.9)
         b2 = Box3D([5.05, 0.0, 0.5], [4.0, 2.0, 1.5], 0.0, score=0.8)
-        kept = select_topk([b1, b2], model)
-        assert len(kept) == 1 and kept[0].score == 0.9
+        kept = select_topk(BoxArray.stack([b1, b2]), model)
+        assert len(kept) == 1 and kept.score[0] == 0.9
 
     def test_top_k_by_score(self):
         model = _model(num_queries=13, num_top=3, num_random=10)
@@ -185,45 +191,57 @@ class TestSelectTopk:
             Box3D([x * 20.0 - 50, 0.0, 0.5], [2.0, 2.0, 1.5], 0.0, score=s)
             for x, s in enumerate([0.1, 0.9, 0.5, 0.7, 0.3])
         ]
-        kept = select_topk(boxes, model)
-        assert [b.score for b in kept] == [0.9, 0.7, 0.5]
+        kept = select_topk(BoxArray.stack(boxes), model)
+        assert kept.score.tolist() == [0.9, 0.7, 0.5]
 
     def test_short_list_passes_through(self):
         model = _model()
-        boxes = [Box3D([0.0, 5.0, 0.5], [2, 2, 2], 0.0, score=0.5)]
+        boxes = BoxArray.stack([Box3D([0.0, 5.0, 0.5], [2, 2, 2], 0.0, score=0.5)])
         assert len(select_topk(boxes, model)) == 1
 
 
 class TestRandomQueries:
     def test_zero_count(self):
         model = _model()
-        assert random_queries(0, model.detection_range(), np.random.default_rng(0)) == []
+        assert len(random_queries(0, model.detection_range(), np.random.default_rng(0))) == 0
 
     def test_seeded_determinism(self):
         model = _model()
         a = random_queries(20, model.detection_range(), np.random.default_rng(3))
         b = random_queries(20, model.detection_range(), np.random.default_rng(3))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.center, y.center)
-            assert x.yaw == y.yaw
+        np.testing.assert_array_equal(a.center, b.center)
+        np.testing.assert_array_equal(a.yaw, b.yaw)
 
     def test_uniform_centers_ks(self):
         model = _model()
         det = model.detection_range()
         boxes = random_queries(10_000, det, np.random.default_rng(5))
-        xs = np.array([b.center[0] for b in boxes])
-        ys = np.array([b.center[1] for b in boxes])
-        zs = np.array([b.center[2] for b in boxes])
-        for vals, lo, hi in ((xs, det.x_min, det.x_max), (ys, det.y_min, det.y_max),
-                             (zs, det.z_min, det.z_max)):
+        for vals, lo, hi in zip(boxes.center.T, (det.x_min, det.y_min, det.z_min),
+                                (det.x_max, det.y_max, det.z_max)):
             p = stats.kstest((vals - lo) / (hi - lo), "uniform").pvalue
             assert p > 0.01
 
     def test_zero_velocity_and_valid_boxes(self):
         model = _model()
-        for b in random_queries(50, model.detection_range(), np.random.default_rng(7)):
-            np.testing.assert_array_equal(b.velocity, [0.0, 0.0])
-            assert model.detection_range().contains(b.center)
+        boxes = random_queries(50, model.detection_range(), np.random.default_rng(7))
+        np.testing.assert_array_equal(boxes.velocity, np.zeros((50, 2)))
+        assert all(model.detection_range().contains(c) for c in boxes.center)
+        assert np.all((-math.pi < boxes.yaw) & (boxes.yaw <= math.pi))
+
+
+class TestDrawClass:
+    def test_matches_rng_choice_and_stream_position(self):
+        # the helper against the call it replaces, draw for draw, with the
+        # other draws query generation and scene placement make in between
+        ours, theirs = np.random.default_rng(2024), np.random.default_rng(2024)
+        for i in range(100_000):
+            assert draw_class(ours) == int(theirs.choice(NUM_CLASSES, p=CLASS_MIX)), i
+            if i % 3 == 0:
+                assert ours.normal(0.0, 0.08, size=3).tobytes() == \
+                    theirs.normal(0.0, 0.08, size=3).tobytes()
+            if i % 5 == 0:
+                assert ours.uniform(-24.0, 24.0) == theirs.uniform(-24.0, 24.0)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestGenerateQueries:
@@ -261,35 +279,95 @@ class TestGenerateQueries:
         feats = scene.feature_set(model)
         feats.values.data[:] = const_val
         emb = T.Tensor(np.zeros(model.channels))
-        boxes = [Box3D([10.0, 0.0, 0.5], [4, 2, 1.5], 0.0, score=1.0)]
-        rows = init_queries(boxes, feats, scene.rig, emb, model.detection_range())
-        feat = rows[0][0].data if isinstance(rows[0][0], T.Tensor) else rows[0][0]
+        boxes = BoxArray.stack([Box3D([10.0, 0.0, 0.5], [4, 2, 1.5], 0.0, score=1.0)])
+        rows, _ = init_queries(boxes, feats, scene.rig, emb, model.detection_range())
         # M scales sum: M * const
-        np.testing.assert_allclose(feat, model.num_cam_scales * const_val, atol=1e-9)
+        np.testing.assert_allclose(rows[0].data, model.num_cam_scales * const_val, atol=1e-9)
 
     def test_out_of_frustum_gets_default_embedding(self):
         scene, model, sim = _scene()
         emb = T.Tensor(np.full(model.channels, 7.0))
-        boxes = [Box3D([0.0, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0)]  # above frusta
-        rows = init_queries(boxes, scene.feature_set(model), scene.rig, emb,
-                            model.detection_range())
-        assert rows[0][0] is emb
+        boxes = BoxArray.stack([Box3D([0.0, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0)])
+        rows, _ = init_queries(boxes, scene.feature_set(model), scene.rig, emb,
+                               model.detection_range())
+        assert rows[0] is emb
 
     def test_permutation_equivariance(self):
         scene, model, sim = _scene()
         emb = T.Tensor(np.zeros(model.channels))
-        boxes = [
+        boxes = BoxArray.stack([
             Box3D([10.0, 2.0, 0.5], [4, 2, 1.5], 0.0, score=0.9),
             Box3D([-8.0, 5.0, 0.5], [2, 2, 1.5], 1.0, score=0.8),
             Box3D([3.0, -9.0, 0.5], [1, 1, 1.5], -1.0, score=0.7),
-        ]
-        fwd = init_queries(boxes, scene.feature_set(model), scene.rig, emb,
-                           model.detection_range())
-        rev = init_queries(boxes[::-1], scene.feature_set(model), scene.rig, emb,
-                           model.detection_range())
-        for (fa, ba), (fb, bb) in zip(fwd, rev[::-1]):
+        ])
+        fwd, fwd_boxes = init_queries(boxes, scene.feature_set(model), scene.rig, emb,
+                                      model.detection_range())
+        rev, rev_boxes = init_queries(boxes.take(np.arange(3)[::-1]), scene.feature_set(model),
+                                      scene.rig, emb, model.detection_range())
+        for fa, fb in zip(fwd, rev[::-1]):
             np.testing.assert_allclose(np.asarray(fa.data), np.asarray(fb.data))
-            assert ba.score == bb.score
+        np.testing.assert_array_equal(fwd_boxes.score, rev_boxes.score[::-1])
+
+
+# ---------------------------------------------------------------------------
+# the array pipeline gives the per-proposal, per-box reference's numbers and
+# leaves the generator where the reference leaves it, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _run(generate, scene, cfg, oracle, gt_boxes, seed):
+    emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
+    rng = np.random.default_rng(seed)
+    batch = generate(gt_boxes, scene.rig, scene.feature_set(cfg.model), cfg.model, oracle,
+                     emb, rng)
+    batch.features.backward(np.random.default_rng(seed).normal(size=batch.features.shape))
+    return batch.features.data, batch.box_state.data, emb.grad, rng.bit_generator.state
+
+
+def _assert_same(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[3] == want[3]
+
+
+ORACLES = {
+    "desk": OracleSection(),
+    "fp_rate=2": OracleSection(fp_rate=2.0),
+    "miss_rate=1": OracleSection(miss_rate=1.0),
+    "no GT": OracleSection(),
+}
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("oracle", list(ORACLES))
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_generate_queries_bit_for_bit(self, precision, oracle):
+        cfg = RunConfig()
+        cfg.model.precision = precision
+        for scene_id in range(6):
+            scene = generate_scene(cfg.model, cfg.sim, scene_id)
+            gt_boxes = [] if oracle == "no GT" else scene.gt_boxes
+            args = (scene, cfg, ORACLES[oracle], gt_boxes, scene_id)
+            _assert_same(_run(generate_queries, *args), _run(ref.generate_queries, *args))
+
+    def test_dense_scenes_bit_for_bit(self):
+        # many overlapping proposals, so NMS suppresses and the top-k cut bites
+        cfg = RunConfig()
+        for key, value in {"num_queries": 240, "num_top": 80, "num_random": 160}.items():
+            setattr(cfg.model, key, value)
+        cfg.sim.min_objects, cfg.sim.max_objects = 20, 24
+        oracle = OracleSection(pixel_sigma=6.0, fp_rate=4.0)
+        suppressed = 0
+        for scene_id in range(3):
+            scene = generate_scene(cfg.model, cfg.sim, scene_id)
+            args = (scene, cfg, oracle, scene.gt_boxes, scene_id)
+            _assert_same(_run(generate_queries, *args), _run(ref.generate_queries, *args))
+            props = perspective_oracle(scene.gt_boxes, scene.rig, oracle,
+                                       np.random.default_rng(scene_id),
+                                       cfg.model.detection_range())
+            boxes = lift_proposals(props, scene.rig)
+            suppressed += len(boxes) - len(paqg.nms_3d(boxes, cfg.model.nms_iou))
+        assert suppressed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +376,11 @@ class TestGenerateQueries:
 
 
 def per_box_init_queries(boxes, cam_feats, rig, default_embedding, det_range):
-    """The query init as one bilinear read per (box, hit view, scale): views
-    averaged and scales summed box by box, in view then scale order."""
-    out = []
-    for box in boxes:
-        box = paqg._clamp_to_range(box, det_range)
-        hit = hit_views(box.center, rig, 0)
-        if not hit:
-            out.append((default_embedding, box))
-            continue
-        p = align_temporal(box.center, rig, 0)
-        acc = None
-        for v in hit:
-            u, w, _ = project_to_view(p, rig.views[v])
-            for m in range(cam_feats.num_scales):
-                stride = cam_feats.strides[m]
-                s = T.bilinear_sample(packed_map(cam_feats, cam_feats.index(v, m, 0)),
-                                      np.array([u / stride, w / stride]))
-                acc = s if acc is None else T.add(acc, s)
-        out.append((T.mul(acc, 1.0 / len(hit)), box))
-    return out
+    """``init_queries`` through the reference's per-(box, hit view, scale) reads."""
+    as_box3d = [Box3D(boxes.center[i], boxes.size[i], boxes.yaw[i], boxes.velocity[i],
+                      boxes.class_id[i], boxes.score[i]) for i in range(len(boxes))]
+    rows = ref.init_queries(as_box3d, cam_feats, rig, default_embedding, det_range)
+    return [f for f, _ in rows], BoxArray.stack([b for _, b in rows])
 
 
 class TestBatchedQueryFeatures:
@@ -372,9 +435,10 @@ class TestBatchedQueryFeatures:
         scene = generate_scene(cfg.model, cfg.sim, 0)
         emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
         det = cfg.model.detection_range()
-        boxes = [Box3D([x, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0) for x in (0.0, 0.5)]
+        boxes = BoxArray.stack([Box3D([x, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0)
+                                for x in (0.0, 0.5)])
         for init in (init_queries, per_box_init_queries):
-            rows = init(boxes, scene.feature_set(cfg.model), scene.rig, emb, det)
-            assert [f is emb for f, _ in rows] == [True, True]
-        features = T.concat([T.reshape(f, (1, cfg.model.channels)) for f, _ in rows])
+            rows, _ = init(boxes, scene.feature_set(cfg.model), scene.rig, emb, det)
+            assert [f is emb for f in rows] == [True, True]
+        features = T.concat([T.reshape(f, (1, cfg.model.channels)) for f in rows])
         assert features.dtype == np.float32

@@ -32,8 +32,9 @@ from fusiondet.rias import (
     sample_camera,
     sample_lidar,
 )
-from fusiondet.geometry import Box3D, hit_views, invert_rigid
+from fusiondet.geometry import Box3D, invert_rigid
 from fusiondet.scenesim import generate_scene
+from paqg_reference import hit_views, packed_map
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +204,6 @@ class TestOracleEquivalence:
 # ---------------------------------------------------------------------------
 # the packed reads give the per-view and per-scale loops' numbers bit for bit
 # ---------------------------------------------------------------------------
-
-
-def packed_map(feats, i) -> T.Tensor:
-    """Map ``i`` of a packed feature container as an (H, W, C) Tensor."""
-    (h, w), start = feats.shapes[i], feats.starts[i]
-    return T.Tensor(feats.values.data[start:start + h * w].reshape(h, w, feats.channels))
 
 
 def per_view_sample_camera(centers, pattern, feats, rig):
