@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bench import KERNELS, BenchError, bench_kernel, machine_info
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, ScenarioSection
 from .fileio import atomic_open, write_json
 from .gradsuite import run_suite
 from .metrics import evaluate_detections, write_bins_csv, write_report_json
@@ -186,9 +186,7 @@ def cmd_robustness(args) -> int:
     scenes = _load_scenes(cfg, args.dataset)
     store, _, _ = _load_params(cfg, args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
-    scenario_names = args.scenario or [
-        "fov_limited", "object_failure", "front_occlusion", "stuck",
-    ]
+    scenario_names = args.scenario or ScenarioSection.KINDS
     summary = {"fusion": args.fusion, "scenarios": {}, **_report_extra(cfg)}
 
     clean = _evaluate(cfg, scenes, store, args.fusion, args.oracle_uncertainty)
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fusion", choices=["uaf", "equal"], default="uaf")
     sp.add_argument("--oracle-uncertainty", action="store_true")
     sp.add_argument("--scenario", action="append",
-                    choices=["fov_limited", "object_failure", "front_occlusion", "stuck"],
+                    choices=ScenarioSection.KINDS,
                     help="scenario(s) to run (default: all)")
     sp.set_defaults(fn=cmd_robustness)
 

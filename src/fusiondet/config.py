@@ -218,7 +218,6 @@ class EvalSection:
 
 @dataclass
 class ScenarioSection:
-    kind: str = "fov_limited"
     angle_deg: float = 120.0
     frame_rate: float = 0.5
     object_rate: float = 0.5
@@ -228,8 +227,6 @@ class ScenarioSection:
     KINDS = ("fov_limited", "object_failure", "front_occlusion", "stuck")
 
     def validate(self):
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"scenario.kind must be one of {self.KINDS}")
         if not (0.0 < self.angle_deg <= 360.0):
             raise ConfigError("scenario.angle_deg must be in (0, 360]")
         for r in (self.frame_rate, self.object_rate):

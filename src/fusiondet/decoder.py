@@ -20,7 +20,7 @@ from . import tensor as T
 from . import uaf
 from .config import ModelSection, TrainSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
-from .geometry import CameraRig, DetectionRange
+from .geometry import BoxArray, CameraRig, DetectionRange
 from .params import ParamStore
 from .queries import QueryBatch, boxes_to_state, state_to_boxes
 from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
@@ -43,7 +43,7 @@ class LayerPrediction:
     def scores(self) -> np.ndarray:
         return expit(self.class_logits.data)
 
-    def boxes(self) -> list:
+    def boxes(self) -> BoxArray:
         scores = self.scores()
         cls = scores.argmax(axis=1)
         best = scores[np.arange(len(cls)), cls]
@@ -74,12 +74,12 @@ def refine_box(features: T.Tensor, state: T.Tensor, params, cfg: ModelSection) -
     return T.concat([center, log_size, s, c, vel], axis=1)
 
 
-def _nearest_gt_xy(centers_xy: np.ndarray, gt_boxes: list) -> np.ndarray:
+def _nearest_gt_xy(centers_xy: np.ndarray, gt_boxes: BoxArray) -> np.ndarray:
     """Per query, the BEV center of the nearest GT box (inf-distance filler
     when the scene has no ground truth)."""
-    if not gt_boxes:
+    if not len(gt_boxes):
         return np.full((centers_xy.shape[0], 2), 1e6)
-    gt_xy = np.stack([b.center[:2] for b in gt_boxes])
+    gt_xy = gt_boxes.center[:, :2]
     d = np.linalg.norm(centers_xy[:, None, :] - gt_xy[None, :, :], axis=2)
     return gt_xy[d.argmin(axis=1)]
 
@@ -93,13 +93,14 @@ def decode_layer(
     store: ParamStore,
     cfg: ModelSection,
     fusion: str = "uaf",
-    oracle_gt: list | None = None,
+    oracle_gt: BoxArray | None = None,
 ) -> tuple:
     """One decoder layer: sample and mix both modalities, fuse, run the heads.
 
     Returns this layer's LayerPrediction and the batch the next layer
     starts from (fused features, refined boxes detached from the graph).
-    ``fusion`` and ``oracle_gt`` are as in :func:`decode`.
+    ``fusion`` and ``oracle_gt`` are as in :func:`decode`, with the ground
+    truth already stacked.
     """
     if fusion not in ("uaf", "equal"):
         raise ValueError("fusion must be 'uaf' or 'equal'")
@@ -167,15 +168,18 @@ def decode(
     store: ParamStore,
     cfg: ModelSection,
     fusion: str = "uaf",
-    oracle_gt: list | None = None,
+    oracle_gt=None,
 ) -> list:
     """Run all decoder layers; returns one LayerPrediction per layer.
 
     ``fusion`` selects Eq.-style adaptive weighting ("uaf") or fixed equal
     weights ("equal"). With ``oracle_gt`` set, uncertainties come from the
     auxiliary regressor against the nearest ground-truth box instead of the
-    distance predictor (oracle-uncertainty mode).
+    distance predictor (oracle-uncertainty mode); it is a BoxArray or a
+    sequence of Box3D, as every ground truth the decoder reads.
     """
+    if oracle_gt is not None:
+        oracle_gt = BoxArray.stack(oracle_gt)
     preds = []
     for layer in range(cfg.num_layers):
         pred, batch = decode_layer(layer, batch, cam_feats, lidar_feats, rig, store, cfg,
@@ -200,7 +204,7 @@ def _state_scale(det_range: DetectionRange) -> np.ndarray:
 def hungarian_match(
     pred_state: np.ndarray,
     pred_scores: np.ndarray,
-    gt_boxes: list,
+    gt_boxes,
     cfg: TrainSection,
     det_range: DetectionRange,
 ) -> list:
@@ -211,6 +215,7 @@ def hungarian_match(
     only matched when its cost beats leaving both unmatched (2x no-object).
     Returns (pred_index, gt_index) pairs.
     """
+    gt_boxes = BoxArray.stack(gt_boxes)
     n_pred = pred_state.shape[0]
     n_gt = len(gt_boxes)
     if n_gt == 0 or n_pred == 0:
@@ -219,8 +224,7 @@ def hungarian_match(
     scale = _state_scale(det_range)
     diff = np.abs(pred_state[:, None, :] - gt_state[None, :, :]) * scale
     cost_box = diff.sum(axis=2)
-    gt_cls = np.array([b.class_id for b in gt_boxes])
-    cost_cls = 1.0 - pred_scores[:, gt_cls]
+    cost_cls = 1.0 - pred_scores[:, gt_boxes.class_id]
     cost = cfg.w_cls * cost_cls + cfg.w_box * cost_box
 
     side = n_pred + n_gt
@@ -255,31 +259,33 @@ def focal_loss(logits: T.Tensor, targets: np.ndarray, alpha: float, gamma: float
 
 def match_layers(
     preds: list,
-    gt_boxes: list,
+    gt_boxes,
     train_cfg: TrainSection,
     model_cfg: ModelSection,
 ) -> list:
     """Hungarian matching per decoder layer (on detached predictions)."""
     det_range = model_cfg.detection_range()
+    gt_boxes = BoxArray.stack(gt_boxes)
     return [
         hungarian_match(p.box_state.data, p.scores(), gt_boxes, train_cfg, det_range)
         for p in preds
     ]
 
 
-def oracle_distance_targets(preds: list, matching: list, gt_boxes: list,
+def oracle_distance_targets(preds: list, matching: list, gt_boxes,
                             cap: float = 5.0) -> list:
     """Detached per-layer BEV distance targets for the distance predictors:
     how far each modality's position estimate actually is from its matched
     GT. Targets saturate at ``cap`` meters (the uncertainty mapping is flat
     out there anyway)."""
+    gt_boxes = BoxArray.stack(gt_boxes)
     out = []
     for pred, matches in zip(preds, matching):
         if not matches:
             out.append(None)
             continue
         p_idx = [pi for pi, _ in matches]
-        gt_xy = np.stack([gt_boxes[gi].center[:2] for _, gi in matches])
+        gt_xy = gt_boxes.center[[gi for _, gi in matches], :2]
         out.append(
             {
                 "cam": np.minimum(uaf.oracle_distance_xy(pred.reg_cam.data[p_idx], gt_xy), cap),
@@ -291,7 +297,7 @@ def oracle_distance_targets(preds: list, matching: list, gt_boxes: list,
 
 def compute_loss(
     preds: list,
-    gt_boxes: list,
+    gt_boxes,
     matching: list,
     train_cfg: TrainSection,
     model_cfg: ModelSection,
@@ -309,19 +315,20 @@ def compute_loss(
     det_range = model_cfg.detection_range()
     scale = _state_scale(det_range)
     n_cls = model_cfg.num_classes
+    gt_boxes = BoxArray.stack(gt_boxes)
     if unc_targets is None:
         unc_targets = oracle_distance_targets(preds, matching, gt_boxes,
                                               cap=train_cfg.dist_cap)
     total = None
     breakdown = {"cls": 0.0, "box": 0.0, "unc": 0.0, "reg": 0.0}
-    gt_state_all = boxes_to_state(gt_boxes) if gt_boxes else None
+    gt_state_all = boxes_to_state(gt_boxes) if len(gt_boxes) else None
 
     for pred, matches, d_targets in zip(preds, matching, unc_targets):
         n = pred.class_logits.shape[0]
         n_match = len(matches)
         targets = np.zeros((n, n_cls))
         for pi, gi in matches:
-            targets[pi, gt_boxes[gi].class_id] = 1.0
+            targets[pi, gt_boxes.class_id[gi]] = 1.0
         norm = float(max(1, n_match))
         layer_loss = T.mul(
             focal_loss(pred.class_logits, targets, train_cfg.focal_alpha,

@@ -201,9 +201,10 @@ def bev_corners(center, size, yaw) -> np.ndarray:
 class BoxArray:
     """N yaw-only boxes as arrays; row i holds what a Box3D would hold.
 
-    Nothing is checked or normalised here: whoever builds boxes from raw
-    values keeps sizes positive and wraps yaws with ``wrap_angles``, as
-    Box3D does for its own.
+    A read-only sequence: ``len``, ``boxes[i]`` (an int) and iteration give
+    the rows as Box3D. Nothing is checked or normalised here: whoever builds
+    boxes from raw values keeps sizes positive and wraps yaws with
+    ``wrap_angles``, as Box3D does for its own.
     """
 
     center: np.ndarray  # (N, 3)
@@ -215,6 +216,13 @@ class BoxArray:
 
     def __len__(self) -> int:
         return len(self.score)
+
+    def __getitem__(self, i: int) -> Box3D:
+        return Box3D(self.center[i].copy(), self.size[i].copy(), float(self.yaw[i]),
+                     self.velocity[i].copy(), int(self.class_id[i]), float(self.score[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def take(self, idx) -> "BoxArray":
         return BoxArray(self.center[idx], self.size[idx], self.yaw[idx],

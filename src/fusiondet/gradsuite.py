@@ -9,20 +9,20 @@ subgradient conventions.
 
 from __future__ import annotations
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import tensor as T
 from . import uaf
-from .config import ModelSection, TrainSection
+from .config import ModelSection, SimSection, TrainSection
 from .decoder import compute_loss, decode, match_layers, oracle_distance_targets, refine_box
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
-from .geometry import Box3D, CameraRig, CameraView, DetectionRange, make_rigid
+from .geometry import Box3D, DetectionRange
 from .params import ParamStore, init_model_params
 from .queries import QueryBatch, boxes_to_state
 from .rias import SamplingPattern, adaptive_mix, sample_camera, sample_lidar
+from .scenesim import build_rig
 
 KINK_MARGIN = 1e-4
 GRAD_TOL = 1e-4
@@ -33,19 +33,9 @@ def _tensors(rng, *shapes, scale=1.0):
     return [T.Tensor(rng.normal(0.0, scale, size=s), dtype=np.float64) for s in shapes]
 
 
-def _tiny_rig(num_views=2) -> CameraRig:
-    K = np.array([[40.0, 0.0, 24.0], [0.0, 40.0, 16.0], [0.0, 0.0, 1.0]])
-    views = []
-    for v in range(num_views):
-        phi = 2.0 * math.pi * v / num_views
-        fwd = np.array([math.cos(phi), math.sin(phi), 0.0])
-        right = np.array([math.sin(phi), -math.cos(phi), 0.0])
-        down = np.array([0.0, 0.0, -1.0])
-        R = np.stack([right, down, fwd], axis=1).T
-        t = -R @ np.array([0.0, 0.0, 1.5])
-        views.append(CameraView(K, make_rigid(R, t), (48, 32)))
-    poses = [make_rigid(np.eye(3), [-1.0 * t, 0.0, 0.0]) for t in range(2)]
-    return CameraRig(views, poses)
+# a 48x32 image with focal length 40 from 1.5 m up; the ego moves 1 m per frame
+_TINY_SIM = SimSection(image_width=48, image_height=32, focal=40.0, camera_height=1.5,
+                       ego_speed=1.0, frame_dt=1.0)
 
 
 def _tiny_pattern(rng, n, groups, k, dims, weight_shape):
@@ -135,7 +125,7 @@ def _camera_set(maps: dict, rig, M=1, Tt=1) -> CameraFeatureSet:
 
 def _build_sample_camera(rng):
     N, K, C, M, Tt = 3, 2, 4, 1, 1
-    rig = _tiny_rig(2)
+    rig = build_rig(_mini_model(), _TINY_SIM)
     maps = _camera_maps(rng, rig, C, M, Tt)
     centers = T.Tensor(
         np.column_stack(
@@ -218,7 +208,7 @@ def _build_refine_box(rng):
 def _build_compute_loss(rng):
     cfg = _mini_model()
     store = _mini_store(rng, cfg)
-    rig = _tiny_rig(cfg.num_views)
+    rig = build_rig(cfg, _TINY_SIM)
     M, Tt = cfg.num_cam_scales, cfg.num_frames
     feats = _camera_set(_camera_maps(rng, rig, cfg.channels, M, Tt), rig, M, Tt)
     pyramid = LidarFeaturePyramid(_tensors(rng, (8, 8, cfg.channels)), cfg.detection_range())

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .fileio import atomic_open, write_json
-from .geometry import Box3D
+from .geometry import BoxArray
 
 RECALL_SAMPLES = 101
 MIN_RECALL = 0.1
@@ -25,74 +25,66 @@ MIN_PRECISION = 0.1
 TP_METRIC_NAMES = ("ate", "ase", "aoe", "ave")
 
 
-@dataclass
-class DetectionRecord:
-    """One prediction or GT box flattened for evaluation."""
-
-    scene: int
-    center: np.ndarray
-    size: np.ndarray
-    yaw: float
-    velocity: np.ndarray
-    class_id: int
-    score: float = 1.0
-
-    @classmethod
-    def from_box(cls, scene: int, b: Box3D) -> "DetectionRecord":
-        return cls(scene, b.center[:2].copy(), b.size.copy(), b.yaw,
-                   b.velocity.copy(), b.class_id, b.score)
-
-    def distance_to(self, other: "DetectionRecord") -> float:
-        return float(np.linalg.norm(self.center - other.center))
-
-    def ego_distance(self) -> float:
-        return float(np.linalg.norm(self.center))
+def _bev_norm(d: np.ndarray) -> np.ndarray:
+    """Length of each 2-vector of d (..., 2), each one dot product, as
+    ``np.linalg.norm`` takes it for a lone vector (``norm(axis=-1)`` and
+    ``np.hypot`` round differently)."""
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-def _records(preds_per_scene: list, gts_per_scene: list) -> tuple:
-    preds = []
-    gts = []
-    for scene, (pb, gb) in enumerate(zip(preds_per_scene, gts_per_scene)):
-        preds += [DetectionRecord.from_box(scene, b) for b in pb]
-        gts += [DetectionRecord.from_box(scene, b) for b in gb]
-    return preds, gts
+def _concat(per_scene) -> tuple:
+    """All scenes' boxes as one BoxArray, and each box's scene index."""
+    arrays = [BoxArray.stack(b) for b in per_scene] or [BoxArray.stack([])]
+    scene = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+    return BoxArray(*(np.concatenate([getattr(a, f.name) for a in arrays])
+                      for f in fields(BoxArray))), scene
 
 
-def match_for_ap(preds: list, gts: list, threshold: float) -> tuple:
+def center_distances(preds: BoxArray, gts: BoxArray, pred_scene, gt_scene) -> np.ndarray:
+    """(P, G) BEV center distances; NaN between boxes of different scenes,
+    which therefore never match."""
+    dist = np.full((len(preds), len(gts)), np.nan)
+    p, g = np.nonzero(pred_scene[:, None] == gt_scene[None, :])
+    dist[p, g] = _bev_norm(preds.center[p, :2] - gts.center[g, :2])
+    return dist
+
+
+def _bin_of(dist: np.ndarray, bins) -> np.ndarray:
+    """The last of the ascending ``bins`` edges each distance reaches; 0
+    below the first edge."""
+    reached = dist[:, None] >= np.asarray(bins, dtype=float)
+    return np.maximum(np.count_nonzero(reached, axis=1) - 1, 0)
+
+
+def match_for_ap(scores: np.ndarray, dist: np.ndarray, threshold: float) -> tuple:
     """Greedy score-descending matching on BEV center distance.
 
-    Returns (tp flags aligned with score-sorted preds, sorted preds,
-    matches as (pred, gt) record pairs). Each GT matches at most once.
+    Predictions are visited in stable score-descending order; each takes
+    the nearest unmatched GT within ``threshold`` (ties go to the highest GT
+    index), and each GT matches at most once. ``dist`` is the (P, G) matrix
+    of :func:`center_distances`. Returns (order, gt): ``gt[k]`` is the GT
+    matched by prediction ``order[k]``, or -1.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    sorted_preds = [preds[i] for i in order]
-    unmatched = {}
-    for g in gts:
-        unmatched.setdefault(g.scene, []).append(g)
-    tp = np.zeros(len(sorted_preds), dtype=bool)
-    matches = []
-    for i, p in enumerate(sorted_preds):
-        cands = unmatched.get(p.scene, [])
-        best_j = -1
-        best_d = threshold
-        for j, g in enumerate(cands):
-            d = p.distance_to(g)
-            if d <= best_d:
-                best_d = d
-                best_j = j
-        if best_j >= 0:
-            tp[i] = True
-            matches.append((p, cands.pop(best_j)))
-    return tp, sorted_preds, matches
+    order = np.argsort(-scores, kind="stable")
+    dist = dist[order]
+    near = dist <= threshold
+    gt = np.full(len(order), -1)
+    free = np.ones(dist.shape[1], dtype=bool)
+    for k in np.flatnonzero(near.any(axis=1)).tolist():
+        cands = np.flatnonzero(near[k] & free)[::-1]
+        if len(cands):
+            j = cands[np.argmin(dist[k, cands])]
+            gt[k] = j
+            free[j] = False
+    return order, gt
 
 
-def average_precision(preds: list, gts: list, threshold: float) -> float:
-    """nuScenes AP: 101-point interpolated PR curve, clipped below 0.1
-    recall/precision and renormalized. Zero when there is no ground truth."""
-    n_gt = len(gts)
-    if n_gt == 0 or len(preds) == 0:
+def average_precision(tp: np.ndarray, n_gt: int) -> float:
+    """nuScenes AP from the TP flags of the predictions in score order:
+    101-point interpolated PR curve, clipped below 0.1 recall/precision and
+    renormalized. Zero when there is no ground truth or no prediction."""
+    if n_gt == 0 or len(tp) == 0:
         return 0.0
-    tp, _, _ = match_for_ap(preds, gts, threshold)
     tp_cum = np.cumsum(tp)
     fp_cum = np.cumsum(~tp)
     recall = tp_cum / n_gt
@@ -105,27 +97,21 @@ def average_precision(preds: list, gts: list, threshold: float) -> float:
     return float(np.mean(clipped) / (1.0 - MIN_PRECISION))
 
 
-def _scale_error(size_a: np.ndarray, size_b: np.ndarray) -> float:
-    """1 - IoU of centered, axis-aligned boxes (pure size comparison)."""
-    inter = float(np.prod(np.minimum(size_a, size_b)))
-    union = float(np.prod(size_a) + np.prod(size_b) - inter)
-    return 1.0 - inter / union
-
-
-def _yaw_diff(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return d if d <= math.pi else 2.0 * math.pi - d
-
-
-def tp_errors(matches: list) -> dict:
-    """ATE/ASE/AOE/AVE over matched (pred, gt) pairs; 1.0 when unmatched."""
-    if not matches:
+def tp_errors(preds: BoxArray, gts: BoxArray) -> dict:
+    """ATE/ASE/AOE/AVE over matched pairs (row i of ``preds`` with row i of
+    ``gts``); 1.0 each when nothing matched. The scale error is 1 - IoU of
+    centered, axis-aligned boxes (a pure size comparison)."""
+    if not len(preds):
         return {k: 1.0 for k in TP_METRIC_NAMES}
-    ate = float(np.mean([p.distance_to(g) for p, g in matches]))
-    ase = float(np.mean([_scale_error(p.size, g.size) for p, g in matches]))
-    aoe = float(np.mean([_yaw_diff(p.yaw, g.yaw) for p, g in matches]))
-    ave = float(np.mean([np.linalg.norm(p.velocity - g.velocity) for p, g in matches]))
-    return {"ate": ate, "ase": ase, "aoe": aoe, "ave": ave}
+    inter = np.prod(np.minimum(preds.size, gts.size), axis=1)
+    union = np.prod(preds.size, axis=1) + np.prod(gts.size, axis=1) - inter
+    yaw = np.mod(np.abs(preds.yaw - gts.yaw), 2.0 * math.pi)
+    return {
+        "ate": float(np.mean(_bev_norm(preds.center[:, :2] - gts.center[:, :2]))),
+        "ase": float(np.mean(1.0 - inter / union)),
+        "aoe": float(np.mean(np.where(yaw <= math.pi, yaw, 2.0 * math.pi - yaw))),
+        "ave": float(np.mean(_bev_norm(preds.velocity - gts.velocity))),
+    }
 
 
 def nds(map_value: float, tp_values: list) -> float:
@@ -168,19 +154,41 @@ def evaluate_detections(
     tp_threshold: float = 2.0,
     bins=(0.0, 10.0, 20.0, 30.0),
 ) -> MetricsReport:
-    preds, gts = _records(preds_per_scene, gts_per_scene)
+    """AP per present class and threshold, mAP, TP errors, NDS and AP per
+    ego-distance bin (``bins`` ascending). Each scene's boxes are a BoxArray
+    or a sequence of Box3D.
+
+    Each (class, threshold) pair is matched once; the ``tp_threshold`` match
+    also gives the TP errors and the bins of the predictions: a matched
+    prediction takes its GT's bin, an unmatched one its own. Empty bins
+    report a null AP (absent, not zero).
+    """
+    scenes = list(zip(preds_per_scene, gts_per_scene))
+    preds, pred_scene = _concat([p for p, _ in scenes])
+    gts, gt_scene = _concat([g for _, g in scenes])
+    dist = center_distances(preds, gts, pred_scene, gt_scene)
+    gt_bin = _bin_of(_bev_norm(gts.center[:, :2]), bins)
+    pred_bin = _bin_of(_bev_norm(preds.center[:, :2]), bins)
+
+    def match(pc, gc, t):
+        return match_for_ap(preds.score[pc], dist[np.ix_(pc, gc)], t)
+
     per_class_ap = {}
     tp_by_class = {}
-    present = []
     for c in range(num_classes):
-        cp = [p for p in preds if p.class_id == c]
-        cg = [g for g in gts if g.class_id == c]
-        if not cg:
-            continue
-        present.append(c)
-        per_class_ap[c] = {t: average_precision(cp, cg, t) for t in thresholds}
-        _, _, matches = match_for_ap(cp, cg, tp_threshold)
-        tp_by_class[c] = tp_errors(matches)
+        pc = np.flatnonzero(preds.class_id == c)
+        gc = np.flatnonzero(gts.class_id == c)
+        # without ground truth only the bins need a match, at tp_threshold
+        matches = {t: match(pc, gc, t)
+                   for t in dict.fromkeys([tp_threshold, *(thresholds if len(gc) else ())])}
+        order, gt = matches[tp_threshold]
+        hit = gt >= 0
+        pred_bin[pc[order[hit]]] = gt_bin[gc[gt[hit]]]
+        if len(gc):
+            per_class_ap[c] = {t: average_precision(matches[t][1] >= 0, len(gc))
+                               for t in thresholds}
+            tp_by_class[c] = tp_errors(preds.take(pc[order[hit]]), gts.take(gc[gt[hit]]))
+    present = list(per_class_ap)
     if present:
         map_value = float(np.mean([np.mean(list(per_class_ap[c].values())) for c in present]))
         map_at = {
@@ -195,9 +203,25 @@ def evaluate_detections(
         map_at = {t: 0.0 for t in thresholds}
         tp_metrics = {k: 1.0 for k in TP_METRIC_NAMES}
     nds_value = nds(map_value, [tp_metrics[k] for k in TP_METRIC_NAMES])
-    bins_table = distance_binned_ap(
-        preds, gts, num_classes, thresholds, tp_threshold, bins
-    )
+
+    bins_table = {}
+    edges = list(bins) + [float("inf")]
+    for i in range(len(bins)):
+        hi = edges[i + 1]
+        label = f"{bins[i]:g}-{hi:g}" if math.isfinite(hi) else f"{bins[i]:g}+"
+        in_bin = gt_bin == i
+        if not in_bin.any():
+            bins_table[label] = {"map": None, "num_gt": 0}
+            continue
+        aps = []
+        for c in range(num_classes):
+            gc = np.flatnonzero(in_bin & (gts.class_id == c))
+            if not len(gc):
+                continue
+            pc = np.flatnonzero((pred_bin == i) & (preds.class_id == c))
+            aps.append(float(np.mean([average_precision(match(pc, gc, t)[1] >= 0, len(gc))
+                                      for t in thresholds])))
+        bins_table[label] = {"map": float(np.mean(aps)), "num_gt": int(np.count_nonzero(in_bin))}
     return MetricsReport(
         per_class_ap=per_class_ap,
         map_value=map_value,
@@ -206,57 +230,6 @@ def evaluate_detections(
         distance_bins=bins_table,
         map_at=map_at,
     )
-
-
-def distance_binned_ap(
-    preds: list,
-    gts: list,
-    num_classes: int,
-    thresholds,
-    tp_threshold: float,
-    bins,
-) -> dict:
-    """AP per ego-distance bin. GTs bin by their own distance; matched
-    predictions inherit their GT's bin, unmatched bin by themselves.
-    Empty bins report a null AP (absent, not zero)."""
-    edges = list(bins) + [float("inf")]
-    labels = []
-    for i in range(len(bins)):
-        hi = edges[i + 1]
-        labels.append(f"{bins[i]:g}-{hi:g}" if math.isfinite(hi) else f"{bins[i]:g}+")
-
-    def bin_of(dist: float) -> int:
-        for i in range(len(bins) - 1, -1, -1):
-            if dist >= bins[i]:
-                return i
-        return 0
-
-    pred_bin = {}
-    for c in range(num_classes):
-        cp = [p for p in preds if p.class_id == c]
-        cg = [g for g in gts if g.class_id == c]
-        _, _, matches = match_for_ap(cp, cg, tp_threshold)
-        matched_pred_ids = {id(p): g for p, g in matches}
-        for p in cp:
-            g = matched_pred_ids.get(id(p))
-            pred_bin[id(p)] = bin_of(g.ego_distance() if g is not None else p.ego_distance())
-
-    table = {}
-    for i, label in enumerate(labels):
-        bin_gts = [g for g in gts if bin_of(g.ego_distance()) == i]
-        bin_preds = [p for p in preds if pred_bin.get(id(p)) == i]
-        if not bin_gts:
-            table[label] = {"map": None, "num_gt": 0}
-            continue
-        aps = []
-        for c in range(num_classes):
-            cg = [g for g in bin_gts if g.class_id == c]
-            if not cg:
-                continue
-            cp = [p for p in bin_preds if p.class_id == c]
-            aps.append(float(np.mean([average_precision(cp, cg, t) for t in thresholds])))
-        table[label] = {"map": float(np.mean(aps)), "num_gt": len(bin_gts)}
-    return table
 
 
 def write_bins_csv(path: str, report: MetricsReport):

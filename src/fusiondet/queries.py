@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .geometry import Box3D, BoxArray
+from .geometry import BoxArray, GeometryError, wrap_angles
 
 STATE_DIM = 10
 
@@ -35,22 +35,24 @@ def boxes_to_state(boxes, dtype=np.float64) -> np.ndarray:
     return state.astype(dtype)
 
 
-def state_to_boxes(state: np.ndarray, scores=None, class_ids=None) -> list:
-    """Decode state rows back to Box3D (scores/classes optional)."""
-    out = []
-    for i, row in enumerate(np.asarray(state, dtype=float)):
-        yaw = math.atan2(row[6], row[7])
-        out.append(
-            Box3D(
-                center=row[0:3],
-                size=np.exp(row[3:6]),
-                yaw=yaw,
-                velocity=row[8:10],
-                class_id=0 if class_ids is None else int(class_ids[i]),
-                score=1.0 if scores is None else float(scores[i]),
-            )
-        )
-    return out
+def state_to_boxes(state: np.ndarray, scores=None, class_ids=None) -> BoxArray:
+    """Decode state rows to boxes (scores/classes optional).
+
+    Sizes are one ``np.exp`` over the (N, 3) block; yaws are ``math.atan2``
+    per row, wrapped as Box3D wraps them. GeometryError if a size is not
+    positive (a log size so negative that its ``exp`` is 0).
+    """
+    state = np.asarray(state, dtype=float)
+    n = len(state)
+    size = np.exp(state[:, 3:6])
+    if np.any(size <= 0):
+        raise GeometryError("box sizes must be positive")
+    yaw = wrap_angles([math.atan2(s, c) for s, c in state[:, 6:8].tolist()])
+    return BoxArray(
+        state[:, 0:3].copy(), size, yaw, state[:, 8:10].copy(),
+        np.zeros(n, dtype=np.int64) if class_ids is None else np.asarray(class_ids, np.int64),
+        np.ones(n) if scores is None else np.asarray(scores, dtype=float),
+    )
 
 
 class QueryBatch:

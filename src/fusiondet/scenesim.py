@@ -56,9 +56,10 @@ class SimError(RuntimeError):
 
 @dataclass
 class ScenarioSpec:
-    """Runtime form of a sensor-failure scenario (see ScenarioSection)."""
+    """Runtime form of a sensor-failure scenario (see ScenarioSection);
+    ``kind`` is one of ``ScenarioSection.KINDS``, set by the caller."""
 
-    kind: str
+    kind: str | None = None
     angle_deg: float = 120.0
     frame_rate: float = 0.5
     object_rate: float = 0.5
@@ -68,7 +69,6 @@ class ScenarioSpec:
     @classmethod
     def from_config(cls, sec: ScenarioSection) -> "ScenarioSpec":
         return cls(
-            kind=sec.kind,
             angle_deg=sec.angle_deg,
             frame_rate=sec.frame_rate,
             object_rate=sec.object_rate,
@@ -513,54 +513,55 @@ def apply_scenario(
     model: ModelSection,
     sim: SimSection,
 ) -> SceneSample:
-    """Corrupt sensor data per the scenario; ground truth is never modified."""
+    """Corrupt sensor data per the scenario; ground truth is never modified.
+
+    Whatever the scenario leaves untouched (a frame's points and ids, the
+    camera maps, the LiDAR maps) is passed through as the input's own
+    object, not copied or rebuilt.
+    """
+    if spec.kind not in ScenarioSection.KINDS:
+        raise SimError(f"scenario kind must be one of {ScenarioSection.KINDS}, "
+                       f"got {spec.kind!r}")
     rng = np.random.default_rng(
         np.random.SeedSequence([int(spec.seed), 0xBAD, int(sample.scene_id)])
     )
-    points = [p.copy() for p in sample.points]
-    obj_ids = [i.copy() for i in sample.obj_ids]
-    cam_maps = {k: v for k, v in sample.cam_maps.items()}
+    points, obj_ids, cam_maps = sample.points, sample.obj_ids, sample.cam_maps
     lidar_frame = 0
 
     if spec.kind == "fov_limited":
         half = math.radians(spec.angle_deg) / 2.0
-        for t in range(len(points)):
-            az = np.arctan2(points[t][:, 1], points[t][:, 0])
-            keep = np.abs(az) <= half
-            points[t] = points[t][keep]
-            obj_ids[t] = obj_ids[t][keep]
+        keep = [np.abs(np.arctan2(p[:, 1], p[:, 0])) <= half for p in points]
+        points = [p[k] for p, k in zip(points, keep)]
+        obj_ids = [i[k] for i, k in zip(obj_ids, keep)]
     elif spec.kind == "object_failure":
+        points, obj_ids = list(points), list(obj_ids)
         for t in range(len(points)):
             if rng.random() >= spec.frame_rate:
                 continue
             drop = rng.random(len(sample.gt_boxes)) < spec.object_rate
-            dropped_ids = np.flatnonzero(drop)
-            keep = ~np.isin(obj_ids[t], dropped_ids)
+            keep = ~np.isin(obj_ids[t], np.flatnonzero(drop))
             points[t] = points[t][keep]
             obj_ids[t] = obj_ids[t][keep]
     elif spec.kind == "front_occlusion":
-        for (v, m, t), grid in sample.cam_maps.items():
-            if v == FRONT_VIEW:
-                cam_maps[(v, m, t)] = np.zeros_like(grid)
-    elif spec.kind == "stuck":
+        cam_maps = {k: np.zeros_like(grid) if k[0] == FRONT_VIEW else grid
+                    for k, grid in cam_maps.items()}
+    else:  # stuck
         if len(points) < 2:
             raise SimError("stuck scenario requires at least 2 frames")
         if rng.random() < spec.frame_rate:
             if spec.stuck_sensor == "camera":
-                T_frames = model.num_frames
-                shifted = {}
-                for (v, m, t), grid in cam_maps.items():
-                    shifted[(v, m, t)] = sample.cam_maps[(v, m, min(t + 1, T_frames - 1))]
-                cam_maps = shifted
+                last = model.num_frames - 1
+                cam_maps = {(v, m, t): cam_maps[(v, m, min(t + 1, last))]
+                            for (v, m, t) in cam_maps}
             else:
                 lidar_frame = 1
-    else:
-        raise SimError(f"unknown scenario kind {spec.kind}")
 
-    lidar_maps = lidar_bev_features(
-        points[lidar_frame], sample.det_range, model.num_lidar_scales,
-        model.channels, sim.bev_grid,
-    )
+    lidar_maps = sample.lidar_maps
+    if points[lidar_frame] is not sample.points[0]:
+        lidar_maps = lidar_bev_features(
+            points[lidar_frame], sample.det_range, model.num_lidar_scales,
+            model.channels, sim.bev_grid,
+        )
     return SceneSample(
         scene_id=sample.scene_id,
         seed=sample.seed,

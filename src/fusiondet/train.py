@@ -15,6 +15,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .decoder import compute_loss, decode, match_layers
+from .geometry import BoxArray
 from .paqg import generate_queries
 from .params import ParamStore
 
@@ -85,8 +86,9 @@ def train_loop(
         epoch, pos = divmod(step, n)
         scene = scenes[_scene_order(n, tcfg.seed, epoch)[pos]]
         rng = _query_rng(tcfg.seed, 13, step)
+        gt = BoxArray.stack(scene.gt_boxes)
         batch = generate_queries(
-            scene.gt_boxes, scene.rig, scene.feature_set(mcfg), mcfg,
+            gt, scene.rig, scene.feature_set(mcfg), mcfg,
             cfg.sim.oracle, store["query.default_embedding"], rng,
         )
         preds = decode(
@@ -96,8 +98,8 @@ def train_loop(
         for layer, pred in enumerate(preds):
             _require_finite(step, f"layer {layer}'s box state", pred.box_state.data)
             _require_finite(step, f"layer {layer}'s class logits", pred.class_logits.data)
-        matching = match_layers(preds, scene.gt_boxes, tcfg, mcfg)
-        loss, terms = compute_loss(preds, scene.gt_boxes, matching, tcfg, mcfg)
+        matching = match_layers(preds, gt, tcfg, mcfg)
+        loss, terms = compute_loss(preds, gt, matching, tcfg, mcfg)
         _require_finite(step, "the loss", terms["total"])
         store.zero_grad()
         loss.backward()
@@ -118,29 +120,29 @@ def run_inference(
     store: ParamStore,
     fusion: str = "uaf",
     oracle_uncertainty: bool = False,
-    query_seed: int | None = None,
 ) -> tuple:
-    """Decode every scene; returns (pred boxes per scene, GT boxes per scene).
+    """Decode every scene; returns (pred boxes per scene, GT boxes per
+    scene), each scene's boxes one BoxArray.
 
     Query-generation noise is seeded per scene id, so evaluation is
     deterministic and independent of scene order.
     """
     mcfg = cfg.model
-    seed = cfg.sim.seed if query_seed is None else query_seed
     preds_per_scene = []
     gts_per_scene = []
     with T.no_grad():
         for scene in scenes:
-            rng = _query_rng(seed, 17, scene.scene_id)
+            rng = _query_rng(cfg.sim.seed, 17, scene.scene_id)
+            gt = BoxArray.stack(scene.gt_boxes)
             batch = generate_queries(
-                scene.gt_boxes, scene.rig, scene.feature_set(mcfg), mcfg,
+                gt, scene.rig, scene.feature_set(mcfg), mcfg,
                 cfg.sim.oracle, store["query.default_embedding"], rng,
             )
             preds = decode(
                 batch, scene.feature_set(mcfg), scene.lidar_pyramid(mcfg),
                 scene.rig, store, mcfg, fusion=fusion,
-                oracle_gt=scene.gt_boxes if oracle_uncertainty else None,
+                oracle_gt=gt if oracle_uncertainty else None,
             )
             preds_per_scene.append(preds[-1].boxes())
-            gts_per_scene.append(scene.gt_boxes)
+            gts_per_scene.append(gt)
     return preds_per_scene, gts_per_scene

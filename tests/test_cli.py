@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from fusiondet.cli import main
+from fusiondet.cli import build_parser, main
+from fusiondet.config import ScenarioSection
 from fusiondet.params import load_checkpoint
 
 
@@ -59,6 +60,14 @@ class TestGenerate:
             json.dump({"model": {"nonsense_key": 1}}, fh)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "nonsense_key" in capsys.readouterr().err
+
+    def test_removed_scenario_kind_exit_2(self, tmp_path, capsys):
+        # the scenario is chosen by `robustness --scenario`, not by the config
+        path = _write_cfg(tmp_path / "old.json", **{"scenario.kind": "fov_limited"})
+        assert main(["generate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "scenario.kind" in err
+        assert err.count("\n") == 1
 
     def test_invalid_override_exit_2(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.json")
@@ -237,6 +246,11 @@ class TestRobustness:
         assert set(summary["scenarios"]) == {"fov_limited", "front_occlusion"}
         for rec in summary["scenarios"].values():
             assert "nds_drop" in rec
+
+    def test_scenario_choices_are_the_config_kinds(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        scenario = next(a for a in sub.choices["robustness"]._actions if a.dest == "scenario")
+        assert tuple(scenario.choices) == ScenarioSection.KINDS
 
     def test_stuck_requires_two_frames(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg1.json", **{"model.num_frames": 1})

@@ -189,11 +189,12 @@ class TestIntInFloatLeaf:
 
     def test_hash_unchanged(self):
         # ints in float leaves hash as written ("focal":150, not 150.0), as
-        # they did before leaves were type-checked; both hashes are pinned
+        # they did before leaves were type-checked; both hashes are pinned,
+        # as of the removal of scenario.kind
         cfg = RunConfig.from_dict({"sim": {"focal": 150}, "train": {"lr": 1}})
         assert '"focal":150,' in cfg.canonical_json()
-        assert cfg.hash() == "d7aec24679110628"
-        assert RunConfig().hash() == "5bef18aabecd00f9"
+        assert cfg.hash() == "3e05be582ff967df"
+        assert RunConfig().hash() == "23686bf43b8aaf68"
 
 
 def _write_raw_checkpoint(path, header: dict, data: bytes):

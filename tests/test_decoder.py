@@ -16,7 +16,7 @@ from fusiondet.decoder import (
     refine_box,
     _state_scale,
 )
-from fusiondet.geometry import Box3D
+from fusiondet.geometry import Box3D, BoxArray, GeometryError
 from fusiondet.paqg import generate_queries
 from fusiondet.params import init_model_params
 from fusiondet.queries import QueryBatch, boxes_to_state, state_to_boxes
@@ -287,3 +287,72 @@ class TestComputeLoss:
             T.Tensor(batch.box_state.data[perm].copy()),
         )
         assert loss_for(batch) == pytest.approx(loss_for(shuffled), rel=1e-9)
+
+
+def _per_box_decode(state, scores=None, class_ids=None) -> list:
+    """The one-Box3D-per-row decode that ``state_to_boxes`` replaced."""
+    out = []
+    for i, row in enumerate(np.asarray(state, dtype=float)):
+        yaw = math.atan2(row[6], row[7])
+        out.append(
+            Box3D(
+                center=row[0:3],
+                size=np.exp(row[3:6]),
+                yaw=yaw,
+                velocity=row[8:10],
+                class_id=0 if class_ids is None else int(class_ids[i]),
+                score=1.0 if scores is None else float(scores[i]),
+            )
+        )
+    return out
+
+
+class TestStateToBoxes:
+    """The array decode gives the per-box decode's rows bit for bit."""
+
+    def _assert_rows_equal(self, boxes, rows):
+        assert isinstance(boxes, BoxArray) and len(boxes) == len(rows)
+        for name, dtype in (("center", np.float64), ("size", np.float64),
+                            ("yaw", np.float64), ("velocity", np.float64),
+                            ("class_id", np.int64), ("score", np.float64)):
+            got = getattr(boxes, name)
+            assert got.dtype == dtype, name
+            want = np.array([getattr(r, name) for r in rows], dtype=dtype).reshape(got.shape)
+            assert got.tobytes() == want.tobytes(), name
+        for row, want in zip(boxes, rows):
+            assert row.to_dict() == want.to_dict()
+            assert type(row.class_id) is type(want.class_id)
+            assert type(row.score) is type(want.score)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_random_states(self, dtype):
+        rng = np.random.default_rng(0)
+        state = rng.normal(0.0, 3.0, size=(2000, 10)).astype(dtype)
+        scores = rng.uniform(size=2000).astype(dtype)
+        classes = rng.integers(0, 3, size=2000)
+        self._assert_rows_equal(state_to_boxes(state, scores, classes),
+                                _per_box_decode(state, scores, classes))
+        self._assert_rows_equal(state_to_boxes(state), _per_box_decode(state))
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_decoded_layers(self, precision):
+        scene, model, sim, store = _setup(precision=precision)
+        _, preds = _run(scene, model, sim, store, oracle=OracleSection())
+        for pred in preds:
+            scores = pred.scores()
+            cls = scores.argmax(axis=1)
+            best = scores[np.arange(len(cls)), cls]
+            self._assert_rows_equal(pred.boxes(),
+                                    _per_box_decode(pred.box_state.data, best, cls))
+
+    def test_empty(self):
+        boxes = state_to_boxes(np.zeros((0, 10)))
+        assert len(boxes) == 0 and list(boxes) == []
+
+    def test_underflowing_size_raises(self):
+        state = boxes_to_state([Box3D([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)])
+        state[0, 4] = -800.0  # exp underflows to 0
+        with pytest.raises(GeometryError):
+            _per_box_decode(state)
+        with pytest.raises(GeometryError):
+            state_to_boxes(state)

@@ -372,6 +372,24 @@ def test_box_array_corners_match_box3d():
         assert np.array_equal(c, b.bev_corners())
 
 
+
+def test_box_array_is_a_sequence_of_box3d_rows():
+    rng = np.random.default_rng(31)
+    boxes = [Box3D(rng.normal(0, 10, 3), rng.uniform(0.2, 5, 3), rng.uniform(-4, 4),
+                   rng.normal(0, 1, 2), class_id=int(rng.integers(0, 3)),
+                   score=float(rng.uniform()))
+             for _ in range(20)]
+    array = BoxArray.stack(boxes)
+    assert BoxArray.stack(array) is array
+    assert len(array) == 20
+    assert [b.to_dict() for b in array] == [b.to_dict() for b in boxes]
+    assert array[-1].to_dict() == boxes[-1].to_dict()
+    assert BoxArray.stack(list(array)).center.tobytes() == array.center.tobytes()
+    row = array[3]
+    row.center[0] += 1.0  # a row is a copy: the array stays read-only
+    assert array.center[3, 0] == boxes[3].center[0]
+    assert len(BoxArray.stack([])) == 0 and list(BoxArray.stack([])) == []
+
 # ---------------------------------------------------------------------------
 # type invariants
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Detection metrics: AP fixture, TP errors, NDS arithmetic, distance bins."""
+"""Detection metrics: AP fixture, TP errors, NDS arithmetic, distance bins,
+and bit-for-bit agreement with the record-based reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusiondet.geometry import Box3D
+import metrics_reference as reference
+from fusiondet.geometry import Box3D, BoxArray
 from fusiondet.metrics import (
-    DetectionRecord,
     average_precision,
+    center_distances,
     evaluate_detections,
     match_for_ap,
     nds,
@@ -17,50 +21,72 @@ from fusiondet.metrics import (
 
 
 def _rec(x, y, cls=0, score=1.0, scene=0, size=(4.0, 2.0, 1.5), yaw=0.0, vel=(0.0, 0.0)):
-    return DetectionRecord(
-        scene=scene, center=np.array([x, y], dtype=float), size=np.array(size, dtype=float),
-        yaw=yaw, velocity=np.array(vel, dtype=float), class_id=cls, score=score,
-    )
+    """One box and the scene it belongs to."""
+    return Box3D([x, y, 0.5], size, yaw, vel, class_id=cls, score=score), scene
+
+
+def _stack(recs):
+    return BoxArray.stack([b for b, _ in recs]), np.array([s for _, s in recs], dtype=int)
+
+
+def _match(preds, gts, threshold):
+    (pb, ps), (gb, gs) = _stack(preds), _stack(gts)
+    return match_for_ap(pb.score, center_distances(pb, gb, ps, gs), threshold)
+
+
+def _ap(preds, gts, threshold):
+    _, gt = _match(preds, gts, threshold)
+    return average_precision(gt >= 0, len(gts))
+
+
+def _tp_errors(pairs):
+    return tp_errors(BoxArray.stack([p for (p, _), _ in pairs]),
+                     BoxArray.stack([g for _, (g, _) in pairs]))
 
 
 class TestMatchForAp:
     def test_exact_hit_is_tp(self):
-        tp, _, _ = match_for_ap([_rec(0, 0)], [_rec(0, 0)], threshold=2.0)
-        assert tp.tolist() == [True]
+        _, gt = _match([_rec(0, 0)], [_rec(0, 0)], threshold=2.0)
+        assert (gt >= 0).tolist() == [True]
 
     def test_beyond_threshold_is_fp(self):
-        tp, _, _ = match_for_ap([_rec(3, 0)], [_rec(0, 0)], threshold=2.0)
-        assert tp.tolist() == [False]
+        _, gt = _match([_rec(3, 0)], [_rec(0, 0)], threshold=2.0)
+        assert (gt >= 0).tolist() == [False]
 
     def test_greedy_prefers_higher_score(self):
         preds = [_rec(0.5, 0, score=0.6), _rec(0.4, 0, score=0.9)]
-        tp, sorted_preds, _ = match_for_ap(preds, [_rec(0, 0)], threshold=2.0)
-        assert sorted_preds[0].score == 0.9
-        assert tp.tolist() == [True, False]
+        order, gt = _match(preds, [_rec(0, 0)], threshold=2.0)
+        assert preds[order[0]][0].score == 0.9
+        assert (gt >= 0).tolist() == [True, False]
 
     def test_gt_matched_at_most_once(self):
         preds = [_rec(0.1, 0, score=0.9), _rec(0.2, 0, score=0.8)]
-        tp, _, matches = match_for_ap(preds, [_rec(0, 0)], threshold=2.0)
-        assert sum(tp) == 1 and len(matches) == 1
+        _, gt = _match(preds, [_rec(0, 0)], threshold=2.0)
+        assert np.count_nonzero(gt >= 0) == 1
 
     def test_matching_is_per_scene(self):
         preds = [_rec(0, 0, scene=0, score=0.9)]
         gts = [_rec(0, 0, scene=1)]
-        tp, _, _ = match_for_ap(preds, gts, threshold=2.0)
-        assert tp.tolist() == [False]
+        _, gt = _match(preds, gts, threshold=2.0)
+        assert (gt >= 0).tolist() == [False]
+
+    def test_distance_ties_go_to_the_highest_gt_index(self):
+        gts = [_rec(-1, 0), _rec(1, 0), _rec(0, 5)]
+        _, gt = _match([_rec(0, 0)], gts, threshold=2.0)
+        assert gt.tolist() == [1]
 
 
 class TestAveragePrecision:
     def test_perfect_detector(self):
         gts = [_rec(0, 0), _rec(10, 0)]
         preds = [_rec(0, 0, score=0.9), _rec(10, 0, score=0.8)]
-        assert average_precision(preds, gts, 2.0) == pytest.approx(1.0)
+        assert _ap(preds, gts, 2.0) == pytest.approx(1.0)
 
     def test_no_predictions(self):
-        assert average_precision([], [_rec(0, 0)], 2.0) == 0.0
+        assert _ap([], [_rec(0, 0)], 2.0) == 0.0
 
     def test_no_gt(self):
-        assert average_precision([_rec(0, 0)], [], 2.0) == 0.0
+        assert _ap([_rec(0, 0)], [], 2.0) == 0.0
 
     def test_hand_computed_fixture(self):
         # 2 GT; predictions [TP s=.9, FP s=.8, TP s=.7].
@@ -73,7 +99,7 @@ class TestAveragePrecision:
             _rec(50, 50, score=0.8),
             _rec(20, 0, score=0.7),
         ]
-        assert average_precision(preds, gts, 2.0) == pytest.approx(239 / 324, abs=1e-12)
+        assert _ap(preds, gts, 2.0) == pytest.approx(239 / 324, abs=1e-12)
 
     def test_order_invariance_and_low_score_fp(self):
         rng = np.random.default_rng(0)
@@ -81,35 +107,35 @@ class TestAveragePrecision:
         preds = [_rec(x * 5.0 + rng.uniform(-1, 1), 0, score=rng.uniform(0.5, 1))
                  for x in range(4)]
         preds += [_rec(100, 100, score=0.45)]
-        base = average_precision(preds, gts, 2.0)
+        base = _ap(preds, gts, 2.0)
         shuffled = [preds[i] for i in rng.permutation(len(preds))]
-        assert average_precision(shuffled, gts, 2.0) == pytest.approx(base)
+        assert _ap(shuffled, gts, 2.0) == pytest.approx(base)
         worse = preds + [_rec(200, 200, score=0.01)]
-        assert average_precision(worse, gts, 2.0) <= base + 1e-12
+        assert _ap(worse, gts, 2.0) <= base + 1e-12
         assert 0.0 <= base <= 1.0
 
 
 class TestTpErrors:
     def test_perfect_matches_zero(self):
         pairs = [(_rec(1, 2), _rec(1, 2))]
-        errs = tp_errors(pairs)
+        errs = _tp_errors(pairs)
         assert errs == {"ate": 0.0, "ase": 0.0, "aoe": 0.0, "ave": 0.0}
 
     def test_yaw_off_by_pi(self):
-        errs = tp_errors([(_rec(0, 0, yaw=0.0), _rec(0, 0, yaw=math.pi))])
+        errs = _tp_errors([(_rec(0, 0, yaw=0.0), _rec(0, 0, yaw=math.pi))])
         assert errs["aoe"] == pytest.approx(math.pi)
 
     def test_scale_error_volume_ratio(self):
         a = _rec(0, 0, size=(2.0, 2.0, 2.0))
         b = _rec(0, 0, size=(1.0, 1.0, 1.0))
-        errs = tp_errors([(a, b)])
+        errs = _tp_errors([(a, b)])
         assert errs["ase"] == pytest.approx(1.0 - 1.0 / 8.0)
 
     def test_no_matches_convention(self):
-        assert tp_errors([]) == {"ate": 1.0, "ase": 1.0, "aoe": 1.0, "ave": 1.0}
+        assert _tp_errors([]) == {"ate": 1.0, "ase": 1.0, "aoe": 1.0, "ave": 1.0}
 
     def test_velocity_error(self):
-        errs = tp_errors([(_rec(0, 0, vel=(3.0, 4.0)), _rec(0, 0, vel=(0.0, 0.0)))])
+        errs = _tp_errors([(_rec(0, 0, vel=(3.0, 4.0)), _rec(0, 0, vel=(0.0, 0.0)))])
         assert errs["ave"] == pytest.approx(5.0)
 
     def test_self_evaluation_is_zero(self):
@@ -119,7 +145,7 @@ class TestTpErrors:
                  size=tuple(rng.uniform(0.5, 4, 3)), vel=tuple(rng.normal(0, 2, 2)))
             for _ in range(10)
         ]
-        errs = tp_errors([(r, r) for r in recs])
+        errs = _tp_errors([(r, r) for r in recs])
         assert all(v == 0.0 for v in errs.values())
 
 
@@ -248,3 +274,62 @@ class TestEvaluateEndToEnd:
         assert rep.map_value == pytest.approx(1.0)
         assert rep.nds_value == pytest.approx(1.0)
         assert all(v == 0.0 for v in rep.tp_metrics.values())
+
+
+# lattice points tie distances; free floats round their squares and sums
+_COORD = st.one_of(st.integers(-12, 12).map(lambda k: k * 0.5), st.floats(-6.0, 6.0))
+_SCORE = st.one_of(st.sampled_from([0.3, 0.6, 0.9]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _scene_sets(draw):
+    num_classes = draw(st.integers(1, 4))
+    gt_classes = draw(st.lists(st.integers(0, num_classes - 1), min_size=1,
+                               max_size=num_classes, unique=True))
+
+    def boxes(classes, max_size):
+        return [
+            Box3D([x, y, 0.5], size, yaw, vel, class_id=cls, score=score)
+            for x, y, cls, score, size, yaw, vel in draw(st.lists(st.tuples(
+                _COORD, _COORD, st.sampled_from(classes), _SCORE,
+                st.lists(st.floats(0.5, 4.0), min_size=3, max_size=3),
+                st.floats(-4.0, 4.0), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+            ), max_size=max_size))
+        ]
+
+    n_scenes = draw(st.integers(0, 4))
+    preds = [boxes(list(range(num_classes)), 10) for _ in range(n_scenes)]
+    gts = [boxes(gt_classes, 6) for _ in range(n_scenes)]
+    thresholds = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]), min_size=1)))
+    tp_threshold = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    bins = draw(st.sampled_from([(0.0, 10.0, 20.0, 30.0), (0.0, 2.0, 5.0), (1.0,)]))
+    return preds, gts, num_classes, tuple(thresholds), tp_threshold, bins
+
+
+class TestMatchesReference:
+    """The array metrics reproduce the record-based reference exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scene_sets())
+    def test_report_equals_reference(self, case):
+        preds, gts, num_classes, thresholds, tp_threshold, bins = case
+        kw = dict(thresholds=thresholds, tp_threshold=tp_threshold, bins=bins)
+        want = reference.evaluate_detections(preds, gts, num_classes, **kw).to_dict()
+        assert evaluate_detections(preds, gts, num_classes, **kw).to_dict() == want
+        arrays = [BoxArray.stack(b) for b in preds], [BoxArray.stack(b) for b in gts]
+        assert evaluate_detections(*arrays, num_classes, **kw).to_dict() == want
+
+    def test_decoded_scenes_equal_reference(self):
+        from fusiondet.config import RunConfig
+        from fusiondet.params import init_model_params
+        from fusiondet.scenesim import generate_scene
+        from fusiondet.train import run_inference
+
+        cfg = RunConfig()
+        scenes = [generate_scene(cfg.model, cfg.sim, i) for i in range(3)]
+        store = init_model_params(cfg.model, seed=0)
+        preds, gts = run_inference(cfg, scenes, store, oracle_uncertainty=True)
+        assert all(isinstance(b, BoxArray) for b in preds + gts)
+        want = reference.evaluate_detections(preds, gts, cfg.model.num_classes)
+        assert want.map_value > 0
+        assert evaluate_detections(preds, gts, cfg.model.num_classes).to_dict() == want.to_dict()

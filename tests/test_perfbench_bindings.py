@@ -101,3 +101,23 @@ def test_build_config_applies_every_override(perfbench):
         for dotted, value in spec["overrides"].items():
             section, key = dotted.split(".")
             assert getattr(getattr(cfg, section), key) == value, (workload, dotted)
+
+
+def test_workloads_run_on_a_two_scene_pool(perfbench, monkeypatch):
+    # run_unit reads len(preds[0]) and hands run_inference's boxes to
+    # metrics.evaluate_detections, so the return type of run_inference is
+    # bound here too
+    workloads, _ = perfbench
+    # OutputChecks rebinds these two for the whole process; restore them after
+    monkeypatch.setattr(train, "generate_queries", train.generate_queries)
+    monkeypatch.setattr(train, "decode", train.decode)
+    for name in ("robustness", "train"):
+        cfg, _ = workloads.build_config(name, seed=1)
+        cfg.sim.num_scenes = 2
+        checks = workloads.OutputChecks(cfg.model.num_queries)
+        wl = workloads.make_workload(name, cfg, checks)
+        assert wl.prepare(), name
+        ops = []
+        for _ in range(2):
+            ops += wl.run_unit(len(ops), None)
+        assert ops and all(ok for _, ok in ops), (name, ops)

@@ -274,6 +274,53 @@ class TestScenarios:
             out = apply_scenario(scene, ScenarioSpec(kind=kind, seed=1), MODEL, SIM)
             assert out.gt_boxes is scene.gt_boxes
 
+    def test_untouched_data_is_shared(self):
+        scene = _scene(9)
+        cases = {
+            "fov_limited": ScenarioSpec(kind="fov_limited", seed=1),
+            "front_occlusion": ScenarioSpec(kind="front_occlusion", seed=1),
+            "stuck_camera": ScenarioSpec(kind="stuck", frame_rate=1.0, seed=1),
+            "stuck_lidar": ScenarioSpec(kind="stuck", frame_rate=1.0, stuck_sensor="lidar",
+                                        seed=1),
+            "stuck_no_draw": ScenarioSpec(kind="stuck", frame_rate=0.0, seed=1),
+            "object_failure_no_draw": ScenarioSpec(kind="object_failure", frame_rate=0.0,
+                                                   seed=1),
+            "object_failure": ScenarioSpec(kind="object_failure", frame_rate=1.0,
+                                           object_rate=1.0, seed=1),
+        }
+        # (points and ids, camera maps, LiDAR maps) passed through untouched
+        shared = {
+            "fov_limited": (False, True, False),
+            "front_occlusion": (True, False, True),
+            "stuck_camera": (True, False, True),
+            "stuck_lidar": (True, True, False),
+            "stuck_no_draw": (True, True, True),
+            "object_failure_no_draw": (True, True, True),
+            "object_failure": (False, True, False),
+        }
+        for name, spec in cases.items():
+            out = apply_scenario(scene, spec, MODEL, SIM)
+            points, cams, lidar = shared[name]
+            for t in range(MODEL.num_frames):
+                assert (out.points[t] is scene.points[t]) == points, name
+                assert (out.obj_ids[t] is scene.obj_ids[t]) == points, name
+            assert (out.cam_maps is scene.cam_maps) == cams, name
+            assert (out.lidar_maps is scene.lidar_maps) == lidar, name
+            # what is rebuilt equals what the inputs give
+            want = lidar_bev_features(out.points[1 if name == "stuck_lidar" else 0], DET,
+                                      MODEL.num_lidar_scales, MODEL.channels, SIM.bev_grid)
+            for got, ref in zip(out.lidar_maps, want):
+                assert got.tobytes() == ref.tobytes(), name
+
+    def test_scenario_kind_must_be_set(self):
+        scene = _scene(9)
+        spec = ScenarioSpec.from_config(RunConfig().scenario)
+        assert spec.kind is None
+        for kind in (None, "sunny"):
+            spec.kind = kind
+            with pytest.raises(SimError):
+                apply_scenario(scene, spec, MODEL, SIM)
+
     def test_object_failure_statistics(self):
         # drop fraction over many objects ~ frame_rate * object_rate
         total = 0
