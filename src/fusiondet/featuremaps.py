@@ -3,10 +3,13 @@
 Camera features are indexed by (view, scale, frame) and live on texel grids
 whose pixel-to-texel ratio is the per-scale stride; LiDAR features are BEV
 grids over the detection range, one per scale. Each container holds its
-maps only as one packed buffer, the form ``T.bilinear_sample_packed`` reads.
+maps only as one packed buffer, the form ``T.bilinear_sample_packed`` reads,
+in the maps' own dtype; ``dtype`` is the precision reads are rounded to.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -18,9 +21,9 @@ class FeatureMapError(ValueError):
     pass
 
 
-def _pack(maps: list, dtype) -> tuple:
+def _pack(maps: list) -> tuple:
     """Pack (H, W, C) maps (arrays or Tensors) row-major into one (S, C)
-    buffer of ``dtype`` (by default the maps' common dtype), in list order.
+    buffer of the maps' common dtype, in list order.
 
     Returns the buffer and each map's (H, W) shape and start row. The buffer
     is a ``T.concat`` of the maps, so gradients reach maps that require them.
@@ -31,19 +34,52 @@ def _pack(maps: list, dtype) -> tuple:
     if len({m.shape[2] for m in maps}) != 1:
         raise FeatureMapError("inconsistent channel counts")
     C = maps[0].shape[2]
-    values = T.concat([T.reshape(m, (m.shape[0] * m.shape[1], C)) for m in maps],
-                      dtype=dtype)
+    values = T.concat([T.reshape(m, (m.shape[0] * m.shape[1], C)) for m in maps])
     shapes = np.array([m.shape[:2] for m in maps], dtype=np.int64)
     sizes = shapes[:, 0] * shapes[:, 1]
     return values, shapes, np.cumsum(sizes) - sizes
 
 
-class CameraFeatureSet:
+class _PackedMaps:
+    """One packed buffer (``values``, ``shapes``, ``starts``) read at
+    ``dtype``: the buffer's own dtype unless given."""
+
+    def __init__(self, maps: list, dtype=None):
+        self.values, self.shapes, self.starts = _pack(maps)
+        self.channels = self.values.shape[1]
+        self.dtype = self.values.dtype if dtype is None else np.dtype(dtype)
+
+    def read_at(self, dtype) -> "_PackedMaps":
+        """This container read at ``dtype``: itself if it already is, else a
+        shallow copy sharing the buffer."""
+        if np.dtype(dtype) == self.dtype:
+            return self
+        other = copy.copy(self)
+        other.dtype = np.dtype(dtype)
+        return other
+
+    def _map_views(self) -> list:
+        """Each map as a read-only (H, W, C) view into the buffer, in
+        packing order."""
+        out = []
+        for (h, w), start in zip(self.shapes, self.starts):
+            view = self.values.data[start:start + h * w].reshape(h, w, self.channels)
+            view.flags.writeable = False
+            out.append(view)
+        return out
+
+    def sample(self, map_idx, coords) -> T.Tensor:
+        """``T.bilinear_sample_packed`` over this buffer at ``dtype``."""
+        return T.bilinear_sample_packed(self.values, self.shapes, self.starts, map_idx,
+                                        coords, self.dtype)
+
+
+class CameraFeatureSet(_PackedMaps):
     """Complete V x M x T grid of camera feature maps plus per-scale strides.
 
     ``maps`` maps (view, scale, frame) to an (H, W, C) array or Tensor. They
     are packed into one buffer (``values``, ``shapes``, ``starts``) in
-    (view, scale, frame) order, converted to ``dtype`` if given.
+    (view, scale, frame) order and read at ``dtype`` if given.
     """
 
     def __init__(self, maps: dict, num_views: int, num_scales: int, num_frames: int, strides,
@@ -63,8 +99,8 @@ class CameraFeatureSet:
         for key in keys:
             if key not in maps:
                 raise FeatureMapError(f"missing camera map {key}")
-        self.values, self.shapes, self.starts = _pack([maps[k] for k in keys], dtype)
-        self.channels = self.values.shape[1]
+        super().__init__([maps[k] for k in keys], dtype)
+        self.maps = dict(zip(keys, self._map_views()))
 
     def index(self, view, scale, frame):
         """Position of map (view, scale, frame) in the packed buffer; works
@@ -72,16 +108,16 @@ class CameraFeatureSet:
         return (view * self.num_scales + scale) * self.num_frames + frame
 
 
-class LidarFeaturePyramid:
+class LidarFeaturePyramid(_PackedMaps):
     """Multi-scale BEV feature grids covering one detection range, packed
     into one buffer in scale order like :class:`CameraFeatureSet`."""
 
     def __init__(self, maps: list, det_range: DetectionRange, dtype=None):
         if not maps:
             raise FeatureMapError("pyramid needs at least one scale")
-        self.values, self.shapes, self.starts = _pack(maps, dtype)
+        super().__init__(maps, dtype)
         self.det_range = det_range
-        self.channels = self.values.shape[1]
+        self.maps = self._map_views()
 
     @property
     def num_scales(self) -> int:
@@ -106,8 +142,7 @@ def sample_view_scale_mean(feats: CameraFeatureSet, box, view, uv, num_boxes: in
     scale = np.tile(np.arange(M), box.size)
     coords = np.repeat(np.asarray(uv, dtype=np.float64), M, axis=0)
     coords = coords / np.asarray(feats.strides, dtype=np.float64)[scale][:, None]
-    samp = T.bilinear_sample_packed(feats.values, feats.shapes, feats.starts,
-                                    feats.index(np.repeat(view, M), scale, frame), coords)
+    samp = feats.sample(feats.index(np.repeat(view, M), scale, frame), coords)
     rows = T.scatter_add_rows(samp, np.repeat(box, M), num_boxes)
     count = np.bincount(box, minlength=num_boxes)
     return T.mul(rows, (1.0 / np.maximum(count, 1))[:, None])

@@ -102,7 +102,7 @@ def sample_lidar(
     scale = pyramid.shapes[:, ::-1] / np.array([rng.x_max - rng.x_min, rng.y_max - rng.y_min])
     uv = T.mul(T.add(pts, shift), scale.reshape(1, R, 1, 2))
     map_idx = np.broadcast_to(np.arange(R).reshape(1, R, 1), (N, R, K))
-    samp = T.bilinear_sample_packed(pyramid.values, pyramid.shapes, pyramid.starts, map_idx, uv)
+    samp = pyramid.sample(map_idx, uv)
     term = T.mul(samp, T.astype(T.reshape(pattern.weights, (N, R, K, 1)), samp.dtype))
     return T.sum_(term, axis=1)
 
@@ -164,8 +164,7 @@ def sample_camera(
     coords = T.mul(T.gather_rows(uw, (t_r * V + v_r) * P + p_r), inv_stride[m_r][:, None])
 
     # 4. one packed read; (sample x weight) x gate into its (frame, point) row
-    samp = T.bilinear_sample_packed(feats.values, feats.shapes, feats.starts,
-                                    feats.index(v_r, m_r, t_r), coords)
+    samp = feats.sample(feats.index(v_r, m_r, t_r), coords)
     n_r, k_r = p_r // K, p_r % K
     w_rows = T.gather_rows(T.reshape(pattern.weights, (-1, 1)),
                            ((n_r * Tt + t_r) * M + m_r) * K + k_r)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +80,10 @@ class ScenarioSpec:
 
 @dataclass
 class SceneSample:
+    """One scene. Its feature maps are held once, as one packed buffer per
+    modality in the maps' own dtype (float64 when simulated, float32 when
+    loaded), read at the model's precision."""
+
     scene_id: int
     seed: int
     gt_boxes: list
@@ -86,30 +91,34 @@ class SceneSample:
     det_range: DetectionRange
     points: list  # per frame, (N, 4) float32-compatible [x, y, z, intensity]
     obj_ids: list  # per frame, (N,) int32; -1 for clutter
-    cam_maps: dict  # (v, m, t) -> (H, W, C) ndarray
-    lidar_maps: list  # per scale, (H, W, C) ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    cam_set: CameraFeatureSet
+    lidar_set: LidarFeaturePyramid
+
+    @property
+    def cam_maps(self) -> dict:
+        """(v, m, t) -> read-only (H, W, C) view into the camera buffer."""
+        return self.cam_set.maps
+
+    @property
+    def lidar_maps(self) -> list:
+        """Per scale, a read-only (H, W, C) view into the LiDAR buffer."""
+        return self.lidar_set.maps
 
     def feature_set(self, cfg: ModelSection) -> CameraFeatureSet:
-        key = ("cam", cfg.precision)
-        if key not in self._cache:
-            # per-scale pixel-to-texel ratio, recovered from the map shapes
-            img_w = self.rig.views[0].image_size[0]
-            strides = [
-                img_w / self.cam_maps[(0, m, 0)].shape[1]
-                for m in range(cfg.num_cam_scales)
-            ]
-            self._cache[key] = CameraFeatureSet(
-                self.cam_maps, cfg.num_views, cfg.num_cam_scales, cfg.num_frames, strides,
-                cfg.dtype,
-            )
-        return self._cache[key]
+        return self.cam_set.read_at(cfg.dtype)
 
     def lidar_pyramid(self, cfg: ModelSection) -> LidarFeaturePyramid:
-        key = ("lidar", cfg.precision)
-        if key not in self._cache:
-            self._cache[key] = LidarFeaturePyramid(self.lidar_maps, self.det_range, cfg.dtype)
-        return self._cache[key]
+        return self.lidar_set.read_at(cfg.dtype)
+
+
+def _pack_camera(cam_maps: dict, rig: CameraRig, model: ModelSection) -> CameraFeatureSet:
+    """A scene's (v, m, t) camera maps packed once, read at the model's
+    precision."""
+    # per-scale pixel-to-texel ratio, recovered from the map shapes
+    img_w = rig.views[0].image_size[0]
+    strides = [img_w / cam_maps[(0, m, 0)].shape[1] for m in range(model.num_cam_scales)]
+    return CameraFeatureSet(cam_maps, model.num_views, model.num_cam_scales, model.num_frames,
+                            strides, model.dtype)
 
 
 _BASE_STRIDE = 8
@@ -497,8 +506,8 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
         det_range=det_range,
         points=points,
         obj_ids=obj_ids,
-        cam_maps=cam_maps,
-        lidar_maps=lidar_maps,
+        cam_set=_pack_camera(cam_maps, rig, model),
+        lidar_set=LidarFeaturePyramid(lidar_maps, det_range, model.dtype),
     )
 
 
@@ -516,8 +525,9 @@ def apply_scenario(
     """Corrupt sensor data per the scenario; ground truth is never modified.
 
     Whatever the scenario leaves untouched (a frame's points and ids, the
-    camera maps, the LiDAR maps) is passed through as the input's own
-    object, not copied or rebuilt.
+    packed camera set, the packed LiDAR set) is passed through as the
+    input's own object, not copied or rebuilt; a corrupted modality is
+    packed once, here.
     """
     if spec.kind not in ScenarioSection.KINDS:
         raise SimError(f"scenario kind must be one of {ScenarioSection.KINDS}, "
@@ -526,6 +536,7 @@ def apply_scenario(
         np.random.SeedSequence([int(spec.seed), 0xBAD, int(sample.scene_id)])
     )
     points, obj_ids, cam_maps = sample.points, sample.obj_ids, sample.cam_maps
+    cam_set, lidar_set = sample.cam_set, sample.lidar_set
     lidar_frame = 0
 
     if spec.kind == "fov_limited":
@@ -543,25 +554,25 @@ def apply_scenario(
             points[t] = points[t][keep]
             obj_ids[t] = obj_ids[t][keep]
     elif spec.kind == "front_occlusion":
-        cam_maps = {k: np.zeros_like(grid) if k[0] == FRONT_VIEW else grid
-                    for k, grid in cam_maps.items()}
+        cam_set = _pack_camera({k: np.zeros_like(grid) if k[0] == FRONT_VIEW else grid
+                               for k, grid in cam_maps.items()}, sample.rig, model)
     else:  # stuck
         if len(points) < 2:
             raise SimError("stuck scenario requires at least 2 frames")
         if rng.random() < spec.frame_rate:
             if spec.stuck_sensor == "camera":
                 last = model.num_frames - 1
-                cam_maps = {(v, m, t): cam_maps[(v, m, min(t + 1, last))]
-                            for (v, m, t) in cam_maps}
+                cam_set = _pack_camera({(v, m, t): cam_maps[(v, m, min(t + 1, last))]
+                                       for (v, m, t) in cam_maps}, sample.rig, model)
             else:
                 lidar_frame = 1
 
-    lidar_maps = sample.lidar_maps
     if points[lidar_frame] is not sample.points[0]:
         lidar_maps = lidar_bev_features(
             points[lidar_frame], sample.det_range, model.num_lidar_scales,
             model.channels, sim.bev_grid,
         )
+        lidar_set = LidarFeaturePyramid(lidar_maps, sample.det_range, model.dtype)
     return SceneSample(
         scene_id=sample.scene_id,
         seed=sample.seed,
@@ -570,8 +581,8 @@ def apply_scenario(
         det_range=sample.det_range,
         points=points,
         obj_ids=obj_ids,
-        cam_maps=cam_maps,
-        lidar_maps=lidar_maps,
+        cam_set=cam_set,
+        lidar_set=lidar_set,
     )
 
 
@@ -651,19 +662,22 @@ def load_manifest(dataset_dir: str) -> dict:
             raise SimError(f"dataset manifest {path} is not valid JSON: {exc}") from None
 
 
-def _load_array(d: str, fname: str, shape: tuple) -> np.ndarray:
+def _load_array(d: str, fname: str, shape: tuple, floating: bool = True) -> np.ndarray:
     """One stored array; SimError unless it loads with ``shape`` (None
-    matches any size)."""
+    matches any size) and, if ``floating``, a floating-point dtype."""
     path = os.path.join(d, fname)
     try:
         arr = np.load(path)
     except FileNotFoundError:
         raise SimError(f"dataset file {path} is missing") from None
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError, EOFError, SyntaxError, tokenize.TokenError) as exc:
+        # a damaged header can fail in numpy's header parser
         raise SimError(f"dataset file {path} does not load: {exc}") from None
     if arr.ndim != len(shape) or any(w not in (None, h) for h, w in zip(arr.shape, shape)):
         want = ", ".join("N" if w is None else str(w) for w in shape)
         raise SimError(f"dataset file {path} has shape {arr.shape}, expected ({want})")
+    if floating and arr.dtype.kind != "f":
+        raise SimError(f"dataset file {path} has dtype {arr.dtype}, expected floating point")
     return arr
 
 
@@ -671,7 +685,8 @@ def load_dataset(dataset_dir: str) -> list:
     """The scenes of a written dataset; SimError unless every file the
     manifest's config implies loads with its shape: per frame points (N, 4)
     and N ids, V*M*T camera maps (H/stride, W/stride, C), R LiDAR maps
-    halving from ``sim.bev_grid``."""
+    halving from ``sim.bev_grid``; points and maps must be floating point.
+    Each modality's maps are packed into one buffer as stored (float32)."""
     manifest = load_manifest(dataset_dir)
     try:
         cfg = RunConfig.from_dict(manifest["config"])
@@ -684,7 +699,8 @@ def load_dataset(dataset_dir: str) -> list:
     for name in names:
         d = os.path.join(dataset_dir, name)
         points = [_load_array(d, f"points_t{t}.npy", (None, 4)) for t in range(model.num_frames)]
-        obj_ids = [_load_array(d, f"obj_ids_t{t}.npy", (len(p),)) for t, p in enumerate(points)]
+        obj_ids = [_load_array(d, f"obj_ids_t{t}.npy", (len(p),), floating=False)
+                   for t, p in enumerate(points)]
         cam_maps = {
             (v, m, t): _load_array(d, f"cam_v{v}_m{m}_t{t}.npy",
                                    (sim.image_height // s, sim.image_width // s, C))
@@ -697,17 +713,21 @@ def load_dataset(dataset_dir: str) -> list:
         try:
             with open(os.path.join(d, "scene.json"), "r", encoding="utf-8") as fh:
                 side = json.load(fh)
+            scene_id, seed = side["scene_id"], side["seed"]
+            gt_boxes = [Box3D.from_dict(b) for b in side["gt_boxes"]]
+            rig = CameraRig.from_dict(side["rig"])
+            det_range = DetectionRange.from_dict(side["det_range"])
             scenes.append(
                 SceneSample(
-                    scene_id=side["scene_id"],
-                    seed=side["seed"],
-                    gt_boxes=[Box3D.from_dict(b) for b in side["gt_boxes"]],
-                    rig=CameraRig.from_dict(side["rig"]),
-                    det_range=DetectionRange.from_dict(side["det_range"]),
+                    scene_id=scene_id,
+                    seed=seed,
+                    gt_boxes=gt_boxes,
+                    rig=rig,
+                    det_range=det_range,
                     points=points,
                     obj_ids=obj_ids,
-                    cam_maps=cam_maps,
-                    lidar_maps=lidar_maps,
+                    cam_set=_pack_camera(cam_maps, rig, model),
+                    lidar_set=LidarFeaturePyramid(lidar_maps, det_range, model.dtype),
                 )
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -49,7 +49,9 @@ class track_kinks:
 
 
 def _note_kink(dist_array):
-    if _KINK_SINK is not None and dist_array.size:
+    """Record a kink distance; callers compute it only under ``track_kinks``
+    (when ``_KINK_SINK`` is set)."""
+    if dist_array.size:
         _KINK_SINK.append(float(np.min(dist_array)))
 
 
@@ -169,11 +171,14 @@ def _wrap(x, like: Tensor | None = None) -> Tensor:
 
 
 def _make(data: np.ndarray, op: str, parents, vjps) -> Tensor:
+    """The op's output; it records only the parents that require a gradient
+    (with their VJPs), so constant operands never enter the tape."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.parents = tuple(parents)
-        out.vjps = tuple(vjps)
+    if _GRAD_ENABLED:
+        tracked = [(p, f) for p, f in zip(parents, vjps) if p.requires_grad]
+        if tracked:
+            out.requires_grad = True
+            out.parents, out.vjps = zip(*tracked)
     out.op = op
     return out
 
@@ -367,7 +372,8 @@ def matmul(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    _note_kink(np.abs(a.data))
+    if _KINK_SINK is not None:
+        _note_kink(np.abs(a.data))
     mask = a.data > 0  # gradient at exactly 0 is 0 by convention
     return _make(np.where(mask, a.data, 0.0), "relu", (a,), (lambda g: g * mask,))
 
@@ -391,7 +397,8 @@ def sqrt(a) -> Tensor:
 
 def absolute(a) -> Tensor:
     a = _wrap(a)
-    _note_kink(np.abs(a.data))
+    if _KINK_SINK is not None:
+        _note_kink(np.abs(a.data))
     sign = np.sign(a.data)  # subgradient 0 at 0, same convention as relu
     return _make(np.abs(a.data), "abs", (a,), (lambda g: g * sign,))
 
@@ -528,11 +535,9 @@ def swap_last(a) -> Tensor:
     return transpose(a, tuple(axes))
 
 
-def concat(tensors, axis: int = 0, dtype=None) -> Tensor:
-    """Join along ``axis``; with ``dtype`` set, the inputs are converted while
-    they are copied, with no converted copy of each input."""
+def concat(tensors, axis: int = 0) -> Tensor:
     ts = [_wrap(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis, dtype=dtype)
+    out = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -596,7 +601,7 @@ def astype(a, dtype) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
+def bilinear_sample_packed(values, shapes, starts, map_idx, coords, dtype=None) -> Tensor:
     """Sample many (H, W, C) grids stored row-major in one (S, C) buffer.
 
     Grid g occupies rows ``starts[g]`` to ``starts[g] + H*W`` of ``values``,
@@ -605,9 +610,17 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
     along width, v along height. Corners outside a point's own grid
     contribute zero (zero padding), never a neighbouring grid's texel.
     Differentiable w.r.t. both the buffer values and the coordinates.
+
+    The buffer is read at ``dtype`` (by default its own): each gathered
+    corner row is rounded to it, and plain-array coords are wrapped in it, so
+    a float32 read of a float64 buffer equals the read of its float32 copy.
+    A buffer that requires a gradient is read in its own dtype only.
     """
     values = _wrap(values)
-    coords = _wrap(coords, like=values)
+    dtype = values.data.dtype if dtype is None else np.dtype(dtype)
+    if dtype != values.data.dtype and values.requires_grad:
+        raise GraphError("a buffer that requires a gradient is read in its own dtype")
+    coords = coords if isinstance(coords, Tensor) else Tensor(coords, dtype=dtype)
     if values.ndim != 2:
         raise GraphError("bilinear_sample_packed expects an (S, C) buffer")
     if coords.data.shape[-1] != 2:
@@ -625,8 +638,9 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
     j0 = np.floor(y).astype(np.int64)
     fx = x - i0
     fy = y - j0
-    _note_kink(np.minimum(fx, 1.0 - fx))
-    _note_kink(np.minimum(fy, 1.0 - fy))
+    if _KINK_SINK is not None:
+        _note_kink(np.minimum(fx, 1.0 - fx))
+        _note_kink(np.minimum(fy, 1.0 - fy))
 
     # masking the (P,) corner weights gives the same sums as masking the
     # (P, C) corner values, at a fraction of the work
@@ -643,7 +657,7 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
         rows.append(r)
         masks.append(valid)
         weights.append(w * valid)
-        vals.append(values.data[r])
+        vals.append(values.data[r].astype(dtype, copy=False))
     flat = sum(w[:, None] * v for w, v in zip(weights, vals))
     out = flat.reshape(coords.data.shape[:-1] + (C,))
 

@@ -178,9 +178,11 @@ def clamp_to_range(box: Box3D, det_range) -> Box3D:
 
 
 def packed_map(feats, i) -> T.Tensor:
-    """Map ``i`` of a packed feature container as an (H, W, C) Tensor."""
+    """Map ``i`` of a packed feature container as an (H, W, C) Tensor, as
+    the decoder reads it: rounded to the container's dtype."""
     (h, w), start = feats.shapes[i], feats.starts[i]
-    return T.Tensor(feats.values.data[start:start + h * w].reshape(h, w, feats.channels))
+    return T.Tensor(feats.values.data[start:start + h * w].reshape(h, w, feats.channels),
+                    dtype=feats.dtype)
 
 
 def init_queries(boxes, cam_feats, rig, default_embedding, det_range) -> list:

@@ -200,6 +200,16 @@ class TestMalformedDataset:
         assert "cam_v1_m1_t0.npy" in err[0] and "expected" in err[0]
 
 
+    @pytest.mark.parametrize("fname", ["cam_v0_m1_t1.npy", "points_t1.npy"])
+    def test_integer_file_ends_in_one_line(self, workspace, capsys, fname):
+        tmp_path, cfg, ds = workspace
+        path = os.path.join(ds, "scene_0001", fname)
+        np.save(path, np.load(path).view(np.int32))
+        code, err = self._eval(tmp_path, cfg, ds, capsys)
+        assert code == 1 and len(err) == 1
+        assert fname in err[0] and "floating point" in err[0]
+
+
 class TestEvalAndInfer:
     def test_eval_report_schema(self, workspace):
         tmp_path, cfg, ds = workspace

@@ -3,9 +3,13 @@ and dataset serialization."""
 
 import math
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusiondet.classes import CLASS_MIX, CLUTTER_INTENSITY, NUM_CLASSES
 from fusiondet.config import ModelSection, RunConfig, SimSection
@@ -306,6 +310,8 @@ class TestScenarios:
                 assert (out.obj_ids[t] is scene.obj_ids[t]) == points, name
             assert (out.cam_maps is scene.cam_maps) == cams, name
             assert (out.lidar_maps is scene.lidar_maps) == lidar, name
+            assert (out.cam_set is scene.cam_set) == cams, name
+            assert (out.lidar_set is scene.lidar_set) == lidar, name
             # what is rebuilt equals what the inputs give
             want = lidar_bev_features(out.points[1 if name == "stuck_lidar" else 0], DET,
                                       MODEL.num_lidar_scales, MODEL.channels, SIM.bev_grid)
@@ -371,6 +377,37 @@ class TestScenarios:
             apply_scenario(scene, ScenarioSpec(kind="stuck", frame_rate=1.0), model1, SIM)
 
 
+class TestPackedMaps:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_maps_are_views_into_the_sets_read(self, precision):
+        model = ModelSection(precision=precision)
+        scene = generate_scene(model, SIM, 0)
+        feats, pyramid = scene.feature_set(model), scene.lidar_pyramid(model)
+        assert feats is scene.cam_set and pyramid is scene.lidar_set
+        assert feats.dtype == model.dtype and pyramid.dtype == model.dtype
+        # the simulator's values, stored once
+        assert feats.values.dtype == np.float64 and pyramid.values.dtype == np.float64
+        for k, grid in scene.cam_maps.items():
+            assert np.shares_memory(grid, feats.values.data), k
+            assert grid.dtype == np.float64 and not grid.flags.writeable
+        for r, grid in enumerate(scene.lidar_maps):
+            assert np.shares_memory(grid, pyramid.values.data), r
+            assert grid.dtype == np.float64 and not grid.flags.writeable
+        # the other precision reads the same buffer, with no copy
+        other = ModelSection(precision="double" if precision == "single" else "single")
+        assert scene.feature_set(other).dtype == other.dtype
+        assert scene.feature_set(other).values is feats.values
+        assert scene.lidar_pyramid(other).values is pyramid.values
+
+    def test_corrupted_modality_is_packed_at_the_model_dtype(self):
+        scene = _scene(3)
+        spec = ScenarioSpec(kind="stuck", frame_rate=1.0, stuck_sensor="camera", seed=0)
+        out = apply_scenario(scene, spec, MODEL, SIM)
+        assert out.cam_set is not scene.cam_set and out.cam_set.dtype == MODEL.dtype
+        for k, grid in out.cam_maps.items():
+            assert np.shares_memory(grid, out.cam_set.values.data), k
+
+
 class TestMotion:
     def test_box_at_current_frame_is_identity(self):
         scene = _scene(12)
@@ -409,7 +446,62 @@ class TestDatasetIo:
                 np.testing.assert_array_equal(
                     a.cam_maps[k].astype(np.float32), b.cam_maps[k]
                 )
+            # a loaded scene holds its float32 maps once, read at the model dtype
+            assert b.cam_set.values.dtype == np.float32 == b.lidar_set.values.dtype
+            assert b.cam_set.dtype == cfg.model.dtype
 
     def test_missing_manifest_errors(self, tmp_path):
         with pytest.raises(SimError):
             load_manifest(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A written 1-scene dataset at small sizes."""
+    cfg = RunConfig()
+    cfg.sim.num_scenes = 1
+    cfg.sim.image_width, cfg.sim.image_height, cfg.sim.bev_grid = 64, 32, 16
+    cfg.model.num_views = 2
+    out = str(tmp_path_factory.mktemp("tiny") / "ds")
+    write_dataset(out, cfg, [generate_scene(cfg.model, cfg.sim, 0)])
+    return out
+
+
+class TestDatasetFiles:
+    @pytest.mark.parametrize("fname", ["cam_v1_m0_t1.npy", "lidar_r0.npy", "points_t0.npy"])
+    def test_integer_maps_and_points_are_rejected(self, tiny_dataset, tmp_path, fname):
+        ds = str(tmp_path / "ds")
+        shutil.copytree(tiny_dataset, ds)
+        path = os.path.join(ds, "scene_0000", fname)
+        np.save(path, np.load(path).view(np.int32))
+        with pytest.raises(SimError, match="floating point"):
+            load_dataset(ds)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_damaged_npy_files_load_or_raise_sim_error(self, tiny_dataset, data):
+        names = sorted(n for n in os.listdir(os.path.join(tiny_dataset, "scene_0000"))
+                       if n.endswith(".npy"))
+        name = data.draw(st.sampled_from(names))
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = os.path.join(tmp, "ds")
+            shutil.copytree(tiny_dataset, ds)
+            path = os.path.join(ds, "scene_0000", name)
+            with open(path, "rb") as fh:
+                raw = bytearray(fh.read())
+            if data.draw(st.booleans()):
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+            else:
+                # the header comes first, so about half the flips land in it
+                where = st.one_of(st.integers(0, 127), st.integers(0, len(raw) - 1))
+                for pos in data.draw(st.lists(where, min_size=1, max_size=4)):
+                    raw[pos] = data.draw(st.integers(0, 255))
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                scenes = load_dataset(ds)
+            except SimError:
+                return
+            for scene in scenes:
+                arrays = [*scene.points, *scene.cam_maps.values(), *scene.lidar_maps]
+                assert all(a.dtype.kind == "f" for a in arrays)

@@ -163,6 +163,23 @@ class TestBackward:
         with pytest.raises(T.GraphError):
             T.Tape.trace(y)
 
+    def test_constant_operands_add_no_tape_node(self):
+        rng = np.random.default_rng(4)
+        x0, c0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        x = T.Tensor(x0, requires_grad=True)
+        out = T.sum_(T.add(T.mul(x, c0), T.Tensor(b0)))
+        tape = T.Tape.trace(out)
+        assert [n.op for n in tape.nodes] == ["leaf", "mul", "add", "sum"]
+        assert all(n.requires_grad for n in tape.nodes)
+        out.backward()
+        # the same graph with the constants traced as gradient leaves
+        xr = T.Tensor(x0, requires_grad=True)
+        c, b = T.Tensor(c0, requires_grad=True), T.Tensor(b0, requires_grad=True)
+        ref = T.sum_(T.add(T.mul(xr, c), b))
+        assert len(T.Tape.trace(ref).nodes) == 6
+        ref.backward()
+        assert x.grad.tobytes() == xr.grad.tobytes()
+
     def test_seed_shape_mismatch(self):
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         y = T.mul(x, 3.0)
@@ -315,6 +332,35 @@ def test_bilinear_coords_kink_note():
     assert k.min_distance() < 1e-4
 
 
+def test_kink_distances_only_under_tracking(monkeypatch):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(5, 3))
+    grid = rng.normal(size=(4, 5, 2))
+    coords = rng.uniform(-1.0, 6.0, size=(7, 2))
+    x, y = coords[:, 0] - 0.5, coords[:, 1] - 0.5
+    fx, fy = x - np.floor(x), y - np.floor(y)
+    want = {
+        "relu": np.min(np.abs(a)),
+        "abs": np.min(np.abs(a)),
+        "bilinear": min(np.min(np.minimum(fx, 1.0 - fx)), np.min(np.minimum(fy, 1.0 - fy))),
+    }
+    ops = {
+        "relu": lambda: T.relu(a),
+        "abs": lambda: T.absolute(a),
+        "bilinear": lambda: T.bilinear_sample(grid, T.Tensor(coords, dtype=np.float64)),
+    }
+    for name, op in ops.items():
+        with T.track_kinks() as k:
+            op()
+        assert k.min_distance() == want[name], name
+    # outside the block no distance is even computed
+    calls = []
+    monkeypatch.setattr(T, "_note_kink", calls.append)
+    for op in ops.values():
+        op()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # packed bilinear reads: the same numbers as one grid at a time
 # ---------------------------------------------------------------------------
@@ -382,3 +428,46 @@ class TestBilinearPacked:
         out.backward()
         assert np.any(values.grad[:20] != 0.0)
         assert np.all(values.grad[20:] == 0.0)
+
+
+class TestReadAtDtype:
+    SHAPES = np.array([[3, 4], [2, 5]])
+    C = 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 30),
+           spread=st.floats(0.0, 3.0), tensor_coords=st.booleans())
+    def test_float32_read_of_float64_buffer_equals_read_of_its_copy(
+            self, seed, points, spread, tensor_coords):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(22, self.C)) * 10.0 ** rng.integers(-3, 4)
+        map_idx = rng.integers(0, 2, size=points)
+        hw = self.SHAPES[map_idx][:, ::-1]
+        # in the grid and up to ``spread`` texels outside it on every side
+        coords = rng.uniform(-spread, hw + spread)
+        g = rng.normal(size=(points, self.C)).astype(np.float32)
+        outs, grads = [], []
+        for buf, dtype in ((values, np.float32), (values.astype(np.float32), None)):
+            if tensor_coords:
+                c = T.Tensor(coords, dtype=np.float32, requires_grad=True)
+            else:
+                c = coords
+            out = T.bilinear_sample_packed(buf, self.SHAPES, [0, 12], map_idx, c, dtype)
+            if tensor_coords:
+                out.backward(g.astype(out.dtype))
+                grads.append(c.grad)
+            outs.append(out)
+        assert outs[0].dtype == outs[1].dtype
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+        if tensor_coords:
+            assert grads[0].dtype == grads[1].dtype
+            assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_buffer_with_gradient_is_read_in_its_own_dtype(self):
+        values = T.Tensor(np.ones((12, 2)), requires_grad=True)
+        coords = np.array([[1.0, 1.0]])
+        with pytest.raises(T.GraphError):
+            T.bilinear_sample_packed(values, [(3, 4)], [0], [0], coords, np.float32)
+        out = T.bilinear_sample_packed(values, [(3, 4)], [0], [0], coords, np.float64)
+        out.backward()
+        assert values.grad.dtype == np.float64 and values.grad.sum() == 2.0
