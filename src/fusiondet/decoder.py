@@ -38,7 +38,6 @@ class LayerPrediction:
     dist_lid: T.Tensor
     reg_cam: T.Tensor  # (N, 2) f_reg BEV position estimates
     reg_lid: T.Tensor
-    centers_in: np.ndarray  # (N, 3) sampling centers used by this layer
 
     def scores(self) -> np.ndarray:
         return expit(self.class_logits.data)
@@ -155,7 +154,6 @@ def decode_layer(
         dist_lid=dist_lid,
         reg_cam=reg_cam,
         reg_lid=reg_lid,
-        centers_in=centers.data.copy(),
     )
     return pred, QueryBatch(fused, T.Tensor(new_state.data.copy()))
 
@@ -208,12 +206,15 @@ def hungarian_match(
     cfg: TrainSection,
     det_range: DetectionRange,
 ) -> list:
-    """Minimum-cost perfect matching on the no-object-padded bipartite graph.
+    """Minimum-cost matching where both sides carry a no-object option.
 
-    Both sides carry a no-object option at constant cost: an unmatched
-    prediction or an unmatched GT each pay ``no_object_cost``, so a pair is
-    only matched when its cost beats leaving both unmatched (2x no-object).
-    Returns (pred_index, gt_index) pairs.
+    An unmatched prediction or an unmatched GT each pay ``no_object_cost``
+    c, so a pair is only matched when its cost beats leaving both unmatched
+    (2c). The total is c (N + G) plus, over matched pairs, cost - 2c, so the
+    assignment is solved on the N x G block of min(cost - 2c, 0), keeping
+    the pairs with cost < 2c: the optimum of the (N + G)-square padded
+    problem at a fraction of its size. Returns (pred_index, gt_index) pairs
+    in prediction order.
     """
     gt_boxes = BoxArray.stack(gt_boxes)
     n_pred = pred_state.shape[0]
@@ -227,15 +228,10 @@ def hungarian_match(
     cost_cls = 1.0 - pred_scores[:, gt_boxes.class_id]
     cost = cfg.w_cls * cost_cls + cfg.w_box * cost_box
 
-    side = n_pred + n_gt
-    padded = np.zeros((side, side))
-    padded[:n_pred, :n_gt] = cost
-    padded[:n_pred, n_gt:] = cfg.no_object_cost  # prediction stays unmatched
-    padded[n_pred:, :n_gt] = cfg.no_object_cost  # ground truth goes undetected
-    rows, cols = linear_sum_assignment(padded)
-    return [
-        (int(r), int(c)) for r, c in zip(rows, cols) if r < n_pred and c < n_gt
-    ]
+    gain = cost - 2.0 * cfg.no_object_cost
+    rows, cols = linear_sum_assignment(np.minimum(gain, 0.0))
+    keep = gain[rows, cols] < 0.0
+    return [(int(r), int(c)) for r, c in zip(rows[keep], cols[keep])]
 
 
 def _pow_gamma(x: T.Tensor, gamma: float) -> T.Tensor:

@@ -4,12 +4,10 @@ Camera features are indexed by (view, scale, frame) and live on texel grids
 whose pixel-to-texel ratio is the per-scale stride; LiDAR features are BEV
 grids over the detection range, one per scale. Each container holds its
 maps only as one packed buffer, the form ``T.bilinear_sample_packed`` reads,
-in the maps' own dtype; ``dtype`` is the precision reads are rounded to.
+at the dtype it was packed at: the model's precision for a scene.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -21,12 +19,14 @@ class FeatureMapError(ValueError):
     pass
 
 
-def _pack(maps: list) -> tuple:
+def _pack(maps: list, dtype=None) -> tuple:
     """Pack (H, W, C) maps (arrays or Tensors) row-major into one (S, C)
-    buffer of the maps' common dtype, in list order.
+    buffer of ``dtype`` (default: the maps' common dtype), in list order, in
+    one copy.
 
-    Returns the buffer and each map's (H, W) shape and start row. The buffer
-    is a ``T.concat`` of the maps, so gradients reach maps that require them.
+    Returns the buffer and each map's (H, W) shape and start row. Maps that
+    require a gradient must all be at ``dtype`` (``GraphError`` otherwise);
+    the buffer is then a ``T.concat`` of the maps, so gradients reach them.
     """
     maps = [m if isinstance(m, T.Tensor) else T.Tensor(m) for m in maps]
     if any(m.ndim != 3 for m in maps):
@@ -34,29 +34,26 @@ def _pack(maps: list) -> tuple:
     if len({m.shape[2] for m in maps}) != 1:
         raise FeatureMapError("inconsistent channel counts")
     C = maps[0].shape[2]
-    values = T.concat([T.reshape(m, (m.shape[0] * m.shape[1], C)) for m in maps])
+    dtype = np.result_type(*(m.data for m in maps)) if dtype is None else np.dtype(dtype)
+    rows = [T.reshape(m, (m.shape[0] * m.shape[1], C)) for m in maps]
+    if any(m.requires_grad for m in maps):
+        if any(m.dtype != dtype for m in maps):
+            raise T.GraphError("maps that require a gradient are packed at their own dtype")
+        values = T.concat(rows)
+    else:
+        values = T.Tensor(np.concatenate([r.data for r in rows], dtype=dtype))
     shapes = np.array([m.shape[:2] for m in maps], dtype=np.int64)
     sizes = shapes[:, 0] * shapes[:, 1]
     return values, shapes, np.cumsum(sizes) - sizes
 
 
 class _PackedMaps:
-    """One packed buffer (``values``, ``shapes``, ``starts``) read at
-    ``dtype``: the buffer's own dtype unless given."""
+    """One packed buffer (``values``, ``shapes``, ``starts``) of ``dtype``:
+    the maps' common dtype unless given."""
 
     def __init__(self, maps: list, dtype=None):
-        self.values, self.shapes, self.starts = _pack(maps)
+        self.values, self.shapes, self.starts = _pack(maps, dtype)
         self.channels = self.values.shape[1]
-        self.dtype = self.values.dtype if dtype is None else np.dtype(dtype)
-
-    def read_at(self, dtype) -> "_PackedMaps":
-        """This container read at ``dtype``: itself if it already is, else a
-        shallow copy sharing the buffer."""
-        if np.dtype(dtype) == self.dtype:
-            return self
-        other = copy.copy(self)
-        other.dtype = np.dtype(dtype)
-        return other
 
     def _map_views(self) -> list:
         """Each map as a read-only (H, W, C) view into the buffer, in
@@ -69,17 +66,16 @@ class _PackedMaps:
         return out
 
     def sample(self, map_idx, coords) -> T.Tensor:
-        """``T.bilinear_sample_packed`` over this buffer at ``dtype``."""
-        return T.bilinear_sample_packed(self.values, self.shapes, self.starts, map_idx,
-                                        coords, self.dtype)
+        """``T.bilinear_sample_packed`` over this buffer."""
+        return T.bilinear_sample_packed(self.values, self.shapes, self.starts, map_idx, coords)
 
 
 class CameraFeatureSet(_PackedMaps):
     """Complete V x M x T grid of camera feature maps plus per-scale strides.
 
     ``maps`` maps (view, scale, frame) to an (H, W, C) array or Tensor. They
-    are packed into one buffer (``values``, ``shapes``, ``starts``) in
-    (view, scale, frame) order and read at ``dtype`` if given.
+    are packed into one buffer (``values``, ``shapes``, ``starts``) of
+    ``dtype`` (default: the maps' common dtype) in (view, scale, frame) order.
     """
 
     def __init__(self, maps: dict, num_views: int, num_scales: int, num_frames: int, strides,

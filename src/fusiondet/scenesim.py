@@ -81,8 +81,7 @@ class ScenarioSpec:
 @dataclass
 class SceneSample:
     """One scene. Its feature maps are held once, as one packed buffer per
-    modality in the maps' own dtype (float64 when simulated, float32 when
-    loaded), read at the model's precision."""
+    modality at the precision of the model it was made for."""
 
     scene_id: int
     seed: int
@@ -105,14 +104,22 @@ class SceneSample:
         return self.lidar_set.maps
 
     def feature_set(self, cfg: ModelSection) -> CameraFeatureSet:
-        return self.cam_set.read_at(cfg.dtype)
+        return _stored(self.cam_set, cfg)
 
     def lidar_pyramid(self, cfg: ModelSection) -> LidarFeaturePyramid:
-        return self.lidar_set.read_at(cfg.dtype)
+        return _stored(self.lidar_set, cfg)
+
+
+def _stored(maps, cfg: ModelSection):
+    """A scene's packed maps, which a model reads only at its own precision."""
+    if maps.values.dtype != cfg.dtype:
+        raise SimError(f"scene maps are stored as {maps.values.dtype}, "
+                       f"not the model's {np.dtype(cfg.dtype)}")
+    return maps
 
 
 def _pack_camera(cam_maps: dict, rig: CameraRig, model: ModelSection) -> CameraFeatureSet:
-    """A scene's (v, m, t) camera maps packed once, read at the model's
+    """A scene's (v, m, t) camera maps packed once, at the model's
     precision."""
     # per-scale pixel-to-texel ratio, recovered from the map shapes
     img_w = rig.views[0].image_size[0]
@@ -686,7 +693,8 @@ def load_dataset(dataset_dir: str) -> list:
     manifest's config implies loads with its shape: per frame points (N, 4)
     and N ids, V*M*T camera maps (H/stride, W/stride, C), R LiDAR maps
     halving from ``sim.bev_grid``; points and maps must be floating point.
-    Each modality's maps are packed into one buffer as stored (float32)."""
+    Each modality's maps are packed into one buffer at the model's
+    precision."""
     manifest = load_manifest(dataset_dir)
     try:
         cfg = RunConfig.from_dict(manifest["config"])

@@ -601,7 +601,7 @@ def astype(a, dtype) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def bilinear_sample_packed(values, shapes, starts, map_idx, coords, dtype=None) -> Tensor:
+def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
     """Sample many (H, W, C) grids stored row-major in one (S, C) buffer.
 
     Grid g occupies rows ``starts[g]`` to ``starts[g] + H*W`` of ``values``,
@@ -609,18 +609,11 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords, dtype=None) 
     ``coords[p] = (u, v)``. Texel centers sit at (i + 0.5, j + 0.5); u runs
     along width, v along height. Corners outside a point's own grid
     contribute zero (zero padding), never a neighbouring grid's texel.
-    Differentiable w.r.t. both the buffer values and the coordinates.
-
-    The buffer is read at ``dtype`` (by default its own): each gathered
-    corner row is rounded to it, and plain-array coords are wrapped in it, so
-    a float32 read of a float64 buffer equals the read of its float32 copy.
-    A buffer that requires a gradient is read in its own dtype only.
+    Differentiable w.r.t. both the buffer values and the coordinates;
+    plain-array coords are read in the buffer's dtype.
     """
     values = _wrap(values)
-    dtype = values.data.dtype if dtype is None else np.dtype(dtype)
-    if dtype != values.data.dtype and values.requires_grad:
-        raise GraphError("a buffer that requires a gradient is read in its own dtype")
-    coords = coords if isinstance(coords, Tensor) else Tensor(coords, dtype=dtype)
+    coords = _wrap(coords, like=values)
     if values.ndim != 2:
         raise GraphError("bilinear_sample_packed expects an (S, C) buffer")
     if coords.data.shape[-1] != 2:
@@ -657,7 +650,7 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords, dtype=None) 
         rows.append(r)
         masks.append(valid)
         weights.append(w * valid)
-        vals.append(values.data[r].astype(dtype, copy=False))
+        vals.append(values.data[r])
     flat = sum(w[:, None] * v for w, v in zip(weights, vals))
     out = flat.reshape(coords.data.shape[:-1] + (C,))
 

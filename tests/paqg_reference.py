@@ -178,11 +178,9 @@ def clamp_to_range(box: Box3D, det_range) -> Box3D:
 
 
 def packed_map(feats, i) -> T.Tensor:
-    """Map ``i`` of a packed feature container as an (H, W, C) Tensor, as
-    the decoder reads it: rounded to the container's dtype."""
+    """Map ``i`` of a packed feature container as an (H, W, C) Tensor."""
     (h, w), start = feats.shapes[i], feats.starts[i]
-    return T.Tensor(feats.values.data[start:start + h * w].reshape(h, w, feats.channels),
-                    dtype=feats.dtype)
+    return T.Tensor(feats.values.data[start:start + h * w].reshape(h, w, feats.channels))
 
 
 def init_queries(boxes, cam_feats, rig, default_embedding, det_range) -> list:

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from fusiondet import tensor as T
 from fusiondet.config import ModelSection, OracleSection, SimSection, TrainSection
@@ -109,33 +112,36 @@ class TestOracleUncertainty:
             for branch in ("camera", "lidar"):
                 store[f"layer{layer}.{branch}.reg.w2"].data *= 0.0  # estimate = center + bias
                 store[f"layer{layer}.{branch}.reg.b2"].data = np.array(reg_bias)
-        _, preds = _run(scene, model, sim, store, oracle_gt=scene.gt_boxes)
+        batch, preds = _run(scene, model, sim, store, oracle_gt=scene.gt_boxes)
         gt_xy = np.stack([b.center[:2] for b in scene.gt_boxes])
-        return preds, gt_xy
+        # each layer samples at the boxes the layer before it refined
+        states = [batch.box_state] + [pred.box_state for pred in preds[:-1]]
+        dists = [self._nearest_gt_distance(st.data[:, :2], gt_xy) for st in states]
+        return preds, dists
 
     @staticmethod
-    def _nearest_gt_distance(pred, gt_xy):
-        d = np.linalg.norm(pred.centers_in[:, None, :2] - gt_xy[None, :, :], axis=2)
+    def _nearest_gt_distance(centers_xy, gt_xy):
+        d = np.linalg.norm(centers_xy[:, None, :] - gt_xy[None, :, :], axis=2)
         return d.min(axis=1)
 
     def test_estimate_on_gt_gives_zero(self):
-        preds, gt_xy = self._oracle_run()
-        on_gt = self._nearest_gt_distance(preds[0], gt_xy) < 1e-9
+        preds, dists = self._oracle_run()
+        on_gt = dists[0] < 1e-9
         assert on_gt.any()  # the noiseless oracle puts queries on ground truth
         for u in (preds[0].u_cam, preds[0].u_lid):
             np.testing.assert_allclose(u[on_gt], 0.0, atol=1e-9)
 
     def test_offset_ln2_gives_half(self):
-        preds, gt_xy = self._oracle_run(reg_bias=(math.log(2.0), 0.0))
-        on_gt = self._nearest_gt_distance(preds[0], gt_xy) < 1e-9
+        preds, dists = self._oracle_run(reg_bias=(math.log(2.0), 0.0))
+        on_gt = dists[0] < 1e-9
         assert on_gt.any()
         for u in (preds[0].u_cam, preds[0].u_lid):
             np.testing.assert_allclose(u[on_gt], 0.5, atol=1e-9)
 
     def test_matches_nearest_gt_distance(self):
-        preds, gt_xy = self._oracle_run()
-        for pred in preds:
-            want = 1.0 - np.exp(-self._nearest_gt_distance(pred, gt_xy))
+        preds, dists = self._oracle_run()
+        for pred, dist in zip(preds, dists):
+            want = 1.0 - np.exp(-dist)
             np.testing.assert_allclose(pred.u_cam, want, atol=1e-12)
             np.testing.assert_allclose(pred.u_lid, want, atol=1e-12)
 
@@ -234,6 +240,53 @@ class TestHungarian:
         model = ModelSection()
         state = boxes_to_state([Box3D([0, 0, 0], [1, 1, 1], 0.0)])
         assert self._match(state, np.ones((1, 3)), [], model) == []
+
+    @staticmethod
+    def _padded_match(cost, c):
+        """Reference: the assignment on the (N + G)-square matrix padded with
+        no-object rows and columns of cost ``c``."""
+        n_pred, n_gt = cost.shape
+        padded = np.zeros((n_pred + n_gt,) * 2)
+        padded[:n_pred, :n_gt] = cost
+        padded[:n_pred, n_gt:] = c
+        padded[n_pred:, :n_gt] = c
+        rows, cols = linear_sum_assignment(padded)
+        return [(int(r), int(k)) for r, k in zip(rows, cols) if r < n_pred and k < n_gt]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pred=st.integers(0, 10), n_gt=st.integers(0, 10),
+           mode=st.sampled_from(["default", "none", "all"]))
+    def test_matches_the_padded_form(self, seed, n_pred, n_gt, mode):
+        model = ModelSection()
+        rng = np.random.default_rng(seed)
+        boxes = [Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3), rng.uniform(-3, 3),
+                       rng.normal(0, 2, 2), class_id=int(rng.integers(0, 3)))
+                 for _ in range(n_pred + n_gt)]
+        gts = boxes[n_pred:]
+        pred_state = boxes_to_state(boxes[:n_pred])
+        scores = rng.uniform(0, 1, size=(n_pred, 3))
+        diff = np.abs(pred_state[:, None, :] - boxes_to_state(gts)[None, :, :])
+        cost = (self.CFG.w_cls * (1.0 - scores[:, [g.class_id for g in gts]])
+                + self.CFG.w_box * (diff * _state_scale(model.detection_range())).sum(axis=2))
+        # "none": every cost is at least twice the no-object cost, the least
+        # one equal to it (a tie the padded form may break either way)
+        c = {"default": self.CFG.no_object_cost, "all": 1e6,
+             "none": cost.min() / 2.0 if cost.size else 1.0}[mode]
+        cfg = TrainSection(no_object_cost=c)
+        got = hungarian_match(pred_state, scores, gts, cfg, model.detection_range())
+        want = self._padded_match(cost, c)
+
+        def total(pairs):
+            return sum(cost[p, g] - 2.0 * c for p, g in pairs)
+
+        assert total(got) == pytest.approx(total(want), abs=1e-9)
+        assert all(cost[p, g] < 2.0 * c for p, g in got)
+        assert [p for p, _ in got] == sorted({p for p, _ in got})
+        assert len({g for _, g in got}) == len(got)
+        if mode == "none":
+            assert got == []
+        if mode == "all":
+            assert len(got) == min(n_pred, n_gt)
 
 
 class TestComputeLoss:

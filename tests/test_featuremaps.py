@@ -138,22 +138,22 @@ class TestPacking:
         raw = {(v, m, 0): rng.normal(size=(6 // (m + 1), 8 // (m + 1), 2))
                for v in range(2) for m in range(2)}
         feats = CameraFeatureSet(raw, 2, 2, 1, [4.0, 8.0], dtype=np.float32)
-        # the buffer keeps the maps' own dtype; reads are rounded to ``dtype``
-        assert feats.values.dtype == np.float64 and feats.dtype == np.float32
+        # the buffer holds the float64 maps rounded to the packing dtype
+        assert feats.values.dtype == np.float32
         assert feats.channels == 2
         start = 0
         for v, m, t in sorted(raw):
-            g = raw[(v, m, t)]
+            g = raw[(v, m, t)].astype(np.float32)
             i = feats.index(v, m, t)
             assert feats.shapes[i].tolist() == list(g.shape[:2]) and feats.starts[i] == start
             stop = start + g.shape[0] * g.shape[1]
-            assert np.array_equal(feats.values.data[start:stop], g.reshape(-1, 2))
+            assert feats.values.data[start:stop].tobytes() == g.reshape(-1, 2).tobytes()
             view = feats.maps[(v, m, t)]
-            assert np.array_equal(view, g) and not view.flags.writeable
+            assert view.tobytes() == g.tobytes() and not view.flags.writeable
             assert np.shares_memory(view, feats.values.data)
             start = stop
         assert feats.values.shape[0] == start
-        # a float32 read equals the read of a float32-converted packing
+        # a read equals the read of a packing of float32-converted maps
         coords = rng.uniform(-1.0, 7.0, size=(50, 2))
         idx = np.arange(50) % 4
         ref = CameraFeatureSet({k: g.astype(np.float32) for k, g in raw.items()},
@@ -161,13 +161,18 @@ class TestPacking:
         got, want = feats.sample(idx, coords), ref.sample(idx, coords)
         assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
 
-    def test_read_at_shares_the_buffer(self):
+    def test_packing_dtype_is_the_buffer_dtype(self):
         det = DetectionRange(-10, 10, -10, 10, -2, 2)
-        pyr = LidarFeaturePyramid([np.ones((4, 4, 3)), np.ones((2, 2, 3))], det, np.float32)
-        assert pyr.read_at(np.float32) is pyr
-        double = pyr.read_at(np.float64)
-        assert double.dtype == np.float64 and pyr.dtype == np.float32
-        assert double.values is pyr.values and double.maps is pyr.maps
+        grids = [np.full((4, 4, 3), 0.1), np.full((2, 2, 3), 0.1)]
+        for dtype in (np.float32, np.float64):
+            pyr = LidarFeaturePyramid(grids, det, dtype)
+            assert pyr.values.dtype == dtype
+            for r, g in enumerate(grids):
+                assert pyr.maps[r].tobytes() == g.astype(dtype).tobytes()
+                assert np.shares_memory(pyr.maps[r], pyr.values.data)
+        # with no dtype given, the maps' common dtype
+        mixed = LidarFeaturePyramid([grids[0].astype(np.float32), grids[1]], det)
+        assert mixed.values.dtype == np.float64
 
     def test_pyramid_is_packed_in_scale_order(self):
         det = DetectionRange(-10, 10, -10, 10, -2, 2)

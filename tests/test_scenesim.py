@@ -150,10 +150,15 @@ class TestLidarBevFeatures:
 
     def test_pooling_consistency(self):
         scene = _scene(1)
-        fine, coarse = scene.lidar_maps[0], scene.lidar_maps[1]
+        maps = lidar_bev_features(scene.points[0], DET, MODEL.num_lidar_scales,
+                                  MODEL.channels, SIM.bev_grid)
+        fine, coarse = maps[0], maps[1]
         h, w, c = fine.shape
         pooled = fine.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
         np.testing.assert_allclose(coarse, pooled, atol=1e-12)
+        # the scene stores them rounded to the model dtype
+        for got, ref in zip(scene.lidar_maps, maps):
+            assert got.tobytes() == ref.astype(MODEL.dtype).tobytes()
 
     def test_centroid_offsets_bounded(self):
         scene = _scene(2)
@@ -316,7 +321,7 @@ class TestScenarios:
             want = lidar_bev_features(out.points[1 if name == "stuck_lidar" else 0], DET,
                                       MODEL.num_lidar_scales, MODEL.channels, SIM.bev_grid)
             for got, ref in zip(out.lidar_maps, want):
-                assert got.tobytes() == ref.tobytes(), name
+                assert got.tobytes() == ref.astype(MODEL.dtype).tobytes(), name
 
     def test_scenario_kind_must_be_set(self):
         scene = _scene(9)
@@ -368,7 +373,12 @@ class TestScenarios:
         out = apply_scenario(scene, spec, MODEL, SIM)
         want = lidar_bev_features(scene.points[1], DET, MODEL.num_lidar_scales,
                                   MODEL.channels, SIM.bev_grid)
-        np.testing.assert_allclose(out.lidar_maps[0], want[0], atol=1e-12)
+        current = lidar_bev_features(scene.points[0], DET, MODEL.num_lidar_scales,
+                                     MODEL.channels, SIM.bev_grid)
+        assert not np.allclose(current[0], want[0], atol=1e-12)  # the frames differ
+        # the scene stores the stale frame's maps rounded to the model dtype
+        for got, ref in zip(out.lidar_maps, want):
+            assert got.tobytes() == ref.astype(MODEL.dtype).tobytes()
 
     def test_stuck_requires_two_frames(self):
         model1 = ModelSection(num_frames=1)
@@ -384,26 +394,39 @@ class TestPackedMaps:
         scene = generate_scene(model, SIM, 0)
         feats, pyramid = scene.feature_set(model), scene.lidar_pyramid(model)
         assert feats is scene.cam_set and pyramid is scene.lidar_set
-        assert feats.dtype == model.dtype and pyramid.dtype == model.dtype
-        # the simulator's values, stored once
-        assert feats.values.dtype == np.float64 and pyramid.values.dtype == np.float64
+        # stored once, at the model's precision
+        assert feats.values.dtype == model.dtype and pyramid.values.dtype == model.dtype
         for k, grid in scene.cam_maps.items():
             assert np.shares_memory(grid, feats.values.data), k
-            assert grid.dtype == np.float64 and not grid.flags.writeable
+            assert grid.dtype == model.dtype and not grid.flags.writeable
         for r, grid in enumerate(scene.lidar_maps):
             assert np.shares_memory(grid, pyramid.values.data), r
-            assert grid.dtype == np.float64 and not grid.flags.writeable
-        # the other precision reads the same buffer, with no copy
+            assert grid.dtype == model.dtype and not grid.flags.writeable
+        # a model at the other precision cannot read them
         other = ModelSection(precision="double" if precision == "single" else "single")
-        assert scene.feature_set(other).dtype == other.dtype
-        assert scene.feature_set(other).values is feats.values
-        assert scene.lidar_pyramid(other).values is pyramid.values
+        with pytest.raises(SimError):
+            scene.feature_set(other)
+        with pytest.raises(SimError):
+            scene.lidar_pyramid(other)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_buffer_bytes_at_the_model_precision(self, precision):
+        model = ModelSection(precision=precision)
+        scene = generate_scene(model, SIM, 0)
+        cam = sum((SIM.image_height // s) * (SIM.image_width // s)
+                  for s in (SIM.base_stride * 2 ** m for m in range(model.num_cam_scales)))
+        lidar = sum((SIM.bev_grid >> r) ** 2 for r in range(model.num_lidar_scales))
+        texels = model.num_views * model.num_frames * cam + lidar
+        nbytes = scene.cam_set.values.data.nbytes + scene.lidar_set.values.data.nbytes
+        assert nbytes == texels * model.channels * np.dtype(model.dtype).itemsize
+        if precision == "single":
+            assert 3.6 < nbytes / 2 ** 20 < 3.8  # a desk scene's float32 maps
 
     def test_corrupted_modality_is_packed_at_the_model_dtype(self):
         scene = _scene(3)
         spec = ScenarioSpec(kind="stuck", frame_rate=1.0, stuck_sensor="camera", seed=0)
         out = apply_scenario(scene, spec, MODEL, SIM)
-        assert out.cam_set is not scene.cam_set and out.cam_set.dtype == MODEL.dtype
+        assert out.cam_set is not scene.cam_set and out.cam_set.values.dtype == MODEL.dtype
         for k, grid in out.cam_maps.items():
             assert np.shares_memory(grid, out.cam_set.values.data), k
 
@@ -446,9 +469,9 @@ class TestDatasetIo:
                 np.testing.assert_array_equal(
                     a.cam_maps[k].astype(np.float32), b.cam_maps[k]
                 )
-            # a loaded scene holds its float32 maps once, read at the model dtype
+            # a loaded scene holds its maps once, at the model dtype
             assert b.cam_set.values.dtype == np.float32 == b.lidar_set.values.dtype
-            assert b.cam_set.dtype == cfg.model.dtype
+            assert b.feature_set(cfg.model) is b.cam_set
 
     def test_missing_manifest_errors(self, tmp_path):
         with pytest.raises(SimError):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusiondet import tensor as T
+from fusiondet.featuremaps import LidarFeaturePyramid
+from fusiondet.geometry import DetectionRange
 
 
 def _fd_gradient(fn, arrays, index, h=1e-6):
@@ -430,44 +432,67 @@ class TestBilinearPacked:
         assert np.all(values.grad[20:] == 0.0)
 
 
+def _rounding_read(values, shapes, starts, map_idx, coords, g):
+    """Reference: a float32 read of a float64 buffer, made as a read that
+    rounds on the fly: each gathered float64 corner row is rounded to
+    float32, then weighted. Returns the (P, C) output and the gradient of
+    ``sum(out * g)`` with respect to the (P, 2) coords."""
+    c = np.asarray(coords, dtype=np.float32)
+    H, W = shapes[map_idx, 0], shapes[map_idx, 1]
+    base = np.asarray(starts)[map_idx]
+    x = c[:, 0] - 0.5
+    y = c[:, 1] - 0.5
+    i0 = np.floor(x).astype(np.int64)
+    j0 = np.floor(y).astype(np.int64)
+    fx = x - i0
+    fy = y - j0
+    out, gdot = 0, []
+    for (di, dj), w in zip(((0, 0), (1, 0), (0, 1), (1, 1)),
+                           ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)):
+        ii, jj = i0 + di, j0 + dj
+        valid = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
+        v = values[base + np.clip(jj, 0, H - 1) * W + np.clip(ii, 0, W - 1)].astype(np.float32)
+        out = out + (w * valid)[:, None] * v
+        gdot.append(np.einsum("pc,pc->p", g, v) * valid)
+    dx = -(1 - fy) * gdot[0] + (1 - fy) * gdot[1] - fy * gdot[2] + fy * gdot[3]
+    dy = -(1 - fx) * gdot[0] - fx * gdot[1] + (1 - fx) * gdot[2] + fx * gdot[3]
+    return out, np.stack([dx, dy], axis=-1)
+
+
 class TestReadAtDtype:
     SHAPES = np.array([[3, 4], [2, 5]])
     C = 3
+    DET = DetectionRange(-10, 10, -10, 10, -2, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 30),
            spread=st.floats(0.0, 3.0), tensor_coords=st.booleans())
     def test_float32_read_of_float64_buffer_equals_read_of_its_copy(
             self, seed, points, spread, tensor_coords):
+        # maps packed at float32 read exactly as the float64 maps read with
+        # each corner rounded to float32
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(22, self.C)) * 10.0 ** rng.integers(-3, 4)
+        grids = [values[:12].reshape(3, 4, self.C), values[12:].reshape(2, 5, self.C)]
+        pyr = LidarFeaturePyramid(grids, self.DET, np.float32)
         map_idx = rng.integers(0, 2, size=points)
         hw = self.SHAPES[map_idx][:, ::-1]
         # in the grid and up to ``spread`` texels outside it on every side
         coords = rng.uniform(-spread, hw + spread)
-        g = rng.normal(size=(points, self.C)).astype(np.float32)
-        outs, grads = [], []
-        for buf, dtype in ((values, np.float32), (values.astype(np.float32), None)):
-            if tensor_coords:
-                c = T.Tensor(coords, dtype=np.float32, requires_grad=True)
-            else:
-                c = coords
-            out = T.bilinear_sample_packed(buf, self.SHAPES, [0, 12], map_idx, c, dtype)
-            if tensor_coords:
-                out.backward(g.astype(out.dtype))
-                grads.append(c.grad)
-            outs.append(out)
-        assert outs[0].dtype == outs[1].dtype
-        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+        g = rng.normal(size=(points, self.C))
+        c = T.Tensor(coords, dtype=np.float32, requires_grad=True) if tensor_coords else coords
+        out = pyr.sample(map_idx, c)
+        want, want_grad = _rounding_read(values, self.SHAPES, [0, 12], map_idx, coords, g)
+        assert out.dtype == want.dtype and out.data.tobytes() == want.tobytes()
         if tensor_coords:
-            assert grads[0].dtype == grads[1].dtype
-            assert grads[0].tobytes() == grads[1].tobytes()
+            out.backward(g)
+            assert c.grad.dtype == want_grad.dtype
+            assert c.grad.tobytes() == want_grad.tobytes()
 
     def test_buffer_with_gradient_is_read_in_its_own_dtype(self):
-        values = T.Tensor(np.ones((12, 2)), requires_grad=True)
-        coords = np.array([[1.0, 1.0]])
+        grid = T.Tensor(np.ones((3, 4, 2)), requires_grad=True)
         with pytest.raises(T.GraphError):
-            T.bilinear_sample_packed(values, [(3, 4)], [0], [0], coords, np.float32)
-        out = T.bilinear_sample_packed(values, [(3, 4)], [0], [0], coords, np.float64)
+            LidarFeaturePyramid([grid], self.DET, np.float32)
+        out = LidarFeaturePyramid([grid], self.DET, np.float64).sample([0], np.array([[1.0, 1.0]]))
         out.backward()
-        assert values.grad.dtype == np.float64 and values.grad.sum() == 2.0
+        assert grid.grad.dtype == np.float64 and grid.grad.sum() == 2.0
