@@ -80,9 +80,10 @@ def cmd_generate(args) -> int:
     out = args.out
     if os.path.isdir(out) and os.listdir(out) and not args.force:
         raise CliError(f"output dir {out} is not empty (use --force to overwrite)")
-    scenes = [generate_scene(cfg.model, cfg.sim, i) for i in range(cfg.sim.num_scenes)]
-    write_dataset(out, cfg, scenes)
-    print(f"wrote {len(scenes)} scenes to {out}")
+    # each scene is written as it is made, so one is held at a time
+    n = cfg.sim.num_scenes
+    write_dataset(out, cfg, (generate_scene(cfg.model, cfg.sim, i) for i in range(n)))
+    print(f"wrote {n} scenes to {out}")
     return 0
 
 
@@ -199,7 +200,8 @@ def cmd_robustness(args) -> int:
     for name in scenario_names:
         spec = ScenarioSpec.from_config(cfg.scenario)
         spec.kind = name
-        corrupted = [apply_scenario(sc, spec, cfg.model, cfg.sim) for sc in scenes]
+        # each corrupted scene is decoded as it is made, not pooled
+        corrupted = (apply_scenario(sc, spec, cfg.model, cfg.sim) for sc in scenes)
         report = _evaluate(cfg, corrupted, store, args.fusion, args.oracle_uncertainty)
         write_report_json(
             os.path.join(args.out, f"{name}_{args.fusion}.json"), report,

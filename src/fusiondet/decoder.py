@@ -126,15 +126,13 @@ def decode_layer(
     reg_lid = uaf.regress_xy(pool_lid, group("lidar.reg"), centers_xy)
 
     if fusion == "equal":
-        u_cam = np.full(batch.count, 0.5)
-        u_lid = np.full(batch.count, 0.5)
-    elif oracle_gt is not None:
-        gt_xy = _nearest_gt_xy(centers_xy.data, oracle_gt)
-        u_cam = uaf.uncertainty_from_distance(uaf.oracle_distance_xy(reg_cam.data, gt_xy))
-        u_lid = uaf.uncertainty_from_distance(uaf.oracle_distance_xy(reg_lid.data, gt_xy))
+        u_cam = u_lid = T.Tensor(np.full(batch.count, 0.5))
     else:
-        u_cam = uaf.uncertainty_from_distance(dist_cam)
-        u_lid = uaf.uncertainty_from_distance(dist_lid)
+        dists = (dist_cam, dist_lid)
+        if oracle_gt is not None:
+            gt_xy = _nearest_gt_xy(centers_xy.data, oracle_gt)
+            dists = [T.Tensor(uaf.oracle_distance_xy(r.data, gt_xy)) for r in (reg_cam, reg_lid)]
+        u_cam, u_lid = (uaf.uncertainty_from_distance(d) for d in dists)
 
     fuse_p = group("fuse")
     fused = uaf.fuse(mix_cam, u_cam, mix_lid, u_lid, fuse_p)
@@ -148,8 +146,8 @@ def decode_layer(
     pred = LayerPrediction(
         class_logits=logits,
         box_state=new_state,
-        u_cam=np.asarray(u_cam.data if isinstance(u_cam, T.Tensor) else u_cam),
-        u_lid=np.asarray(u_lid.data if isinstance(u_lid, T.Tensor) else u_lid),
+        u_cam=u_cam.data,
+        u_lid=u_lid.data,
         dist_cam=dist_cam,
         dist_lid=dist_lid,
         reg_cam=reg_cam,

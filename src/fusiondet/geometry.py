@@ -262,14 +262,6 @@ class DetectionRange:
             [self.x_max - self.x_min, self.y_max - self.y_min, self.z_max - self.z_min]
         )
 
-    def contains(self, p) -> bool:
-        x, y, z = np.asarray(p, dtype=float)[:3]
-        return (
-            self.x_min <= x <= self.x_max
-            and self.y_min <= y <= self.y_max
-            and self.z_min <= z <= self.z_max
-        )
-
     def to_dict(self) -> dict:
         return {
             "x": [self.x_min, self.x_max],

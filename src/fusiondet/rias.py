@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
-from .geometry import CameraRig, invert_rigid
+from .geometry import DEPTH_FLOOR, CameraRig, invert_rigid
 from .queries import QueryBatch
 
 
@@ -144,12 +144,12 @@ def sample_camera(
     x = T.narrow(p_cam, 3, 0, 1)
     y = T.narrow(p_cam, 3, 1, 1)
     z = T.narrow(p_cam, 3, 2, 1)
-    z_safe = T.clamp_min(z, 0.1)
+    z_safe = T.clamp_min(z, DEPTH_FLOOR)
     intr = np.stack([view.intrinsics for view in rig.views]).reshape(1, V, 3, 3)
     u = T.add(T.mul(T.div(x, z_safe), intr[:, :, 0:1, 0:1]), intr[:, :, 0:1, 2:3])
     w = T.add(T.mul(T.div(y, z_safe), intr[:, :, 1:2, 1:2]), intr[:, :, 1:2, 2:3])
     size = np.array([view.image_size for view in rig.views]).reshape(1, V, 1, 2)
-    hit = ((z.data > 0.1) & (u.data >= 0.0) & (u.data < size[..., 0:1])
+    hit = ((z.data > DEPTH_FLOOR) & (u.data >= 0.0) & (u.data < size[..., 0:1])
            & (w.data >= 0.0) & (w.data < size[..., 1:2]))[..., 0]  # (T, V, P)
 
     # 3. compact to the hit (frame, view, point) triples, M scale rows each

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tokenize
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,26 +56,15 @@ class SimError(RuntimeError):
 
 
 @dataclass
-class ScenarioSpec:
-    """Runtime form of a sensor-failure scenario (see ScenarioSection);
-    ``kind`` is one of ``ScenarioSection.KINDS``, set by the caller."""
+class ScenarioSpec(ScenarioSection):
+    """Runtime form of a sensor-failure scenario: the config's ScenarioSection
+    plus ``kind``, one of ``ScenarioSection.KINDS``, set by the caller."""
 
     kind: str | None = None
-    angle_deg: float = 120.0
-    frame_rate: float = 0.5
-    object_rate: float = 0.5
-    stuck_sensor: str = "camera"
-    seed: int = 0
 
     @classmethod
     def from_config(cls, sec: ScenarioSection) -> "ScenarioSpec":
-        return cls(
-            angle_deg=sec.angle_deg,
-            frame_rate=sec.frame_rate,
-            object_rate=sec.object_rate,
-            stuck_sensor=sec.stuck_sensor,
-            seed=sec.seed,
-        )
+        return cls(**asdict(sec))
 
 
 @dataclass
@@ -618,8 +607,9 @@ def _save_array(d: str, fname: str, arr: np.ndarray):
         np.save(fh, arr)
 
 
-def write_dataset(out_dir: str, cfg: RunConfig, scenes: list):
-    """Atomic file writes, manifest removed first and written last."""
+def write_dataset(out_dir: str, cfg: RunConfig, scenes):
+    """Write any iterable of scenes, each as it comes: atomic file writes,
+    manifest removed first and written last."""
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     if os.path.exists(manifest_path):
@@ -651,7 +641,7 @@ def write_dataset(out_dir: str, cfg: RunConfig, scenes: list):
         "config_hash": cfg.hash(),
         "dataset_hash": dataset_hash(cfg),
         "seed": cfg.sim.seed,
-        "num_scenes": len(scenes),
+        "num_scenes": len(names),
         "scenes": names,
         "config": cfg.to_dict(),
     }

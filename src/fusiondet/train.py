@@ -116,13 +116,13 @@ def train_loop(
 
 def run_inference(
     cfg: RunConfig,
-    scenes: list,
+    scenes,
     store: ParamStore,
     fusion: str = "uaf",
     oracle_uncertainty: bool = False,
 ) -> tuple:
-    """Decode every scene; returns (pred boxes per scene, GT boxes per
-    scene), each scene's boxes one BoxArray.
+    """Decode every scene of an iterable, one at a time; returns (pred boxes
+    per scene, GT boxes per scene), each scene's boxes one BoxArray.
 
     Query-generation noise is seeded per scene id, so evaluation is
     deterministic and independent of scene order.

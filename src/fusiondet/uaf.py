@@ -22,23 +22,19 @@ def pool_roi(roi: T.Tensor) -> T.Tensor:
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
-def uncertainty_from_distance(d):
-    """1 - exp(-d): strictly increasing, maps [0, inf) onto [0, 1).
+def uncertainty_from_distance(d: T.Tensor) -> T.Tensor:
+    """1 - exp(-d) of an (N,) distance Tensor: strictly increasing, maps
+    [0, inf) onto [0, 1).
 
-    Clamped to the largest double below 1 where rounding would otherwise
-    saturate to exactly 1 (mathematically the value never reaches 1).
+    Each element where rounding would saturate to exactly 1 is clamped, on
+    its own, to the largest double below 1 (mathematically the value never
+    reaches 1); the gradient is that of 1 - exp(-d) throughout.
     """
-    if isinstance(d, T.Tensor):
-        if np.any(d.data < 0):
-            raise ValueError("distance must be nonnegative")
-        u = T.sub(1.0, T.exp(T.neg(d)))
-        if np.any(u.data >= 1.0):
-            u = T.mul(u, _BELOW_ONE)
-        return u
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
+    if np.any(d.data < 0):
         raise ValueError("distance must be nonnegative")
-    return np.minimum(1.0 - np.exp(-d), _BELOW_ONE)
+    u = T.sub(1.0, T.exp(T.neg(d)))
+    excess = u.data - np.minimum(u.data, _BELOW_ONE)
+    return T.sub(u, excess) if excess.any() else u
 
 
 def predict_distance(pooled: T.Tensor, params) -> T.Tensor:
@@ -67,29 +63,15 @@ def oracle_distance_xy(est_xy: np.ndarray, gt_xy: np.ndarray) -> np.ndarray:
 
 def fuse(
     feat_cam: T.Tensor,
-    u_cam,
+    u_cam: T.Tensor,
     feat_lid: T.Tensor,
-    u_lid,
+    u_lid: T.Tensor,
     params,
 ) -> T.Tensor:
     """FFN (a two-layer head group) over the concatenation of (1-u)-weighted
-    modality features."""
-    w_cam = _fusion_weight(u_cam, feat_cam)
-    w_lid = _fusion_weight(u_lid, feat_lid)
+    modality features; ``u_cam`` and ``u_lid`` are (N,) Tensors."""
+    n = feat_cam.shape[0]
+    w_cam = T.reshape(T.sub(1.0, u_cam), (n, 1))
+    w_lid = T.reshape(T.sub(1.0, u_lid), (n, 1))
     cat = T.concat([T.mul(feat_cam, w_cam), T.mul(feat_lid, w_lid)], axis=1)
     return T.mlp(cat, params)
-
-
-def _fusion_weight(u, like: T.Tensor):
-    n = like.shape[0]
-    if isinstance(u, T.Tensor):
-        w = T.sub(1.0, u)
-        if w.ndim == 1:
-            w = T.reshape(w, (n, 1))
-        return w
-    u = np.asarray(u, dtype=like.data.dtype)
-    if u.ndim == 0:
-        u = np.full((n, 1), float(u), dtype=like.data.dtype)
-    elif u.ndim == 1:
-        u = u[:, None]
-    return T.Tensor(1.0 - u)

@@ -3,10 +3,12 @@
 import filecmp
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from fusiondet import cli
 from fusiondet.cli import build_parser, main
 from fusiondet.config import ScenarioSection
 from fusiondet.params import load_checkpoint
@@ -24,6 +26,22 @@ def _write_cfg(path, **edits):
     with open(path, "w") as fh:
         json.dump(cfg, fh)
     return str(path)
+
+
+def _count_alive(monkeypatch, name):
+    """Wrap the CLI's ``name`` so that each call records how many of the
+    scenes it has returned so far are still alive, its new one included."""
+    made, alive = [], []
+    real = getattr(cli, name)
+
+    def tracked(*args, **kwargs):
+        scene = real(*args, **kwargs)
+        made.append(weakref.ref(scene))
+        alive.append(sum(ref() is not None for ref in made))
+        return scene
+
+    monkeypatch.setattr(cli, name, tracked)
+    return alive
 
 
 @pytest.fixture()
@@ -74,6 +92,12 @@ class TestGenerate:
         code = main(["generate", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--override", "model.bogus=1"])
         assert code == 2
+
+    def test_writes_each_scene_as_it_is_made(self, tmp_path, monkeypatch):
+        cfg = _write_cfg(tmp_path / "cfg.json", **{"sim.num_scenes": 4})
+        alive = _count_alive(monkeypatch, "generate_scene")
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 0
+        assert len(alive) == 4 and max(alive) <= 2
 
     def test_manifest_contents(self, workspace):
         tmp_path, cfg, ds = workspace
@@ -256,6 +280,16 @@ class TestRobustness:
         assert set(summary["scenarios"]) == {"fov_limited", "front_occlusion"}
         for rec in summary["scenarios"].values():
             assert "nds_drop" in rec
+
+    def test_decodes_each_corrupted_scene_as_it_is_made(self, tmp_path, monkeypatch):
+        cfg = _write_cfg(tmp_path / "cfg.json", **{"sim.num_scenes": 4})
+        ds = str(tmp_path / "ds")
+        assert main(["generate", "--config", cfg, "--out", ds]) == 0
+        alive = _count_alive(monkeypatch, "apply_scenario")
+        assert main(["robustness", "--config", cfg, "--dataset", ds,
+                     "--out", str(tmp_path / "rob"), "--oracle-uncertainty",
+                     "--scenario", "fov_limited", "--scenario", "front_occlusion"]) == 0
+        assert len(alive) == 8 and max(alive) <= 2
 
     def test_scenario_choices_are_the_config_kinds(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")

@@ -64,7 +64,9 @@ class TestGenerateScene:
         for sid in range(5):
             scene = _scene(sid)
             for i, b in enumerate(scene.gt_boxes):
-                assert DET.contains(b.center)
+                assert DET.x_min <= b.center[0] <= DET.x_max
+                assert DET.y_min <= b.center[1] <= DET.y_max
+                assert DET.z_min <= b.center[2] <= DET.z_max
                 for j in range(i + 1, len(scene.gt_boxes)):
                     assert bev_rotated_iou(b, scene.gt_boxes[j]) == 0.0
 

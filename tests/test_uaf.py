@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusiondet import tensor as T
 from fusiondet import uaf
@@ -12,6 +14,16 @@ from fusiondet import uaf
 
 def _roi(arr):
     return T.Tensor(np.asarray(arr, dtype=np.float64))
+
+
+def _u(d):
+    """u of a scalar or a sequence of distances, as a float64 array."""
+    return uaf.uncertainty_from_distance(T.Tensor(np.atleast_1d(d), dtype=np.float64)).data
+
+
+def _const(n, u):
+    """The same uncertainty u for n queries."""
+    return T.Tensor(np.full(n, u))
 
 
 def _dist_head(rng, C, out_dim=1, scale=0.5):
@@ -51,28 +63,49 @@ class TestPoolRoi:
 
 class TestUncertaintyFromDistance:
     def test_zero(self):
-        assert uaf.uncertainty_from_distance(0.0) == 0.0
+        assert _u(0.0) == 0.0
 
     def test_ln2(self):
-        assert uaf.uncertainty_from_distance(math.log(2.0)) == pytest.approx(0.5)
+        assert _u(math.log(2.0)) == pytest.approx(0.5)
 
     def test_d10(self):
-        assert uaf.uncertainty_from_distance(10.0) == pytest.approx(1 - math.exp(-10), abs=1e-12)
+        assert _u(10.0) == pytest.approx(1 - math.exp(-10), abs=1e-12)
 
     def test_negative_errors(self):
         with pytest.raises(ValueError):
-            uaf.uncertainty_from_distance(-0.1)
+            _u(-0.1)
         with pytest.raises(ValueError):
             uaf.uncertainty_from_distance(T.Tensor([-1.0]))
 
     def test_strictly_monotone_into_unit_interval(self):
         # strictness holds wherever exp(-d) stays representable
         d = np.linspace(0, 30, 400)
-        u = uaf.uncertainty_from_distance(d)
+        u = _u(d)
         assert u[0] == 0.0
         assert np.all(np.diff(u) > 0)
         assert np.all((u >= 0) & (u < 1))
-        assert uaf.uncertainty_from_distance(1e6) < 1.0
+        assert _u(1e6) < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12))
+    def test_elementwise_clamped_formula_bit_for_bit(self, vals):
+        # d above ~37 saturates 1 - exp(-d) to 1.0 in float64
+        d = np.array(vals, dtype=np.float64)
+        want = np.minimum(1.0 - np.exp(-d), np.nextafter(1.0, 0.0))
+        got = uaf.uncertainty_from_distance(T.Tensor(d))
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_element_does_not_depend_on_the_others(self):
+        alone = _u([0.1])
+        beside_saturated = _u([0.1, 1e6])
+        assert beside_saturated[0] == alone[0] == 1.0 - math.exp(-0.1)
+        assert beside_saturated[1] == np.nextafter(1.0, 0.0)
+
+    def test_gradient_is_that_of_the_unclamped_map(self):
+        d = T.Tensor(np.array([0.1, 2.0, 1e6]), requires_grad=True)
+        T.sum_(uaf.uncertainty_from_distance(d)).backward()
+        np.testing.assert_array_equal(d.grad, np.exp(-d.data))
 
 
 class TestPredictUncertainty:
@@ -125,7 +158,7 @@ class TestFuse:
         fp = _fuse_head(rng, C)
         fc = T.Tensor(rng.normal(size=(3, C)), dtype=np.float64)
         fl = T.Tensor(rng.normal(size=(3, C)), dtype=np.float64)
-        got = uaf.fuse(fc, 0.0, fl, 0.0, fp).data
+        got = uaf.fuse(fc, _const(3, 0.0), fl, _const(3, 0.0), fp).data
         cat = T.concat([fc, fl], axis=1)
         want = T.linear(T.relu(T.linear(cat, fp.w1, fp.b1)), fp.w2, fp.b2).data
         np.testing.assert_allclose(got, want, atol=0)
@@ -136,9 +169,9 @@ class TestFuse:
         fp = _fuse_head(rng, C)
         fc = T.Tensor(rng.normal(size=(2, C)), dtype=np.float64)
         fl = T.Tensor(rng.normal(size=(2, C)), dtype=np.float64)
-        got = uaf.fuse(fc, 0.0, fl, 0.5, fp).data
+        got = uaf.fuse(fc, _const(2, 0.0), fl, _const(2, 0.5), fp).data
         halved = T.Tensor(fl.data * 0.5)
-        want = uaf.fuse(fc, 0.0, halved, 0.0, fp).data
+        want = uaf.fuse(fc, _const(2, 0.0), halved, _const(2, 0.0), fp).data
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_gradient(self):
@@ -168,8 +201,8 @@ class TestFuse:
         f2 = T.Tensor(rng.normal(size=(1, C)), dtype=np.float64)
         diffs = []
         for u in (0.9, 0.99, 0.999):
-            a = uaf.fuse(f1, u, fl, 0.2, fp).data
-            b = uaf.fuse(f2, u, fl, 0.2, fp).data
+            a = uaf.fuse(f1, _const(1, u), fl, _const(1, 0.2), fp).data
+            b = uaf.fuse(f2, _const(1, u), fl, _const(1, 0.2), fp).data
             diffs.append(np.linalg.norm(a - b))
         assert diffs[0] > diffs[1] > diffs[2]
         # ~10x decay per step of (1 - u)
@@ -189,8 +222,8 @@ class TestFuse:
         u_grid = np.linspace(0.0, 0.95, 12)
         diffs = []
         for u in u_grid:
-            a = uaf.fuse(T.Tensor(base), u, fl, 0.3, fp).data
-            b = uaf.fuse(T.Tensor(base + pert), u, fl, 0.3, fp).data
+            a = uaf.fuse(T.Tensor(base), _const(1, u), fl, _const(1, 0.3), fp).data
+            b = uaf.fuse(T.Tensor(base + pert), _const(1, u), fl, _const(1, 0.3), fp).data
             diffs.append(np.linalg.norm(a - b))
         x = 1.0 - u_grid
         y = np.array(diffs)
@@ -198,3 +231,21 @@ class TestFuse:
         resid = y - (slope * x + intercept)
         r2 = 1.0 - resid.var() / y.var()
         assert r2 > 0.99
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tensor_weights_equal_the_array_weights(self, seed):
+        # the (1 - u) weight as a Tensor expression equals the constant
+        # T.Tensor(1.0 - u[:, None]) it replaced, bit for bit
+        rng = np.random.default_rng(seed)
+        C, n = 5, 7
+        fp = _fuse_head(rng, C)
+        fc = T.Tensor(rng.normal(size=(n, C)), dtype=np.float64)
+        fl = T.Tensor(rng.normal(size=(n, C)), dtype=np.float64)
+        u_c = _u(rng.exponential(2.0, size=n))
+        u_l = np.append(_u(rng.exponential(2.0, size=n - 1)), _u(1e6))
+        got = uaf.fuse(fc, T.Tensor(u_c), fl, T.Tensor(u_l), fp).data
+        cat = T.concat([T.mul(fc, T.Tensor(1.0 - u_c[:, None])),
+                        T.mul(fl, T.Tensor(1.0 - u_l[:, None]))], axis=1)
+        want = T.mlp(cat, fp).data
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
