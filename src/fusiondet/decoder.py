@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.special import expit
 
 from . import tensor as T
@@ -225,6 +224,9 @@ def hungarian_match(
     cost_box = diff.sum(axis=2)
     cost_cls = 1.0 - pred_scores[:, gt_boxes.class_id]
     cost = cfg.w_cls * cost_cls + cfg.w_box * cost_box
+
+    # imported here: scipy.optimize costs ~24 MiB and only training matches
+    from scipy.optimize import linear_sum_assignment
 
     gain = cost - 2.0 * cfg.no_object_cost
     rows, cols = linear_sum_assignment(np.minimum(gain, 0.0))

@@ -133,10 +133,10 @@ class Tensor:
         backward(tape, seed)
 
 
-def _wrap(x, like: Tensor | None = None) -> Tensor:
+def _wrap(x, like: Tensor | np.ndarray | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else None
+    dtype = like.dtype if like is not None else None
     return Tensor(np.asarray(x, dtype=dtype))
 
 
@@ -192,11 +192,12 @@ class Tape:
         return self.nodes[-1]
 
 
-def backward(tape: Tape, seed=None) -> dict:
+def backward(tape: Tape, seed=None) -> None:
     """Reverse traversal of ``tape``; accumulates ``.grad`` on leaf tensors.
 
-    Returns the gradient map {id(tensor): gradient array} for every node
-    that received a gradient. Each node is visited exactly once.
+    Each node is visited exactly once. An interior node's gradient is
+    released as soon as it has been passed to the node's parents, so only
+    the gradients still waiting for their node, and the leaves', are held.
     """
     root = tape.root
     if seed is None:
@@ -209,8 +210,10 @@ def backward(tape: Tape, seed=None) -> dict:
             )
     grads: dict[int, np.ndarray] = {id(root): seed}
     for node in reversed(tape.nodes):
-        g = grads.get(id(node))
-        if g is None or not node.parents:
+        if not node.parents:
+            continue
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
             if vjp is None or not parent.requires_grad:
@@ -227,7 +230,6 @@ def backward(tape: Tape, seed=None) -> dict:
                 node.grad = grads[id(node)]
             else:
                 node.grad = node.grad + grads[id(node)]
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,11 @@ def matmul(a, b) -> Tensor:
     b = _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise GraphError("matmul requires ndim >= 2 on both operands")
-    out = a.data @ b.data
+    return _make(a.data @ b.data, "matmul", (a, b), _matmul_vjps(a, b))
+
+
+def _matmul_vjps(a: Tensor, b: Tensor) -> tuple:
+    """The VJPs of ``a @ b`` with respect to a and to b."""
 
     def d_a(g):
         return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
@@ -332,7 +338,7 @@ def matmul(a, b) -> Tensor:
     def d_b(g):
         return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
 
-    return _make(out, "matmul", (a, b), (d_a, d_b))
+    return d_a, d_b
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +617,15 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
     w10 = fx * (1 - fy)
     w01 = (1 - fx) * fy
     w11 = fx * fy
-    rows, masks, weights, vals = [], [], [], []
+    rows, masks, weights = [], [], []
     for (di, dj), w in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (w00, w10, w01, w11)):
         ii = i0 + di
         jj = j0 + dj
         valid = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
-        r = base + np.clip(jj, 0, H - 1) * W + np.clip(ii, 0, W - 1)
-        rows.append(r)
+        rows.append(base + np.clip(jj, 0, H - 1) * W + np.clip(ii, 0, W - 1))
         masks.append(valid)
         weights.append(w * valid)
-        vals.append(values.data[r])
-    flat = sum(w[:, None] * v for w, v in zip(weights, vals))
+    flat = sum(w[:, None] * values.data[r] for w, r in zip(weights, rows))
     out = flat.reshape(coords.data.shape[:-1] + (C,))
 
     def d_values(g):
@@ -633,7 +637,8 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
 
     def d_coords(g):
         gf = g.reshape(-1, C)
-        gdot = [np.einsum("pc,pc->p", gf, v) * m for v, m in zip(vals, masks)]
+        # the (P, C) corners are gathered again rather than kept from forward
+        gdot = [np.einsum("pc,pc->p", gf, values.data[r]) * m for r, m in zip(rows, masks)]
         dx = (
             -(1 - fy) * gdot[0] + (1 - fy) * gdot[1] - fy * gdot[2] + fy * gdot[3]
         )
@@ -665,11 +670,21 @@ def bilinear_sample(grid, coords) -> Tensor:
 
 
 def linear(x, weight, bias=None) -> Tensor:
-    """x @ weight (+ bias), with x (..., in) and weight (in, out)."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    """x @ weight (+ bias), with x (..., in), weight (in, out) and bias (out,).
+
+    With a bias this is one tape node, so the pre-bias product is not kept;
+    its values and gradients are those of ``add(matmul(x, weight), bias)``.
+    """
+    if bias is None:
+        return matmul(x, weight)
+    x = _wrap(x)
+    weight = _wrap(weight)
+    if x.ndim < 2 or weight.ndim < 2:
+        raise GraphError("linear requires ndim >= 2 on x and weight")
+    prod = x.data @ weight.data
+    bias = _wrap(bias, like=prod)
+    return _make(prod + bias.data, "linear", (x, weight, bias),
+                 (*_matmul_vjps(x, weight), lambda g: _unbroadcast(g, bias.data.shape)))
 
 
 def mlp(x, p) -> Tensor:

@@ -66,6 +66,37 @@ def _require_finite(step: int, what: str, values):
         raise DivergenceError(f"training diverged at step {step}: {what} is not finite")
 
 
+def _train_step(cfg: RunConfig, scene, step: int, store: ParamStore,
+                velocity: dict) -> dict:
+    """One SGD step on one scene; returns its log record. The step's graph
+    lives only in this frame, so it is freed before the next step starts."""
+    tcfg = cfg.train
+    mcfg = cfg.model
+    rng = _query_rng(tcfg.seed, 13, step)
+    gt = BoxArray.stack(scene.gt_boxes)
+    batch = generate_queries(
+        gt, scene.rig, scene.feature_set(mcfg), mcfg,
+        cfg.sim.oracle, store["query.default_embedding"], rng,
+    )
+    preds = decode(
+        batch, scene.feature_set(mcfg), scene.lidar_pyramid(mcfg),
+        scene.rig, store, mcfg, fusion="uaf",
+    )
+    for layer, pred in enumerate(preds):
+        _require_finite(step, f"layer {layer}'s box state", pred.box_state.data)
+        _require_finite(step, f"layer {layer}'s class logits", pred.class_logits.data)
+    matching = match_layers(preds, gt, tcfg, mcfg)
+    loss, terms = compute_loss(preds, gt, matching, tcfg, mcfg)
+    _require_finite(step, "the loss", terms["total"])
+    store.zero_grad()
+    loss.backward()
+    try:
+        sgd_update(store, velocity, tcfg.lr, tcfg.momentum, tcfg.clip_norm)
+    except DivergenceError as exc:
+        raise DivergenceError(f"training diverged at step {step}: {exc}") from None
+    return {"step": step, **{k: round(v, 6) for k, v in terms.items()}}
+
+
 def train_loop(
     cfg: RunConfig,
     scenes: list,
@@ -78,36 +109,13 @@ def train_loop(
     records [{step, total, cls, box, unc, reg}]. ``velocity`` carries the
     momentum state across resumed runs."""
     tcfg = cfg.train
-    mcfg = cfg.model
     velocity = {} if velocity is None else velocity
     records = []
     n = len(scenes)
     for step in range(start_step, tcfg.steps):
         epoch, pos = divmod(step, n)
         scene = scenes[_scene_order(n, tcfg.seed, epoch)[pos]]
-        rng = _query_rng(tcfg.seed, 13, step)
-        gt = BoxArray.stack(scene.gt_boxes)
-        batch = generate_queries(
-            gt, scene.rig, scene.feature_set(mcfg), mcfg,
-            cfg.sim.oracle, store["query.default_embedding"], rng,
-        )
-        preds = decode(
-            batch, scene.feature_set(mcfg), scene.lidar_pyramid(mcfg),
-            scene.rig, store, mcfg, fusion="uaf",
-        )
-        for layer, pred in enumerate(preds):
-            _require_finite(step, f"layer {layer}'s box state", pred.box_state.data)
-            _require_finite(step, f"layer {layer}'s class logits", pred.class_logits.data)
-        matching = match_layers(preds, gt, tcfg, mcfg)
-        loss, terms = compute_loss(preds, gt, matching, tcfg, mcfg)
-        _require_finite(step, "the loss", terms["total"])
-        store.zero_grad()
-        loss.backward()
-        try:
-            sgd_update(store, velocity, tcfg.lr, tcfg.momentum, tcfg.clip_norm)
-        except DivergenceError as exc:
-            raise DivergenceError(f"training diverged at step {step}: {exc}") from None
-        rec = {"step": step, **{k: round(v, 6) for k, v in terms.items()}}
+        rec = _train_step(cfg, scene, step, store, velocity)
         records.append(rec)
         if log_fn is not None and (step % max(1, tcfg.log_every) == 0):
             log_fn(rec)

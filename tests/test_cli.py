@@ -3,12 +3,15 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from fusiondet import cli
+import fusiondet
+from fusiondet import cli, train
 from fusiondet.cli import build_parser, main
 from fusiondet.config import ScenarioSection
 from fusiondet.params import load_checkpoint
@@ -149,6 +152,27 @@ class TestTrain:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
+    def test_step_graph_is_freed_before_the_next_decode(self, workspace, monkeypatch):
+        # a step's loss, and the graph behind it, must not outlive the step
+        tmp_path, cfg, ds = workspace
+        losses, alive = [], []
+        real_loss, real_decode = train.compute_loss, train.decode
+
+        def tracked_loss(*args, **kwargs):
+            loss, terms = real_loss(*args, **kwargs)
+            losses.append(weakref.ref(loss.data))  # Tensor has no __weakref__ slot
+            return loss, terms
+
+        def tracked_decode(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in losses))
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(train, "compute_loss", tracked_loss)
+        monkeypatch.setattr(train, "decode", tracked_decode)
+        assert main(["train", "--config", cfg, "--dataset", ds,
+                     "--out", str(tmp_path / "model.fdcp")]) == 0
+        assert alive == [0, 0, 0, 0]
+
     def test_dataset_hash_mismatch(self, workspace, tmp_path):
         _, cfg, ds = workspace
         other = _write_cfg(tmp_path / "other.json", **{"sim.seed": 99})
@@ -264,6 +288,31 @@ class TestEvalAndInfer:
         doc = json.load(open(out))
         assert len(doc["scenes"]) == 3
         assert all(len(s["boxes"]) == 12 for s in doc["scenes"])
+
+
+    def test_inference_leaves_scipy_optimize_unloaded(self):
+        # only training's matching reads scipy.optimize, and importing it
+        # costs tens of MiB; a fresh interpreter shows whether it was loaded
+        script = (
+            "import sys\n"
+            "from fusiondet import cli\n"
+            "from fusiondet.config import RunConfig\n"
+            "from fusiondet.params import init_model_params\n"
+            "from fusiondet.scenesim import generate_scene\n"
+            "from fusiondet.train import run_inference\n"
+            "cfg = RunConfig()\n"
+            "store = init_model_params(cfg.model, seed=0)\n"
+            "scenes = [generate_scene(cfg.model, cfg.sim, 0)]\n"
+            "for oracle in (False, True):\n"
+            "    preds, _ = run_inference(cfg, scenes, store, oracle_uncertainty=oracle)\n"
+            "    assert len(preds) == 1\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fusiondet.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert proc.stdout.strip() == "False"
 
 
 class TestRobustness:

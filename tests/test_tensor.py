@@ -1,5 +1,6 @@
 """Tensor engine: forward oracles, backward examples, gradient checks."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -188,6 +189,56 @@ class TestBackward:
         with pytest.raises(T.GraphError):
             y.backward(seed=np.ones(3))
 
+    def test_interior_gradients_are_freed_as_backward_goes(self):
+        # a chain of 20 ops: holding every gradient to the end would take 21
+        # arrays; releasing each once passed on keeps about two alive
+        x = T.Tensor(np.ones(100_000), requires_grad=True)
+        y = x
+        for _ in range(20):
+            y = T.mul(y, 1.0)
+        out = T.sum_(y)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 3 * x.data.nbytes
+        assert np.array_equal(x.grad, np.ones(100_000))
+
+
+class TestLinear:
+    @staticmethod
+    def _composite(x, w, b):
+        return T.add(T.matmul(x, w), b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+    def test_equals_matmul_add_bit_for_bit(self, dtype, x_shape):
+        # one x feeds two linears, so its gradient is a sum of two parts
+        rng = np.random.default_rng(len(x_shape))
+        arrays = [rng.normal(size=s).astype(dtype)
+                  for s in (x_shape, (4, 3), (3,), (4, 2), (2,))]
+        seed = rng.normal(size=x_shape[:-1] + (5,)).astype(dtype)
+        results = []
+        for lin in (T.linear, self._composite):
+            x, w1, b1, w2, b2 = (T.Tensor(a, requires_grad=True) for a in arrays)
+            out = T.concat([lin(x, w1, b1), lin(x, w2, b2)], axis=-1)
+            out.backward(seed)
+            results.append([out.data] + [t.grad for t in (x, w1, b1, w2, b2)])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_tape_node_after_bias_weight_and_input(self):
+        rng = np.random.default_rng(0)
+        x, w, b = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((3, 4), (4, 2), (2,)))
+        tape = T.Tape.trace(T.linear(x, w, b))
+        # the post-order of add(matmul(x, w), b), less the matmul node
+        assert tape.nodes == [b, w, x, tape.root] and tape.root.op == "linear"
+        assert T.linear(x, w).op == "matmul"
+
 
 # ---------------------------------------------------------------------------
 # grad_check as an operation
@@ -251,6 +302,8 @@ PRIMITIVES = {
     "neg": (lambda ins: T.neg(ins[0]), [(3, 4)], None),
     "matmul": (lambda ins: T.matmul(ins[0], ins[1]), [(3, 4), (4, 2)], None),
     "matmul_batched": (lambda ins: T.matmul(ins[0], ins[1]), [(2, 3, 4), (2, 4, 2)], None),
+    "linear": (
+        lambda ins: T.linear(ins[0], ins[1], ins[2]), [(2, 3, 4), (4, 2), (2,)], None),
     "relu": (lambda ins: T.relu(ins[0]), [(3, 4)], "kink"),
     "exp": (lambda ins: T.exp(ins[0]), [(3, 4)], None),
     "log": (lambda ins: T.log(ins[0]), [(3, 4)], "positive"),
