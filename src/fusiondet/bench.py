@@ -19,6 +19,7 @@ import scipy
 from . import tensor as T
 from .config import RunConfig
 from .decoder import decode_layer
+from .geometry import BoxArray
 from .paqg import generate_queries
 from .params import init_model_params
 from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
@@ -80,8 +81,10 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
     feats = scene.feature_set(mcfg)
     pyramid = scene.lidar_pyramid(mcfg)
 
+    gt = BoxArray.stack(scene.gt_boxes)  # as the train step passes them
+
     def queries():
-        return generate_queries(scene.gt_boxes, scene.rig, feats, mcfg, cfg.sim.oracle,
+        return generate_queries(gt, scene.rig, feats, mcfg, cfg.sim.oracle,
                                 store["query.default_embedding"], np.random.default_rng(0))
 
     batch = queries()

@@ -34,7 +34,6 @@ from .scenesim import (
     ScenarioSpec,
     SimError,
     apply_scenario,
-    dataset_hash,
     generate_scene,
     load_dataset,
     load_manifest,
@@ -90,7 +89,7 @@ def cmd_generate(args) -> int:
 def _load_scenes(cfg: RunConfig, dataset_dir: str) -> list:
     """The dataset's scenes, after checking it was generated for ``cfg``."""
     have = load_manifest(dataset_dir).get("dataset_hash")
-    want = dataset_hash(cfg)
+    want = cfg.dataset_hash()
     if have != want:
         raise CliError(
             f"dataset hash mismatch: dataset {have}, config {want} "
@@ -110,6 +109,15 @@ def _load_params(cfg: RunConfig, checkpoint: str | None):
                                   f"{model_hash}, not this config's {cfg.model.hash()}")
         restore_into(store, tensors)
     return store, step, optimizer
+
+
+def _decode_setup(args) -> tuple:
+    """The config, scenes and parameters that infer, eval and robustness
+    decode with."""
+    cfg = _load_config(args)
+    scenes = _load_scenes(cfg, args.dataset)
+    store, _, _ = _load_params(cfg, args.checkpoint)
+    return cfg, scenes, store
 
 
 def cmd_train(args) -> int:
@@ -137,9 +145,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _load_config(args)
-    scenes = _load_scenes(cfg, args.dataset)
-    store, _, _ = _load_params(cfg, args.checkpoint)
+    cfg, scenes, store = _decode_setup(args)
     preds, _ = run_inference(
         cfg, scenes, store, fusion=args.fusion,
         oracle_uncertainty=args.oracle_uncertainty,
@@ -169,9 +175,7 @@ def _evaluate(cfg: RunConfig, scenes, store, fusion, oracle_uncertainty):
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    scenes = _load_scenes(cfg, args.dataset)
-    store, _, _ = _load_params(cfg, args.checkpoint)
+    cfg, scenes, store = _decode_setup(args)
     report = _evaluate(cfg, scenes, store, args.fusion, args.oracle_uncertainty)
     write_report_json(
         args.out, report,
@@ -183,35 +187,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    cfg = _load_config(args)
-    scenes = _load_scenes(cfg, args.dataset)
-    store, _, _ = _load_params(cfg, args.checkpoint)
+    cfg, scenes, store = _decode_setup(args)
     os.makedirs(args.out, exist_ok=True)
-    scenario_names = args.scenario or ScenarioSection.KINDS
     summary = {"fusion": args.fusion, "scenarios": {}, **_report_extra(cfg)}
-
-    clean = _evaluate(cfg, scenes, store, args.fusion, args.oracle_uncertainty)
-    write_report_json(
-        os.path.join(args.out, f"clean_{args.fusion}.json"), clean,
-        _report_extra(cfg, fusion=args.fusion, scenario="clean"),
-    )
-    summary["clean"] = {"map": clean.map_value, "nds": clean.nds_value}
-
-    for name in scenario_names:
-        spec = ScenarioSpec.from_config(cfg.scenario)
-        spec.kind = name
-        # each corrupted scene is decoded as it is made, not pooled
-        corrupted = (apply_scenario(sc, spec, cfg.model, cfg.sim) for sc in scenes)
-        report = _evaluate(cfg, corrupted, store, args.fusion, args.oracle_uncertainty)
+    for name in ("clean", *(args.scenario or ScenarioSection.KINDS)):
+        pool = scenes
+        if name != "clean":
+            spec = ScenarioSpec.from_config(cfg.scenario)
+            spec.kind = name
+            # each corrupted scene is decoded as it is made, not pooled
+            pool = (apply_scenario(sc, spec, cfg.model, cfg.sim) for sc in scenes)
+        report = _evaluate(cfg, pool, store, args.fusion, args.oracle_uncertainty)
         write_report_json(
             os.path.join(args.out, f"{name}_{args.fusion}.json"), report,
             _report_extra(cfg, fusion=args.fusion, scenario=name),
         )
-        summary["scenarios"][name] = {
-            "map": report.map_value,
-            "nds": report.nds_value,
-            "nds_drop": clean.nds_value - report.nds_value,
-        }
+        scores = {"map": report.map_value, "nds": report.nds_value}
+        if name == "clean":
+            summary["clean"] = scores
+        else:
+            drop = summary["clean"]["nds"] - report.nds_value
+            summary["scenarios"][name] = {**scores, "nds_drop": drop}
     write_json(os.path.join(args.out, f"summary_{args.fusion}.json"), summary)
     print(json.dumps(summary["scenarios"], sort_keys=True, indent=1))
     return 0
@@ -249,16 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, dataset=False, checkpoint=False, out_required=True):
+    def common(sp, dataset=False, out_required=True):
         sp.add_argument("--config", help="JSON config path (defaults apply if omitted)")
         sp.add_argument("--seed", type=int, help="override sim/train/scenario seeds")
         sp.add_argument("--override", "-O", action="append", metavar="KEY=VALUE",
                         help="override a config leaf via dotted path")
         if dataset:
             sp.add_argument("--dataset", required=True, help="dataset directory")
-        if checkpoint:
-            sp.add_argument("--checkpoint", help="checkpoint file")
         sp.add_argument("--out", required=out_required, help="output path")
+
+    def decoding(name, help_text, fn):
+        sp = sub.add_parser(name, help=help_text)
+        common(sp, dataset=True)
+        sp.add_argument("--checkpoint", help="checkpoint file")
+        sp.add_argument("--fusion", choices=["uaf", "equal"], default="uaf")
+        sp.add_argument("--oracle-uncertainty", action="store_true")
+        sp.set_defaults(fn=fn)
+        return sp
 
     sp = sub.add_parser("generate", help="write a synthetic scene dataset")
     common(sp)
@@ -270,26 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resume", help="checkpoint to resume from")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("infer", help="decode a dataset to predictions JSON")
-    common(sp, dataset=True, checkpoint=True)
-    sp.add_argument("--fusion", choices=["uaf", "equal"], default="uaf")
-    sp.add_argument("--oracle-uncertainty", action="store_true")
-    sp.set_defaults(fn=cmd_infer)
-
-    sp = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    common(sp, dataset=True, checkpoint=True)
-    sp.add_argument("--fusion", choices=["uaf", "equal"], default="uaf")
-    sp.add_argument("--oracle-uncertainty", action="store_true")
-    sp.set_defaults(fn=cmd_eval)
-
-    sp = sub.add_parser("robustness", help="clean + sensor-failure scenario reports")
-    common(sp, dataset=True, checkpoint=True)
-    sp.add_argument("--fusion", choices=["uaf", "equal"], default="uaf")
-    sp.add_argument("--oracle-uncertainty", action="store_true")
+    decoding("infer", "decode a dataset to predictions JSON", cmd_infer)
+    decoding("eval", "evaluate a checkpoint on a dataset", cmd_eval)
+    sp = decoding("robustness", "clean + sensor-failure scenario reports", cmd_robustness)
     sp.add_argument("--scenario", action="append",
                     choices=ScenarioSection.KINDS,
                     help="scenario(s) to run (default: all)")
-    sp.set_defaults(fn=cmd_robustness)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     sp.add_argument("--seeds", type=int, default=100)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields
 
 from . import tensor as T
@@ -26,10 +27,13 @@ _LEAF_TYPES = {"int": int, "float": (int, float), "str": str, "list": list}
 def _fits(declared: str, value) -> bool:
     """Whether a JSON value fits a leaf's declared type. An int fits a float
     leaf and is kept as written, so its hash does not change; a bool fits no
-    leaf; every list leaf holds numbers."""
+    leaf; a float leaf's number must be a finite double (no NaN, no
+    infinity, no int past the double range); every list leaf holds numbers."""
     if isinstance(value, bool) or not isinstance(value, _LEAF_TYPES[declared]):
         return False
-    return declared != "list" or all(_fits("float", v) for v in value)
+    if declared == "list":
+        return all(_fits("float", v) for v in value)
+    return declared != "float" or abs(value) <= sys.float_info.max
 
 
 def _canonical_json(d: dict) -> str:
@@ -48,16 +52,27 @@ def _check_leaf(f, value, dotted: str):
         raise ConfigError(f"{dotted} must be {want}, got {json.dumps(value)}")
 
 
-def _strict_from_dict(cls, d: dict, prefix: str):
+def _is_section(f) -> bool:
+    return dataclasses.is_dataclass(f.default_factory)
+
+
+def _strict_from_dict(cls, d: dict, prefix: str = ""):
+    """``cls`` built from a JSON object: unknown keys are rejected, every
+    leaf is type-checked and every section is read the same way, nested."""
     if not isinstance(d, dict):
-        raise ConfigError(f"section '{prefix.rstrip('.')}' must be an object")
+        where = f"section '{prefix.rstrip('.')}'" if prefix else "config root"
+        raise ConfigError(f"{where} must be an object")
     known = {f.name for f in fields(cls)}
     for k in d:
         if k not in known:
             raise ConfigError(f"unknown config key: {prefix}{k}")
     kwargs = {}
     for f in fields(cls):
-        if f.name in d:
+        if f.name not in d:
+            continue
+        if _is_section(f):
+            kwargs[f.name] = _strict_from_dict(f.default_factory, d[f.name], f"{prefix}{f.name}.")
+        else:
             _check_leaf(f, d[f.name], prefix + f.name)
             kwargs[f.name] = d[f.name]
     return cls(**kwargs)
@@ -236,6 +251,14 @@ class ScenarioSection:
             raise ConfigError("scenario.stuck_sensor must be 'camera' or 'lidar'")
 
 
+def _require_multiple(dotted: str, size: int, base: int, exp: int, rule: str):
+    """ConfigError unless ``size`` is a positive multiple of base * 2^exp; an
+    exponent past the size's bit length fails before 2^exp is formed."""
+    if size < 1 or exp >= size.bit_length() or size % (base << exp):
+        raise ConfigError(f"{dotted} must be a positive multiple of {base} * 2^{exp} "
+                          f"({rule}), got {size}")
+
+
 @dataclass
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
@@ -249,32 +272,16 @@ class RunConfig:
             sec.validate()
         # every camera scale and every BEV scale must have a whole texel
         # count, so the map strides are exact
-        cam = self.sim.base_stride * 2 ** (self.model.num_cam_scales - 1)
         for name in ("image_width", "image_height"):
-            size = getattr(self.sim, name)
-            if size < 1 or size % cam:
-                raise ConfigError(f"sim.{name} must be a positive multiple of {cam} "
-                                  f"(sim.base_stride * 2^(model.num_cam_scales - 1)), got {size}")
-        bev = 2 ** (self.model.num_lidar_scales - 1)
-        if self.sim.bev_grid < 1 or self.sim.bev_grid % bev:
-            raise ConfigError(f"sim.bev_grid must be a positive multiple of {bev} "
-                              f"(2^(model.num_lidar_scales - 1)), got {self.sim.bev_grid}")
+            _require_multiple(f"sim.{name}", getattr(self.sim, name), self.sim.base_stride,
+                              self.model.num_cam_scales - 1,
+                              "sim.base_stride * 2^(model.num_cam_scales - 1)")
+        _require_multiple("sim.bev_grid", self.sim.bev_grid, 1,
+                          self.model.num_lidar_scales - 1, "2^(model.num_lidar_scales - 1)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config root must be an object")
-        known = {f.name for f in fields(cls)}
-        for k in d:
-            if k not in known:
-                raise ConfigError(f"unknown config key: {k}")
-        cfg = cls(
-            model=_strict_from_dict(ModelSection, d.get("model", {}), "model."),
-            sim=_sim_from_dict(d.get("sim", {})),
-            train=_strict_from_dict(TrainSection, d.get("train", {}), "train."),
-            eval=_strict_from_dict(EvalSection, d.get("eval", {}), "eval."),
-            scenario=_strict_from_dict(ScenarioSection, d.get("scenario", {}), "scenario."),
-        )
+        cfg = _strict_from_dict(cls, d)
         cfg.validate()
         return cfg
 
@@ -283,7 +290,7 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also bad UTF-8, over-long ints
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(d)
 
@@ -296,30 +303,26 @@ class RunConfig:
     def hash(self) -> str:
         return _hash(self.to_dict())
 
+    def dataset_hash(self) -> str:
+        """Hash of the sections a dataset is generated from (model + sim)."""
+        d = self.to_dict()
+        return _hash({"model": d["model"], "sim": d["sim"]})
+
     def apply_override(self, dotted: str, raw: str):
         """Set a config leaf via 'section.key=value' (JSON-parsed value)."""
-        parts = dotted.split(".")
+        *path, leaf = dotted.split(".")
         obj = self
-        for p in parts[:-1]:
-            if not hasattr(obj, p):
+        for name in path:  # through section fields only, never other attributes
+            f = {f.name: f for f in fields(obj)}.get(name)
+            if f is None or not _is_section(f):
                 raise ConfigError(f"unknown config key: {dotted}")
-            obj = getattr(obj, p)
-        leaves = {f.name: f for f in fields(obj)} if dataclasses.is_dataclass(obj) else {}
-        if parts[-1] not in leaves:
+            obj = getattr(obj, name)
+        f = {f.name: f for f in fields(obj)}.get(leaf)
+        if f is None:
             raise ConfigError(f"unknown config key: {dotted}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings allowed
-        _check_leaf(leaves[parts[-1]], value, dotted)
-        setattr(obj, parts[-1], value)
-
-
-def _sim_from_dict(d: dict) -> SimSection:
-    if not isinstance(d, dict):
-        raise ConfigError("section 'sim' must be an object")
-    d = dict(d)
-    oracle = d.pop("oracle", {})
-    sec = _strict_from_dict(SimSection, d, "sim.")
-    sec.oracle = _strict_from_dict(OracleSection, oracle, "sim.oracle.")
-    return sec
+        except (ValueError, RecursionError):
+            value = raw  # bare strings allowed; unreadable JSON stays a string
+        _check_leaf(f, value, dotted)
+        setattr(obj, leaf, value)

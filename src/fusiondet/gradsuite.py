@@ -149,7 +149,7 @@ def _build_predict_uncertainty(rng):
 
     def fn(ins):
         dp = SimpleNamespace(w1=ins[1], b1=ins[2], w2=ins[3], b2=ins[4])
-        return uaf.predict_uncertainty(ins[0], dp)
+        return uaf.uncertainty_from_distance(uaf.predict_distance(uaf.pool_roi(ins[0]), dp))
 
     return fn, [roi, w1, b1, w2, b2]
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from types import SimpleNamespace
 
@@ -222,10 +223,17 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return b
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path: str):
     """Returns (param map, step, model_hash, optimizer-state map).
 
-    Any truncated or malformed file raises CheckpointError."""
+    Any truncated or malformed file raises CheckpointError. The header holds
+    a ``tensors`` list, a non-negative int ``step`` and a str ``model_hash``;
+    each entry a float32 or float64 dtype (the two that save_checkpoint
+    writes) and non-negative int offset, nbytes and shape."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
@@ -233,6 +241,8 @@ def load_checkpoint(path: str):
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        if hlen > os.fstat(fh.fileno()).st_size:  # a damaged length must not size a read
+            raise CheckpointError("checkpoint is truncated in its header")
         raw_header = fh.read(hlen)
         data = fh.read()
     try:
@@ -240,22 +250,32 @@ def load_checkpoint(path: str):
         entries, step, model_hash = header["tensors"], header["step"], header["model_hash"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint header has no {exc} key") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"checkpoint header is not valid: {exc}") from exc
+    if not (isinstance(entries, list) and _is_count(step) and isinstance(model_hash, str)):
+        raise CheckpointError("checkpoint header needs a tensors list, a non-negative int "
+                              "step and a str model_hash")
     tensors = {}
     optimizer = {}
     for e in entries:
         try:
-            name, start, nbytes = str(e["name"]), int(e["offset"]), int(e["nbytes"])
-            dtype, shape = np.dtype(e["dtype"]), tuple(int(d) for d in e["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, start, nbytes = str(e["name"]), e["offset"], e["nbytes"]
+            dtype, shape = e["dtype"], e["shape"]
+        except (KeyError, TypeError) as exc:
             raise CheckpointError(f"checkpoint entry is not valid: {exc!r}") from exc
-        if start < 0 or nbytes < 0 or start + nbytes > len(data):
+        if dtype not in ("float32", "float64"):
+            raise CheckpointError(f"checkpoint data for {name} is {dtype!r}, "
+                                  "not float32 or float64")
+        counts = [start, nbytes, *shape] if isinstance(shape, list) else [None]
+        if not all(_is_count(n) for n in counts):
+            raise CheckpointError(f"checkpoint entry for {name} needs non-negative int "
+                                  "offset, nbytes and shape")
+        if start + nbytes > len(data):
             raise CheckpointError(f"checkpoint data for {name} runs past the end of the file")
-        if (dtype.hasobject or min(shape, default=0) < 0
-                or nbytes != math.prod(shape) * dtype.itemsize):
+        dtype = np.dtype(dtype)
+        if nbytes != math.prod(shape) * dtype.itemsize:
             raise CheckpointError(f"checkpoint data for {name} does not fill "
-                                  f"shape {list(shape)} of {dtype}")
+                                  f"shape {shape} of {dtype}")
         arr = np.frombuffer(data[start : start + nbytes], dtype=dtype).reshape(shape).copy()
         if e.get("kind") == "optimizer":
             optimizer[name] = arr

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tokenize
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -569,17 +569,8 @@ def apply_scenario(
             model.channels, sim.bev_grid,
         )
         lidar_set = LidarFeaturePyramid(lidar_maps, sample.det_range, model.dtype)
-    return SceneSample(
-        scene_id=sample.scene_id,
-        seed=sample.seed,
-        gt_boxes=sample.gt_boxes,
-        rig=sample.rig,
-        det_range=sample.det_range,
-        points=points,
-        obj_ids=obj_ids,
-        cam_set=cam_set,
-        lidar_set=lidar_set,
-    )
+    return replace(sample, points=points, obj_ids=obj_ids, cam_set=cam_set,
+                   lidar_set=lidar_set)
 
 
 # ---------------------------------------------------------------------------
@@ -588,18 +579,6 @@ def apply_scenario(
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
-
-
-def dataset_hash(cfg: RunConfig) -> str:
-    """Hash of the dataset-relevant config sections (model + sim)."""
-    import hashlib
-
-    payload = json.dumps(
-        {"model": cfg.to_dict()["model"], "sim": cfg.to_dict()["sim"]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _save_array(d: str, fname: str, arr: np.ndarray):
@@ -639,7 +618,7 @@ def write_dataset(out_dir: str, cfg: RunConfig, scenes):
     manifest = {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg.hash(),
-        "dataset_hash": dataset_hash(cfg),
+        "dataset_hash": cfg.dataset_hash(),
         "seed": cfg.sim.seed,
         "num_scenes": len(names),
         "scenes": names,
@@ -654,9 +633,12 @@ def load_manifest(dataset_dir: str) -> dict:
         raise SimError(f"no dataset manifest at {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:
+            manifest = json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise SimError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SimError(f"dataset manifest {path} is not a JSON object")
+    return manifest
 
 
 def _load_array(d: str, fname: str, shape: tuple, floating: bool = True) -> np.ndarray:
@@ -728,6 +710,6 @@ def load_dataset(dataset_dir: str) -> list:
                     lidar_set=LidarFeaturePyramid(lidar_maps, det_range, model.dtype),
                 )
             )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise SimError(f"scene file {d}/scene.json is not valid: {exc!r}") from None
     return scenes

@@ -66,22 +66,29 @@ def _require_finite(step: int, what: str, values):
         raise DivergenceError(f"training diverged at step {step}: {what} is not finite")
 
 
+def _decode_scene(cfg: RunConfig, scene, store: ParamStore, rng: np.random.Generator,
+                  fusion: str, oracle_uncertainty: bool) -> tuple:
+    """One scene's queries, decoded: (a LayerPrediction per layer, GT BoxArray).
+    ``generate_queries`` and ``decode`` are this module's globals, looked up
+    at each call, so wrappers set on ``train`` see every call."""
+    mcfg = cfg.model
+    gt = BoxArray.stack(scene.gt_boxes)
+    feats = scene.feature_set(mcfg)
+    batch = generate_queries(gt, scene.rig, feats, mcfg, cfg.sim.oracle,
+                             store["query.default_embedding"], rng)
+    preds = decode(batch, feats, scene.lidar_pyramid(mcfg), scene.rig, store, mcfg,
+                   fusion=fusion, oracle_gt=gt if oracle_uncertainty else None)
+    return preds, gt
+
+
 def _train_step(cfg: RunConfig, scene, step: int, store: ParamStore,
                 velocity: dict) -> dict:
     """One SGD step on one scene; returns its log record. The step's graph
     lives only in this frame, so it is freed before the next step starts."""
     tcfg = cfg.train
     mcfg = cfg.model
-    rng = _query_rng(tcfg.seed, 13, step)
-    gt = BoxArray.stack(scene.gt_boxes)
-    batch = generate_queries(
-        gt, scene.rig, scene.feature_set(mcfg), mcfg,
-        cfg.sim.oracle, store["query.default_embedding"], rng,
-    )
-    preds = decode(
-        batch, scene.feature_set(mcfg), scene.lidar_pyramid(mcfg),
-        scene.rig, store, mcfg, fusion="uaf",
-    )
+    preds, gt = _decode_scene(cfg, scene, store, _query_rng(tcfg.seed, 13, step),
+                              fusion="uaf", oracle_uncertainty=False)
     for layer, pred in enumerate(preds):
         _require_finite(step, f"layer {layer}'s box state", pred.box_state.data)
         _require_finite(step, f"layer {layer}'s class logits", pred.class_logits.data)
@@ -135,22 +142,13 @@ def run_inference(
     Query-generation noise is seeded per scene id, so evaluation is
     deterministic and independent of scene order.
     """
-    mcfg = cfg.model
     preds_per_scene = []
     gts_per_scene = []
     with T.no_grad():
         for scene in scenes:
-            rng = _query_rng(cfg.sim.seed, 17, scene.scene_id)
-            gt = BoxArray.stack(scene.gt_boxes)
-            batch = generate_queries(
-                gt, scene.rig, scene.feature_set(mcfg), mcfg,
-                cfg.sim.oracle, store["query.default_embedding"], rng,
-            )
-            preds = decode(
-                batch, scene.feature_set(mcfg), scene.lidar_pyramid(mcfg),
-                scene.rig, store, mcfg, fusion=fusion,
-                oracle_gt=gt if oracle_uncertainty else None,
-            )
+            preds, gt = _decode_scene(cfg, scene, store,
+                                      _query_rng(cfg.sim.seed, 17, scene.scene_id),
+                                      fusion, oracle_uncertainty)
             preds_per_scene.append(preds[-1].boxes())
             gts_per_scene.append(gt)
     return preds_per_scene, gts_per_scene

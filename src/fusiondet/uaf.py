@@ -45,11 +45,6 @@ def predict_distance(pooled: T.Tensor, params) -> T.Tensor:
     return T.reshape(T.softplus(T.mlp(pooled, params)), (pooled.shape[0],))
 
 
-def predict_uncertainty(roi: T.Tensor, params) -> T.Tensor:
-    """Predicted per-query uncertainty in [0, 1), differentiable."""
-    return uncertainty_from_distance(predict_distance(pool_roi(roi), params))
-
-
 def regress_xy(pooled: T.Tensor, params, centers_xy: T.Tensor) -> T.Tensor:
     """Modality-specific BEV position estimate from a pooled RoI feature:
     query center + learned residual (``params`` as in :func:`predict_distance`)."""

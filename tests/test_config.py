@@ -1,10 +1,14 @@
 """Config schema, leaf type checks and malformed-checkpoint handling."""
 
+import dataclasses
 import json
 import os
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusiondet.cli import main
 from fusiondet.config import ConfigError, ModelSection, RunConfig
@@ -14,6 +18,7 @@ from fusiondet.params import (
     CheckpointError,
     init_model_params,
     load_checkpoint,
+    restore_into,
     save_checkpoint,
 )
 
@@ -30,6 +35,14 @@ BAD_LEAVES = [
     ("eval.bins", '[0.0, "10"]'),
     ("model.range_xy", "3"),
     ("sim.oracle", "3"),
+    # Python's json reads NaN and +-Infinity; no leaf takes a non-finite number
+    ("sim.ego_speed", "NaN"),
+    ("sim.focal", "NaN"),
+    ("model.max_offset_factor", "NaN"),
+    ("sim.feature_noise", "Infinity"),
+    ("train.lr", "-Infinity"),
+    ("sim.ego_speed", "1" + "0" * 400),  # an int past the double range
+    ("eval.bins", "[0.0, NaN]"),
 ]
 
 
@@ -79,15 +92,43 @@ class TestLeafTypes:
     @pytest.mark.parametrize("args", [
         ["-O", 'model.channels="abc"'],
         ["-O", "sim.num_scenes=1.5"],
+        ["-O", "sim.ego_speed=NaN"],
+        ["-O", "sim.focal=NaN"],
+        ["-O", "model.max_offset_factor=NaN"],
+        ["-O", "sim.feature_noise=Infinity"],
+        ["-O", "sim.ego_speed=1" + "0" * 400],
+        ["-O", "model.channels=" + "9" * 5000],  # past json's int digit limit
     ])
     def test_cli_override_exit_2(self, tmp_path, capsys, args):
         assert main(["generate", *args, "--out", str(tmp_path / "o")]) == 2
         _one_line_error(capsys, "config error:")
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("dotted", [
+        "model.__class__.channels", "__class__.model", "model.__dict__", "sim.oracle.__init__",
+        "model.channels.x", "nope.channels", "",
+    ])
+    def test_override_reaches_only_fields(self, dotted):
+        # a path runs through section fields only: a dunder or a leaf in the
+        # middle is an unknown key, and nothing is rebound
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig().apply_override(dotted, "5")
+        assert ModelSection().channels == ModelSection.channels == 32
+
     def test_cli_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"num_layers": "3"}}))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, "config error:")
+
+    @pytest.mark.parametrize("raw", [
+        b'{"model": {"channels": ' + b"9" * 5000 + b"}}",  # past json's int digit limit
+        b"[" * 100000,  # nested past the parser's recursion limit
+        b'{"model": {"precision": "\xff"}}',  # not UTF-8
+    ], ids=["long_int", "deep", "not_utf8"])
+    def test_cli_unreadable_config_file_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         _one_line_error(capsys, "config error:")
 
@@ -135,6 +176,12 @@ BAD_SIZES = [
     ("model.nms_iou", "1.5"),
     ("eval.thresholds", "[]"),
     ("eval.thresholds", "[0, 1]"),
+    # scale counts whose stride exceeds the image or BEV size; the power of
+    # two of the largest is never formed
+    ("model.num_cam_scales", "100000"),
+    ("model.num_lidar_scales", "100000"),
+    ("model.num_cam_scales", "10000000000"),
+    ("model.num_lidar_scales", "10000000000"),
 ]
 
 
@@ -211,6 +258,36 @@ def _small_model():
     return ModelSection(num_queries=12, num_top=4, num_random=8, num_layers=1)
 
 
+_GOOD_ENTRY = {"name": "w", "shape": [2], "dtype": "float64", "offset": 0, "nbytes": 16,
+               "kind": "param"}
+
+# header and entry fields that save_checkpoint never writes: each must end in
+# a CheckpointError, over an otherwise valid one-entry header
+BAD_HEADERS = [
+    {"tensors": 5},
+    {"tensors": {"w": _GOOD_ENTRY}},
+    {"tensors": [5]},
+    {"step": -1},
+    {"step": 1.5},
+    {"step": "3"},
+    {"step": True},
+    {"model_hash": 5},
+    {"model_hash": None},
+]
+BAD_ENTRIES = [
+    {"dtype": "int32", "shape": [4]},  # fills its bytes, but no float
+    {"dtype": "float16", "shape": [8]},
+    {"dtype": "object"},
+    {"dtype": ["float64"]},
+    {"offset": -8},
+    {"offset": 1e300},
+    {"nbytes": "16"},
+    {"shape": 2},
+    {"shape": [2.0]},
+    {"shape": [-2]},
+]
+
+
 class TestTruncatedCheckpoint:
     @pytest.fixture()
     def checkpoint(self, tmp_path):
@@ -251,6 +328,37 @@ class TestTruncatedCheckpoint:
         _write_raw_checkpoint(path, {"step": 0, "model_hash": "", "tensors": [entry]},
                               bytes(16))
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", BAD_HEADERS, ids=json.dumps)
+    def test_bad_header_field_raises(self, tmp_path, bad):
+        path = tmp_path / "bad.fdcp"
+        header = {"step": 0, "model_hash": "", "tensors": [_GOOD_ENTRY], **bad}
+        _write_raw_checkpoint(path, header, bytes(16))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES, ids=json.dumps)
+    def test_bad_entry_field_raises(self, tmp_path, bad):
+        path = tmp_path / "bad.fdcp"
+        entry = {**_GOOD_ENTRY, **bad}
+        _write_raw_checkpoint(path, {"step": 0, "model_hash": "", "tensors": [entry]},
+                              bytes(16))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_deeply_nested_header_raises(self, tmp_path, checkpoint):
+        path = tmp_path / "deep.fdcp"
+        blob = b"[" * 100000
+        path.write_bytes(checkpoint[:8] + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_header_length_past_the_end_raises(self, tmp_path, checkpoint):
+        # a damaged length must not size a read of 2^63 bytes
+        path = tmp_path / "long.fdcp"
+        path.write_bytes(checkpoint[:8] + struct.pack("<Q", 1 << 63) + checkpoint[16:])
+        with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
     def test_cli_eval_exit_1(self, tmp_path, capsys, checkpoint):
@@ -307,6 +415,24 @@ class TestCheckpointModelHash:
                          "--out", str(tmp_path / "out")]) == 1
             _one_line_error(capsys, "error: checkpoint")
 
+    @pytest.mark.parametrize("damage", ["tensors_not_a_list", "int32_entry"])
+    def test_malformed_header_exit_1(self, tmp_path, capsys, trained, damage):
+        # under the config's own model hash, so only the header is at fault
+        cfg, ds, ckpt = trained
+        raw = open(ckpt, "rb").read()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        if damage == "tensors_not_a_list":
+            header["tensors"] = 5
+        else:
+            header["tensors"][0]["dtype"] = "int32"
+        bad = tmp_path / "bad.fdcp"
+        _write_raw_checkpoint(bad, header, raw[16 + hlen:])
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--dataset", ds, "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "report.json")]) == 1
+        _one_line_error(capsys, "error: checkpoint")
+
     def test_missing_model_hash_exit_1(self, tmp_path, capsys, trained):
         cfg, ds, ckpt = trained
         raw = open(ckpt, "rb").read()
@@ -333,3 +459,99 @@ class TestCheckpointModelHash:
         assert main(["train", "--config", str(longer), "--dataset", ds, "--out", out,
                      "--resume", ckpt]) == 0
         assert load_checkpoint(out)[1] == 3
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in a valid object or the documented error
+# ---------------------------------------------------------------------------
+
+
+def _dotted_leaves(section, prefix="") -> list:
+    out = []
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            out += _dotted_leaves(value, f"{prefix}{f.name}.")
+        else:
+            out.append(prefix + f.name)
+    return out
+
+
+# real leaves (most draws), sections, unknown names and dunder names
+_DOTTED = st.sampled_from(
+    _dotted_leaves(RunConfig())
+    + ["model", "sim", "sim.oracle", "train", "eval", "scenario"]
+    + ["nope", "model.nope", "sim.oracle.nope", "model.channels.x", ""]
+    + ["__class__", "model.__class__.channels", "__class__.model", "sim.__dict__",
+       "sim.oracle.__init__", "__dataclass_fields__"]
+)
+_NUMBERS = st.one_of(st.integers(-(2 ** 64), 2 ** 64),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=8)),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=8,
+    ),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(dotted=_DOTTED, value=_VALUES, bare=st.booleans())
+    def test_override_gives_a_valid_config_or_config_error(self, dotted, value, bare):
+        cfg = RunConfig()
+        raw = value if bare and isinstance(value, str) else json.dumps(value)
+        try:
+            cfg.apply_override(dotted, raw)
+            cfg.validate()
+        except ConfigError:
+            return
+        json.dumps(cfg.to_dict(), allow_nan=False)  # every number is finite
+        assert RunConfig.from_dict(cfg.to_dict()).hash() == cfg.hash()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dotted=_DOTTED, value=_VALUES)
+    def test_from_dict_gives_a_valid_config_or_config_error(self, dotted, value):
+        doc = _nested(dotted, value) if dotted else value
+        try:
+            cfg = RunConfig.from_dict(doc)
+        except ConfigError:
+            return
+        json.dumps(cfg.to_dict(), allow_nan=False)  # every number is finite
+        cfg.validate()
+
+    @pytest.fixture(scope="class")
+    def small_checkpoint(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model.fdcp"
+        store = init_model_params(_small_model(), seed=0)
+        save_checkpoint(str(path), store, 3, _small_model().hash(),
+                        optimizer={"w": store["query.default_embedding"].data})
+        return path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_loads_or_raises(self, small_checkpoint, data):
+        raw = bytearray(small_checkpoint)
+        if data.draw(st.booleans()):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            # the 16-byte preamble and the JSON header come first, so about
+            # half the flips land in them
+            (hlen,) = struct.unpack("<Q", raw[8:16])
+            where = st.one_of(st.integers(0, 16 + hlen - 1), st.integers(0, len(raw) - 1))
+            for pos in data.draw(st.lists(where, min_size=1, max_size=4)):
+                raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.fdcp")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                tensors, step, model_hash, optimizer = load_checkpoint(path)
+                restore_into(init_model_params(_small_model(), seed=0), tensors)
+            except CheckpointError:
+                return
+        assert isinstance(step, int) and step >= 0 and isinstance(model_hash, str)
+        assert all(a.dtype.kind == "f" for a in [*tensors.values(), *optimizer.values()])

@@ -479,6 +479,13 @@ class TestDatasetIo:
         with pytest.raises(SimError):
             load_manifest(str(tmp_path))
 
+    @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", "[" * 100000],
+                             ids=["list", "number", "null", "deep"])
+    def test_manifest_not_an_object_or_unreadable_errors(self, tmp_path, doc):
+        (tmp_path / "manifest.json").write_text(doc)
+        with pytest.raises(SimError):
+            load_manifest(str(tmp_path))
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
@@ -500,6 +507,16 @@ class TestDatasetFiles:
         path = os.path.join(ds, "scene_0000", fname)
         np.save(path, np.load(path).view(np.int32))
         with pytest.raises(SimError, match="floating point"):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("doc", ['{"scene_id": 0}', "[" * 100000],
+                             ids=["no_boxes", "deep"])
+    def test_unreadable_scene_json_is_a_sim_error(self, tiny_dataset, tmp_path, doc):
+        ds = str(tmp_path / "ds")
+        shutil.copytree(tiny_dataset, ds)
+        with open(os.path.join(ds, "scene_0000", "scene.json"), "w") as fh:
+            fh.write(doc)
+        with pytest.raises(SimError, match="scene.json"):
             load_dataset(ds)
 
     @settings(max_examples=50, deadline=None)

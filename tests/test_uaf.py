@@ -21,6 +21,12 @@ def _u(d):
     return uaf.uncertainty_from_distance(T.Tensor(np.atleast_1d(d), dtype=np.float64)).data
 
 
+def _predict_u(roi, params):
+    """Predicted uncertainty of a RoI, composed as the decoder composes it:
+    pool, distance head, u."""
+    return uaf.uncertainty_from_distance(uaf.predict_distance(uaf.pool_roi(roi), params))
+
+
 def _const(n, u):
     """The same uncertainty u for n queries."""
     return T.Tensor(np.full(n, u))
@@ -116,7 +122,7 @@ class TestPredictUncertainty:
         p.w1.data *= 0.0
         p.w2.data *= 0.0
         p.b2.data = np.array([-40.0])  # softplus(-40) ~ 0
-        u = uaf.predict_uncertainty(_roi(rng.normal(size=(2, 3, C))), p)
+        u = _predict_u(_roi(rng.normal(size=(2, 3, C))), p)
         np.testing.assert_allclose(u.data, 0.0, atol=1e-12)
 
     def test_ln4_head(self):
@@ -127,7 +133,7 @@ class TestPredictUncertainty:
         p.w2.data *= 0.0
         # softplus(b2) = ln 4  =>  b2 = ln(e^{ln4} - 1) = ln 3
         p.b2.data = np.array([math.log(3.0)])
-        u = uaf.predict_uncertainty(_roi(rng.normal(size=(1, 2, C))), p)
+        u = _predict_u(_roi(rng.normal(size=(1, 2, C))), p)
         np.testing.assert_allclose(u.data, 0.75, atol=1e-12)
 
     def test_gradient(self):
@@ -138,7 +144,7 @@ class TestPredictUncertainty:
 
         def fn(ins):
             dp = SimpleNamespace(w1=ins[1], b1=ins[2], w2=ins[3], b2=ins[4])
-            return uaf.predict_uncertainty(ins[0], dp)
+            return _predict_u(ins[0], dp)
 
         rep = T.grad_check(fn, [roi_arr, p.w1, p.b1, p.w2, p.b2])
         assert rep.passed
@@ -147,7 +153,7 @@ class TestPredictUncertainty:
         rng = np.random.default_rng(4)
         C = 6
         p = _dist_head(rng, C, scale=2.0)
-        u = uaf.predict_uncertainty(_roi(rng.normal(size=(50, 4, C)) * 5), p)
+        u = _predict_u(_roi(rng.normal(size=(50, 4, C)) * 5), p)
         assert np.all((u.data >= 0) & (u.data < 1))
 
 
