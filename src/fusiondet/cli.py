@@ -124,6 +124,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     scenes = _load_scenes(cfg, args.dataset)
     store, start_step, velocity = _load_params(cfg, args.resume)
+    if start_step > cfg.train.steps:
+        raise CliError(f"checkpoint {args.resume} is at step {start_step}, past "
+                       f"train.steps={cfg.train.steps}")
     log_path = args.out + ".log.jsonl"
     # the log is written whole or not at all, so a resumed run starts from a
     # copy of the log it continues; a diverging run ends in one
@@ -303,6 +306,9 @@ def main(argv=None) -> int:
         return CONFIG_EXIT
     except (CliError, SimError, CheckpointError, BenchError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return ERROR_EXIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return ERROR_EXIT
 
 

@@ -52,24 +52,21 @@ def refine_box(features: T.Tensor, state: T.Tensor, params, cfg: ModelSection) -
     """Residual box update from the fused query feature.
 
     ``params`` is the layer's two-layer refine head group
-    (``ParamStore.group("layer0.refine")``). Center moves by head output
-    times ``center_step`` times the range extent per axis (48 m in x/y and
-    6 m in z at the desk defaults), sizes update in log space, yaw via an
-    additive (sin, cos) pair that is renormalized, velocity additively.
+    (``ParamStore.group("layer0.refine")``). The whole state row moves by
+    the head output times a per-column step: the center by ``center_step``
+    times the range extent per axis (48 m in x/y and 6 m in z at the desk
+    defaults), sizes in log space and the (sin, cos) pair by 1, velocity by
+    ``velocity_step``. The (sin, cos) pair is then renormalized.
     """
     resid = T.mlp(features, params)
-
-    extent = cfg.detection_range().extent
-    center_scale = (extent * cfg.center_step)
-    center = T.add(T.narrow(state, 1, 0, 3), T.mul(T.narrow(resid, 1, 0, 3), center_scale))
-    log_size = T.add(T.narrow(state, 1, 3, 3), T.narrow(resid, 1, 3, 3))
-    s = T.add(T.narrow(state, 1, 6, 1), T.narrow(resid, 1, 6, 1))
-    c = T.add(T.narrow(state, 1, 7, 1), T.narrow(resid, 1, 7, 1))
-    norm = T.sqrt(T.add(T.add(T.mul(s, s), T.mul(c, c)), 1e-12))
-    s = T.div(s, norm)
-    c = T.div(c, norm)
-    vel = T.add(T.narrow(state, 1, 8, 2), T.mul(T.narrow(resid, 1, 8, 2), cfg.velocity_step))
-    return T.concat([center, log_size, s, c, vel], axis=1)
+    step = np.concatenate([cfg.detection_range().extent * cfg.center_step, np.ones(5),
+                           np.full(2, cfg.velocity_step)])
+    # the state's gradient comes back in its own dtype
+    moved = T.add(T.astype(state, state.dtype), T.mul(resid, step))
+    sincos = T.narrow(moved, 1, 6, 2)
+    norm = T.sqrt(T.add(T.sum_(T.mul(sincos, sincos), axis=1), 1e-12))
+    unit = T.div(sincos, T.reshape(norm, (-1, 1)))
+    return T.concat([T.narrow(moved, 1, 0, 6), unit, T.narrow(moved, 1, 8, 2)], axis=1)
 
 
 def _nearest_gt_xy(centers_xy: np.ndarray, gt_boxes: BoxArray) -> np.ndarray:

@@ -35,6 +35,9 @@ class SamplingPattern:
     weights: T.Tensor
 
 
+_SINCOS_TO_ROTATION = np.array([[0.0, -1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+
+
 def predict_pattern(batch: QueryBatch, params, branch: str, cfg: ModelSection) -> SamplingPattern:
     """Predict a sampling pattern from the batch's query features.
 
@@ -62,18 +65,16 @@ def predict_pattern(batch: QueryBatch, params, branch: str, cfg: ModelSection) -
     # scale by half-extents, rotate the BEV components by box yaw
     half = T.reshape(T.narrow(batch.half_extents(), 1, 0, dims), (N, 1, 1, dims))
     scaled = T.mul(local, half)
-    yaw_sincos = batch.yaw_sincos()
-    s = T.reshape(T.narrow(yaw_sincos, 1, 0, 1), (N, 1, 1, 1))
-    c = T.reshape(T.narrow(yaw_sincos, 1, 1, 1), (N, 1, 1, 1))
-    lx = T.narrow(scaled, 3, 0, 1)
-    ly = T.narrow(scaled, 3, 1, 1)
-    wx = T.sub(T.mul(c, lx), T.mul(s, ly))
-    wy = T.add(T.mul(s, lx), T.mul(c, ly))
-    if dims == 2:
-        offsets = T.concat([wx, wy], axis=3)
-    else:
-        lz = T.narrow(scaled, 3, 2, 1)
-        offsets = T.concat([wx, wy, lz], axis=3)
+    # (sin, cos) -> the rows [[c, -s], [s, c]] of each query's rotation
+    rot = T.matmul(batch.yaw_sincos(), _SINCOS_TO_ROTATION.astype(batch.box_state.dtype))
+    # (x, y) ahead of the G x K points: each entry of the rotation's gradient
+    # then sums one contiguous run of points, which numpy adds pairwise, as
+    # it does for the per-column chain that tests/test_rias.py keeps
+    xy = T.transpose(scaled if dims == 2 else T.narrow(scaled, 3, 0, 2), (0, 3, 1, 2))
+    prod = T.mul(T.reshape(xy, (N, 1, 2, G, K)), T.reshape(rot, (N, 2, 2, 1, 1)))
+    offsets = T.transpose(T.sum_(prod, axis=2), (0, 2, 3, 1))
+    if dims == 3:
+        offsets = T.concat([offsets, T.narrow(scaled, 3, 2, 1)], axis=3)
 
     raw_w = T.linear(features, params.weight_w, params.weight_b)
     if branch == "lidar":
@@ -136,21 +137,20 @@ def sample_camera(
     p_t = T.add(T.matmul(pts, np.swapaxes(rel[:, :3, :3], 1, 2).copy()),
                 rel[:, None, :3, 3].copy())
 
-    # 2. into every view's pixels: (T, V, P, 1) each
+    # 2. into every view's pixels: (T, V, P, 2), depth (T, V, P, 1)
     ext = np.stack([view.extrinsics for view in rig.views])
     p_cam = T.add(T.matmul(T.reshape(p_t, (Tt, 1, P, 3)),
                            np.swapaxes(ext[:, :3, :3], 1, 2).copy()),
                   ext[:, None, :3, 3].copy())
-    x = T.narrow(p_cam, 3, 0, 1)
-    y = T.narrow(p_cam, 3, 1, 1)
     z = T.narrow(p_cam, 3, 2, 1)
-    z_safe = T.clamp_min(z, DEPTH_FLOOR)
-    intr = np.stack([view.intrinsics for view in rig.views]).reshape(1, V, 3, 3)
-    u = T.add(T.mul(T.div(x, z_safe), intr[:, :, 0:1, 0:1]), intr[:, :, 0:1, 2:3])
-    w = T.add(T.mul(T.div(y, z_safe), intr[:, :, 1:2, 1:2]), intr[:, :, 1:2, 2:3])
+    intr = np.stack([view.intrinsics for view in rig.views])
+    focal = intr[:, [0, 1], [0, 1]].reshape(1, V, 1, 2)
+    principal = intr[:, 0:2, 2].reshape(1, V, 1, 2)
+    uv = T.add(T.mul(T.div(T.narrow(p_cam, 3, 0, 2), T.clamp_min(z, DEPTH_FLOOR)), focal),
+               principal)
     size = np.array([view.image_size for view in rig.views]).reshape(1, V, 1, 2)
-    hit = ((z.data > DEPTH_FLOOR) & (u.data >= 0.0) & (u.data < size[..., 0:1])
-           & (w.data >= 0.0) & (w.data < size[..., 1:2]))[..., 0]  # (T, V, P)
+    inside = (uv.data >= 0.0) & (uv.data < size)
+    hit = (z.data[..., 0] > DEPTH_FLOOR) & inside[..., 0] & inside[..., 1]  # (T, V, P)
 
     # 3. compact to the hit (frame, view, point) triples, M scale rows each
     t_h, v_h, p_h = np.nonzero(hit)
@@ -159,9 +159,9 @@ def sample_camera(
     inv_count = 1.0 / np.maximum(hit.sum(axis=1), 1)  # (T, P): 1 / hit views
     m_r = np.tile(np.arange(M), t_h.size)
     t_r, v_r, p_r = (np.repeat(a, M) for a in (t_h, v_h, p_h))
-    uw = T.reshape(T.concat([u, w], axis=3), (Tt * V * P, 2))
     inv_stride = 1.0 / np.asarray(feats.strides)
-    coords = T.mul(T.gather_rows(uw, (t_r * V + v_r) * P + p_r), inv_stride[m_r][:, None])
+    coords = T.mul(T.gather_rows(T.reshape(uv, (Tt * V * P, 2)), (t_r * V + v_r) * P + p_r),
+                   inv_stride[m_r][:, None])
 
     # 4. one packed read; (sample x weight) x gate into its (frame, point) row
     samp = feats.sample(feats.index(v_r, m_r, t_r), coords)

@@ -107,20 +107,15 @@ def _stored(maps, cfg: ModelSection):
     return maps
 
 
-def _pack_camera(cam_maps: dict, rig: CameraRig, model: ModelSection) -> CameraFeatureSet:
+def _pack_camera(cam_maps: dict, model: ModelSection, sim: SimSection) -> CameraFeatureSet:
     """A scene's (v, m, t) camera maps packed once, at the model's
     precision."""
-    # per-scale pixel-to-texel ratio, recovered from the map shapes
-    img_w = rig.views[0].image_size[0]
-    strides = [img_w / cam_maps[(0, m, 0)].shape[1] for m in range(model.num_cam_scales)]
+    strides = [cfg_stride(m, sim.base_stride) for m in range(model.num_cam_scales)]
     return CameraFeatureSet(cam_maps, model.num_views, model.num_cam_scales, model.num_frames,
                             strides, model.dtype)
 
 
-_BASE_STRIDE = 8
-
-
-def cfg_stride(scale: int, base: int = _BASE_STRIDE) -> int:
+def cfg_stride(scale: int, base: int) -> int:
     return base * (2 ** scale)
 
 
@@ -502,7 +497,7 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
         det_range=det_range,
         points=points,
         obj_ids=obj_ids,
-        cam_set=_pack_camera(cam_maps, rig, model),
+        cam_set=_pack_camera(cam_maps, model, sim),
         lidar_set=LidarFeaturePyramid(lidar_maps, det_range, model.dtype),
     )
 
@@ -551,7 +546,7 @@ def apply_scenario(
             obj_ids[t] = obj_ids[t][keep]
     elif spec.kind == "front_occlusion":
         cam_set = _pack_camera({k: np.zeros_like(grid) if k[0] == FRONT_VIEW else grid
-                               for k, grid in cam_maps.items()}, sample.rig, model)
+                               for k, grid in cam_maps.items()}, model, sim)
     else:  # stuck
         if len(points) < 2:
             raise SimError("stuck scenario requires at least 2 frames")
@@ -559,7 +554,7 @@ def apply_scenario(
             if spec.stuck_sensor == "camera":
                 last = model.num_frames - 1
                 cam_set = _pack_camera({(v, m, t): cam_maps[(v, m, min(t + 1, last))]
-                                       for (v, m, t) in cam_maps}, sample.rig, model)
+                                       for (v, m, t) in cam_maps}, model, sim)
             else:
                 lidar_frame = 1
 
@@ -706,7 +701,7 @@ def load_dataset(dataset_dir: str) -> list:
                     det_range=det_range,
                     points=points,
                     obj_ids=obj_ids,
-                    cam_set=_pack_camera(cam_maps, rig, model),
+                    cam_set=_pack_camera(cam_maps, model, sim),
                     lidar_set=LidarFeaturePyramid(lidar_maps, det_range, model.dtype),
                 )
             )

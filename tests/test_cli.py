@@ -152,6 +152,21 @@ class TestTrain:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
+    def test_resume_past_the_end_writes_nothing(self, workspace, capsys):
+        # a 4-step checkpoint resumed under train.steps=2 would be saved as
+        # step 2 while holding step 4's parameters
+        tmp_path, cfg, ds = workspace
+        ckpt = str(tmp_path / "m4.fdcp")
+        assert main(["train", "--config", cfg, "--dataset", ds, "--out", ckpt]) == 0
+        out = str(tmp_path / "m2.fdcp")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--dataset", ds, "--out", out,
+                     "--resume", ckpt, "-O", "train.steps=2"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "past train.steps=2" in err[0]
+        assert not os.path.exists(out) and not os.path.exists(out + ".log.jsonl")
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
     def test_step_graph_is_freed_before_the_next_decode(self, workspace, monkeypatch):
         # a step's loss, and the graph behind it, must not outlive the step
         tmp_path, cfg, ds = workspace
@@ -214,6 +229,19 @@ class TestTrain:
         assert open(ckpt + ".log.jsonl", "rb").read() == log
         assert open(ckpt, "rb").read() == model
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+class TestOutOfMemory:
+    def test_memory_error_ends_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # stands in for numpy failing to allocate an oversized map
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+
+        monkeypatch.setattr(cli, "generate_scene", no_memory)
+        cfg = _write_cfg(tmp_path / "cfg.json")
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: out of memory: Unable to allocate 1.00 PiB"]
 
 
 class TestMalformedDataset:

@@ -25,6 +25,8 @@ from fusiondet.params import init_model_params
 from fusiondet.queries import QueryBatch, boxes_to_state, state_to_boxes
 from fusiondet.scenesim import generate_scene
 
+from desk_grads import DESK_SCENES, assert_same, desk_queries, outputs_and_grads
+
 
 def _setup(seed=0, **model_kw):
     model_kw.setdefault("precision", "double")
@@ -146,6 +148,23 @@ class TestOracleUncertainty:
             np.testing.assert_allclose(pred.u_lid, want, atol=1e-12)
 
 
+def per_column_refine_box(features, state, params, cfg):
+    """The column-by-column update that ``refine_box`` replaced: each of the
+    center, log-size, sin, cos and velocity blocks narrowed, moved and joined
+    back."""
+    resid = T.mlp(features, params)
+    center_scale = cfg.detection_range().extent * cfg.center_step
+    center = T.add(T.narrow(state, 1, 0, 3), T.mul(T.narrow(resid, 1, 0, 3), center_scale))
+    log_size = T.add(T.narrow(state, 1, 3, 3), T.narrow(resid, 1, 3, 3))
+    s = T.add(T.narrow(state, 1, 6, 1), T.narrow(resid, 1, 6, 1))
+    c = T.add(T.narrow(state, 1, 7, 1), T.narrow(resid, 1, 7, 1))
+    norm = T.sqrt(T.add(T.add(T.mul(s, s), T.mul(c, c)), 1e-12))
+    s = T.div(s, norm)
+    c = T.div(c, norm)
+    vel = T.add(T.narrow(state, 1, 8, 2), T.mul(T.narrow(resid, 1, 8, 2), cfg.velocity_step))
+    return T.concat([center, log_size, s, c, vel], axis=1)
+
+
 class TestRefineBox:
     def test_zero_head_output_keeps_box(self):
         scene, model, sim, store = _setup()
@@ -172,6 +191,22 @@ class TestRefineBox:
         out = state_to_boxes(refine_box(qf, state, store.group("layer0.refine"), model).data)
         np.testing.assert_allclose(out[0].size, [4.0, 1.0, 1.5], atol=1e-12)
         np.testing.assert_allclose(out[0].center, box.center, atol=1e-12)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_matches_per_column_update(self, precision):
+        # the state, the features and the head all get their gradients bit
+        # for bit, at both precisions
+        for scene_id in DESK_SCENES:
+            model, _, store, batch = desk_queries(scene_id, precision)
+            params = store.group("layer0.refine")
+            leaves = [batch.features, batch.box_state, *vars(params).values()]
+
+            def run(refine):
+                return outputs_and_grads(
+                    lambda: [refine(batch.features, batch.box_state, params, model)],
+                    leaves, scene_id)
+
+            assert_same(run(refine_box), run(per_column_refine_box))
 
 
 class TestHungarian:

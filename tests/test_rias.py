@@ -16,6 +16,7 @@ from fusiondet import tensor as T
 from fusiondet.config import ModelSection, RunConfig
 from fusiondet.featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from fusiondet.geometry import (
+    DEPTH_FLOOR,
     CameraRig,
     CameraView,
     DetectionRange,
@@ -34,6 +35,7 @@ from fusiondet.rias import (
 )
 from fusiondet.geometry import Box3D, invert_rigid
 from fusiondet.scenesim import generate_scene
+from desk_grads import DESK_SCENES, assert_same, desk_queries, outputs_and_grads
 from paqg_reference import hit_views, packed_map
 
 
@@ -332,6 +334,126 @@ class TestPackedReadsMatchPerGridLoops:
             args = (batch.centers_xy(), offsets, weights, scene.lidar_pyramid(cfg.model))
             self._assert_same(_rows_and_gradients(sample_lidar, *args),
                               _rows_and_gradients(per_scale_sample_lidar, *args))
+
+# ---------------------------------------------------------------------------
+# the row-wide box geometry gives the per-column chains' numbers bit for bit
+# ---------------------------------------------------------------------------
+
+
+def per_column_predict_pattern(batch, params, branch, cfg):
+    """``predict_pattern`` with the yaw rotation written column by column:
+    x and y narrowed, rotated by four products, joined back with z."""
+    if branch == "lidar":
+        G, M, dims = cfg.num_lidar_scales, 1, 2
+    else:
+        G, M, dims = cfg.num_frames, cfg.num_cam_scales, 3
+    K = cfg.num_points
+    features = batch.features
+    N = features.shape[0]
+    raw = T.linear(features, params.offset_w, params.offset_b)
+    local = T.reshape(T.mul(T.tanh(raw), cfg.max_offset_factor), (N, G, K, dims))
+    half = T.reshape(T.narrow(batch.half_extents(), 1, 0, dims), (N, 1, 1, dims))
+    scaled = T.mul(local, half)
+    yaw_sincos = batch.yaw_sincos()
+    s = T.reshape(T.narrow(yaw_sincos, 1, 0, 1), (N, 1, 1, 1))
+    c = T.reshape(T.narrow(yaw_sincos, 1, 1, 1), (N, 1, 1, 1))
+    lx = T.narrow(scaled, 3, 0, 1)
+    ly = T.narrow(scaled, 3, 1, 1)
+    wx = T.sub(T.mul(c, lx), T.mul(s, ly))
+    wy = T.add(T.mul(s, lx), T.mul(c, ly))
+    if dims == 2:
+        offsets = T.concat([wx, wy], axis=3)
+    else:
+        offsets = T.concat([wx, wy, T.narrow(scaled, 3, 2, 1)], axis=3)
+    raw_w = T.linear(features, params.weight_w, params.weight_b)
+    if branch == "lidar":
+        weights = T.reshape(T.softmax(raw_w, axis=-1), (N, G, K))
+    else:
+        per_frame = T.reshape(raw_w, (N, G, M * K))
+        weights = T.reshape(T.softmax(per_frame, axis=-1), (N, G, M, K))
+    return SamplingPattern(offsets=offsets, weights=weights)
+
+
+def per_column_sample_camera(centers, pattern, feats, rig):
+    """``sample_camera`` with the pinhole projection written column by
+    column: u and w each divided, scaled and shifted, then joined."""
+    N, Tt, K, _ = pattern.offsets.shape
+    M, V, C = feats.num_scales, len(rig.views), feats.channels
+    P = N * K
+    pts = T.add(T.reshape(centers, (N, 1, 1, 3)), pattern.offsets)
+    pts = T.reshape(T.transpose(T.astype(pts, np.float64), (1, 0, 2, 3)), (Tt, P, 3))
+    rel = np.stack([invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[0] for t in range(Tt)])
+    p_t = T.add(T.matmul(pts, np.swapaxes(rel[:, :3, :3], 1, 2).copy()),
+                rel[:, None, :3, 3].copy())
+    ext = np.stack([view.extrinsics for view in rig.views])
+    p_cam = T.add(T.matmul(T.reshape(p_t, (Tt, 1, P, 3)),
+                           np.swapaxes(ext[:, :3, :3], 1, 2).copy()),
+                  ext[:, None, :3, 3].copy())
+    x = T.narrow(p_cam, 3, 0, 1)
+    y = T.narrow(p_cam, 3, 1, 1)
+    z = T.narrow(p_cam, 3, 2, 1)
+    z_safe = T.clamp_min(z, DEPTH_FLOOR)
+    intr = np.stack([view.intrinsics for view in rig.views]).reshape(1, V, 3, 3)
+    u = T.add(T.mul(T.div(x, z_safe), intr[:, :, 0:1, 0:1]), intr[:, :, 0:1, 2:3])
+    w = T.add(T.mul(T.div(y, z_safe), intr[:, :, 1:2, 1:2]), intr[:, :, 1:2, 2:3])
+    size = np.array([view.image_size for view in rig.views]).reshape(1, V, 1, 2)
+    hit = ((z.data > DEPTH_FLOOR) & (u.data >= 0.0) & (u.data < size[..., 0:1])
+           & (w.data >= 0.0) & (w.data < size[..., 1:2]))[..., 0]
+    t_h, v_h, p_h = np.nonzero(hit)
+    if t_h.size == 0:
+        return T.Tensor(np.zeros((N, Tt * K, C), dtype=centers.data.dtype))
+    inv_count = 1.0 / np.maximum(hit.sum(axis=1), 1)
+    m_r = np.tile(np.arange(M), t_h.size)
+    t_r, v_r, p_r = (np.repeat(a, M) for a in (t_h, v_h, p_h))
+    uw = T.reshape(T.concat([u, w], axis=3), (Tt * V * P, 2))
+    inv_stride = 1.0 / np.asarray(feats.strides)
+    coords = T.mul(T.gather_rows(uw, (t_r * V + v_r) * P + p_r), inv_stride[m_r][:, None])
+    samp = feats.sample(feats.index(v_r, m_r, t_r), coords)
+    n_r, k_r = p_r // K, p_r % K
+    w_rows = T.gather_rows(T.reshape(pattern.weights, (-1, 1)),
+                           ((n_r * Tt + t_r) * M + m_r) * K + k_r)
+    term = T.mul(T.mul(samp, T.astype(w_rows, samp.dtype)), inv_count[t_r, p_r][:, None])
+    rows = T.scatter_add_rows(term, (n_r * Tt + t_r) * K + k_r, N * Tt * K)
+    return T.reshape(rows, (N, Tt * K, C))
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+class TestRowWideGeometryMatchesPerColumnChains:
+    # desk scenes; the features, the box state and the branch's heads all
+    # get their gradients bit for bit, in their own dtypes
+
+    @pytest.mark.parametrize("branch", ["lidar", "camera"])
+    def test_predict_pattern(self, precision, branch):
+        for scene_id in DESK_SCENES:
+            model, _, store, batch = desk_queries(scene_id, precision)
+            params = store.group(f"layer0.{branch}")
+            leaves = [batch.features, batch.box_state, *vars(params).values()]
+
+            def run(predict):
+                def fn():
+                    pat = predict(batch, params, branch, model)
+                    return [pat.offsets, pat.weights]
+                return outputs_and_grads(fn, leaves, scene_id)
+
+            assert_same(run(predict_pattern), run(per_column_predict_pattern))
+
+    def test_sample_camera(self, precision):
+        for scene_id in DESK_SCENES:
+            model, scene, store, batch = desk_queries(scene_id, precision)
+            params = store.group("layer0.camera")
+            maps = {key: T.Tensor(grid, requires_grad=True)
+                    for key, grid in scene.cam_maps.items()}
+            feats = CameraFeatureSet(maps, model.num_views, model.num_cam_scales,
+                                     model.num_frames, scene.cam_set.strides)
+            leaves = [batch.features, batch.box_state, *vars(params).values(), *maps.values()]
+
+            def run(sample):
+                def fn():
+                    pat = predict_pattern(batch, params, "camera", model)
+                    return [sample(batch.centers(), pat, feats, scene.rig)]
+                return outputs_and_grads(fn, leaves, scene_id)
+
+            assert_same(run(sample_camera), run(per_column_sample_camera))
 
 
 class TestGradsuiteMapCoverage:

@@ -432,6 +432,20 @@ class TestPackedMaps:
         for k, grid in out.cam_maps.items():
             assert np.shares_memory(grid, out.cam_set.values.data), k
 
+    def test_strides_are_the_configs(self, tmp_path):
+        # the integer strides the map shapes come from, for the generated,
+        # the corrupted and the loaded scene alike
+        sim = SimSection(base_stride=4, num_scenes=1)
+        cfg = RunConfig(model=MODEL, sim=sim)
+        want = [4, 8]  # base_stride * 2^m for the desk's two camera scales
+        scene = generate_scene(MODEL, sim, 0)
+        spec = ScenarioSpec(kind="front_occlusion", seed=0)
+        write_dataset(str(tmp_path), cfg, [scene])
+        for sc in (scene, apply_scenario(scene, spec, MODEL, sim),
+                   load_dataset(str(tmp_path))[0]):
+            assert sc.cam_set.strides == want
+            assert all(type(s) is int for s in sc.cam_set.strides)
+
 
 class TestMotion:
     def test_box_at_current_frame_is_identity(self):
