@@ -158,6 +158,8 @@ def _place_objects(model: ModelSection, sim: SimSection, rng) -> list:
     det_range = model.detection_range()
     n = int(rng.integers(sim.min_objects, sim.max_objects + 1))
     boxes = []
+    centers = np.zeros((n, 2))  # BEV centers and circumradii of the placed boxes
+    radii = np.zeros(n)
     for _ in range(n):
         for attempt in range(sim.max_place_retries):
             cls = draw_class(rng)
@@ -178,8 +180,15 @@ def _place_objects(model: ModelSection, sim: SimSection, rng) -> list:
                 class_id=cls,
                 score=1.0,
             )
-            if all(bev_rotated_iou(cand, b) == 0.0 for b in boxes):
+            # geometry.nms_3d's gate: footprints inside disjoint BEV circumcircles
+            # have IoU 0 (tests/test_geometry.py::test_disjoint_circumcircles_have_zero_iou)
+            k = len(boxes)
+            radius = 0.5 * math.hypot(size[0], size[1])
+            d = centers[:k] - (x, y)
+            near = np.hypot(d[:, 0], d[:, 1]) < radii[:k] + radius
+            if all(bev_rotated_iou(cand, boxes[j]) == 0.0 for j in np.flatnonzero(near)):
                 boxes.append(cand)
+                centers[k], radii[k] = (x, y), radius
                 break
         else:
             raise SimError("object placement failed after max retries")
@@ -257,16 +266,20 @@ def lidar_points(
     sim: SimSection,
     rng,
 ) -> tuple:
-    """One frame's point cloud: visible box faces (1/d^2 density, occlusion-
-    tested against the other boxes) plus uniform ground clutter.
+    """One frame's point cloud: visible box faces (1/d^2 density) plus
+    uniform ground clutter.
+
+    Every visible face's points are drawn first, box by box and face by
+    face. Then each box is slab-tested once, as the occluder of all the
+    other boxes' points (a box never occludes its own), and the occluded
+    points are dropped; the clutter is drawn last.
 
     Returns (points (N, 4), obj_ids (N,)).
     """
     sensor = np.array([0.0, 0.0, sim.lidar_height])
-    pts = []
-    ids = []
+    faces = []
+    owners = []
     for i, box in enumerate(boxes_in_frame):
-        others = [b for j, b in enumerate(boxes_in_frame) if j != i]
         for fc, n, ax_a, ax_b, ha, hb in _box_faces(box):
             view = sensor - fc
             dist = np.linalg.norm(view)
@@ -279,26 +292,25 @@ def lidar_points(
                 continue
             a = rng.uniform(-ha, ha, size=count)
             b = rng.uniform(-hb, hb, size=count)
-            p = fc[None, :] + a[:, None] * ax_a[None, :] + b[:, None] * ax_b[None, :]
-            if others:
-                occluded = np.zeros(count, dtype=bool)
-                for ob in others:
-                    occluded |= _ray_hits_box(sensor, p, ob)
-                p = p[~occluded]
-            if len(p):
-                inten = np.full(len(p), CLASS_INTENSITY[box.class_id])
-                pts.append(np.column_stack([p, inten]))
-                ids.append(np.full(len(p), i, dtype=np.int32))
+            faces.append(fc[None, :] + a[:, None] * ax_a[None, :] + b[:, None] * ax_b[None, :])
+            owners.append(np.full(count, i, dtype=np.int32))
+    p = np.concatenate(faces) if faces else np.zeros((0, 3))
+    owner = np.concatenate(owners) if owners else np.zeros((0,), dtype=np.int32)
+    occluded = np.zeros(len(p), dtype=bool)
+    for j, ob in enumerate(boxes_in_frame):
+        others = owner != j
+        if others.any():
+            occluded[others] |= _ray_hits_box(sensor, p[others], ob)
+    p, owner = p[~occluded], owner[~occluded]
+    inten = CLASS_INTENSITY[[b.class_id for b in boxes_in_frame]][owner]
     area = (det_range.x_max - det_range.x_min) * (det_range.y_max - det_range.y_min)
     n_clutter = int(rng.poisson(sim.clutter_density * area))
     cx = rng.uniform(det_range.x_min, det_range.x_max, size=n_clutter)
     cy = rng.uniform(det_range.y_min, det_range.y_max, size=n_clutter)
     cz = rng.normal(0.0, 0.02, size=n_clutter)
     clutter = np.column_stack([cx, cy, cz, np.full(n_clutter, CLUTTER_INTENSITY)])
-    pts.append(clutter)
-    ids.append(np.full(n_clutter, -1, dtype=np.int32))
-    points = np.concatenate(pts, axis=0) if pts else np.zeros((0, 4))
-    obj_ids = np.concatenate(ids, axis=0) if ids else np.zeros((0,), dtype=np.int32)
+    points = np.concatenate([np.column_stack([p, inten]), clutter])
+    obj_ids = np.concatenate([owner, np.full(n_clutter, -1, dtype=np.int32)])
     return points.astype(np.float32), obj_ids
 
 
@@ -340,14 +352,9 @@ def lidar_bev_features(
         pi = points[inside, 3]
         ix = xs.astype(np.int64)
         iy = ys.astype(np.int64)
-        count = np.zeros((H, W))
-        np.add.at(count, (iy, ix), 1.0)
-        sum_i = np.zeros((H, W))
-        np.add.at(sum_i, (iy, ix), pi)
-        sum_x = np.zeros((H, W))
-        np.add.at(sum_x, (iy, ix), xs)
-        sum_y = np.zeros((H, W))
-        np.add.at(sum_y, (iy, ix), ys)
+        cell = iy * W + ix
+        count, sum_i, sum_x, sum_y = (np.bincount(cell, w, minlength=H * W).reshape(H, W)
+                                      for w in (None, pi, xs, ys))
         max_z = np.full((H, W), -np.inf)
         np.maximum.at(max_z, (iy, ix), pz)
         occupied = count > 0

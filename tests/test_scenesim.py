@@ -1,6 +1,7 @@
 """Scene generation, LiDAR simulation, procedural features, failure scenarios,
 and dataset serialization."""
 
+import hashlib
 import math
 import os
 import shutil
@@ -11,16 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusiondet.classes import CLASS_MIX, CLUTTER_INTENSITY, NUM_CLASSES
+from fusiondet.classes import CLASS_INTENSITY, CLASS_MIX, CLUTTER_INTENSITY, NUM_CLASSES
 from fusiondet.config import ModelSection, RunConfig, SimSection
-from fusiondet.geometry import Box3D, project_to_view
+from fusiondet.geometry import Box3D, bev_rotated_iou, project_to_view
 from fusiondet.scenesim import (
+    HAND_FEATURES,
     ScenarioSpec,
     SimError,
+    _box_faces,
+    _place_objects,
+    _ray_hits_box,
     apply_scenario,
     box_at_frame,
+    build_rig,
     generate_scene,
     lidar_bev_features,
+    lidar_embedding,
     lidar_points,
     load_dataset,
     load_manifest,
@@ -30,6 +37,11 @@ from fusiondet.scenesim import (
 MODEL = ModelSection()
 SIM = SimSection()
 DET = MODEL.detection_range()
+CROWDED = SimSection(min_objects=24, max_objects=24)
+
+# scenes 0-3 of CROWDED under the default model: both frames' points and ids,
+# both packed buffers and the ground-truth box parameters
+CROWDED_SHA256 = "e506c4f6683ccbe71f29c7023f87a3c3719a2f049ada0351e8bfa81629df60b0"
 
 
 def _scene(scene_id=0, seed=0, sim=None, model=None):
@@ -59,8 +71,6 @@ class TestGenerateScene:
             assert np.array_equal(ba.center, bb.center) and ba.yaw == bb.yaw
 
     def test_boxes_inside_range_without_overlap(self):
-        from fusiondet.geometry import bev_rotated_iou
-
         for sid in range(5):
             scene = _scene(sid)
             for i, b in enumerate(scene.gt_boxes):
@@ -84,6 +94,30 @@ class TestGenerateScene:
             expected = n * CLASS_MIX[c]
             sigma = math.sqrt(n * CLASS_MIX[c] * (1 - CLASS_MIX[c]))
             assert abs(counts[c] - expected) <= 3 * sigma
+
+    def test_crowded_scenes_are_unchanged(self):
+        h = hashlib.sha256()
+        for sid in range(4):
+            scene = generate_scene(MODEL, CROWDED, sid)
+            for p, ids in zip(scene.points, scene.obj_ids):
+                h.update(p.tobytes())
+                h.update(ids.tobytes())
+            h.update(scene.cam_set.values.data.tobytes())
+            h.update(scene.lidar_set.values.data.tobytes())
+            for b in scene.gt_boxes:
+                h.update(np.concatenate([b.center, b.size, [b.yaw], b.velocity,
+                                         [b.class_id, b.score]]).tobytes())
+        assert h.hexdigest() == CROWDED_SHA256
+
+    def test_crowded_placement_without_overlap(self):
+        # placement clips only the pairs whose BEV circumcircles overlap
+        tight = ModelSection(range_xy=[-16.0, 16.0])
+        for seed in range(6):
+            boxes = _place_objects(tight, CROWDED, np.random.default_rng(seed))
+            assert len(boxes) == 24
+            for i, b in enumerate(boxes):
+                for other in boxes[i + 1:]:
+                    assert bev_rotated_iou(b, other) == 0.0
 
     def test_placement_failure_raises(self):
         sim = SimSection(min_objects=8, max_objects=8, max_place_retries=1)
@@ -131,12 +165,142 @@ class TestLidarPoints:
         box = Box3D([15.0, 0.0, 0.9], [4.0, 2.0, 1.8], 0.0, class_id=1)
         sim = SimSection(clutter_density=0.0)
         pts, ids = lidar_points([box], DET, sim, np.random.default_rng(3))
-        from fusiondet.classes import CLASS_INTENSITY
-
         assert np.allclose(pts[:, 3], CLASS_INTENSITY[1])
 
 
+def per_pair_lidar_points(boxes_in_frame, det_range, sim, rng):
+    """The occlusion loop that ``lidar_points`` replaced: each visible face's
+    points slab-tested against every other box as soon as they are drawn."""
+    sensor = np.array([0.0, 0.0, sim.lidar_height])
+    pts = []
+    ids = []
+    for i, box in enumerate(boxes_in_frame):
+        others = [b for j, b in enumerate(boxes_in_frame) if j != i]
+        for fc, n, ax_a, ax_b, ha, hb in _box_faces(box):
+            view = sensor - fc
+            dist = np.linalg.norm(view)
+            cos_t = float(n @ view) / max(dist, 1e-9)
+            if cos_t <= 0.05:
+                continue
+            lam = sim.point_density * (4 * ha * hb) * cos_t / max(dist * dist, 1.0)
+            count = int(rng.poisson(lam))
+            if count == 0:
+                continue
+            a = rng.uniform(-ha, ha, size=count)
+            b = rng.uniform(-hb, hb, size=count)
+            p = fc[None, :] + a[:, None] * ax_a[None, :] + b[:, None] * ax_b[None, :]
+            if others:
+                occluded = np.zeros(count, dtype=bool)
+                for ob in others:
+                    occluded |= _ray_hits_box(sensor, p, ob)
+                p = p[~occluded]
+            if len(p):
+                inten = np.full(len(p), CLASS_INTENSITY[box.class_id])
+                pts.append(np.column_stack([p, inten]))
+                ids.append(np.full(len(p), i, dtype=np.int32))
+    area = (det_range.x_max - det_range.x_min) * (det_range.y_max - det_range.y_min)
+    n_clutter = int(rng.poisson(sim.clutter_density * area))
+    cx = rng.uniform(det_range.x_min, det_range.x_max, size=n_clutter)
+    cy = rng.uniform(det_range.y_min, det_range.y_max, size=n_clutter)
+    cz = rng.normal(0.0, 0.02, size=n_clutter)
+    pts.append(np.column_stack([cx, cy, cz, np.full(n_clutter, CLUTTER_INTENSITY)]))
+    ids.append(np.full(n_clutter, -1, dtype=np.int32))
+    return np.concatenate(pts, axis=0).astype(np.float32), np.concatenate(ids, axis=0)
+
+
+class TestOcclusionMatchesPerPairLoop:
+    @staticmethod
+    def _assert_same(boxes, seed, sim=SIM):
+        got = lidar_points(boxes, DET, sim, np.random.default_rng(seed))
+        want = per_pair_lidar_points(boxes, DET, sim, np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        return got
+
+    def test_crowded_frames(self):
+        rig = build_rig(MODEL, CROWDED)
+        for seed in range(4):
+            boxes = _place_objects(MODEL, CROWDED, np.random.default_rng(seed))
+            for t in range(MODEL.num_frames):
+                frame = [box_at_frame(b, rig, t, CROWDED.frame_dt) for b in boxes]
+                self._assert_same(frame, 100 + seed)
+
+    def test_one_box(self):
+        _, ids = self._assert_same([Box3D([12.0, 3.0, 0.9], [4.0, 2.0, 1.8], 0.4)], 5)
+        assert np.count_nonzero(ids == 0) > 0
+
+    def test_empty_frame(self):
+        _, ids = self._assert_same([], 6)
+        assert np.all(ids == -1)
+
+    def test_box_hidden_completely(self):
+        wall = Box3D([10.0, 0.0, 1.5], [0.4, 8.0, 3.0], 0.0)
+        target = Box3D([20.0, 0.0, 0.9], [4.0, 2.0, 1.8], 0.0, class_id=1)
+        for seed in range(3):
+            _, ids = self._assert_same([target, wall], seed, SimSection(clutter_density=0.0))
+            assert np.count_nonzero(ids == 1) > 0 and np.count_nonzero(ids == 0) == 0
+
+
+def add_at_hand_features(points, det_range, grid):
+    """The pillar hand features with the ``np.add.at`` sums that
+    ``lidar_bev_features`` replaced by ``np.bincount``."""
+    H = W = grid
+    dx = det_range.x_max - det_range.x_min
+    dy = det_range.y_max - det_range.y_min
+    feats = np.zeros((H, W, HAND_FEATURES))
+    if len(points):
+        xs = (points[:, 0] - det_range.x_min) / dx * W
+        ys = (points[:, 1] - det_range.y_min) / dy * H
+        inside = (xs >= 0) & (xs < W) & (ys >= 0) & (ys < H)
+        xs, ys = xs[inside], ys[inside]
+        pz = points[inside, 2]
+        pi = points[inside, 3]
+        ix = xs.astype(np.int64)
+        iy = ys.astype(np.int64)
+        count = np.zeros((H, W))
+        np.add.at(count, (iy, ix), 1.0)
+        sum_i = np.zeros((H, W))
+        np.add.at(sum_i, (iy, ix), pi)
+        sum_x = np.zeros((H, W))
+        np.add.at(sum_x, (iy, ix), xs)
+        sum_y = np.zeros((H, W))
+        np.add.at(sum_y, (iy, ix), ys)
+        max_z = np.full((H, W), -np.inf)
+        np.maximum.at(max_z, (iy, ix), pz)
+        occupied = count > 0
+        safe = np.maximum(count, 1.0)
+        feats[:, :, 0] = np.log1p(count) / 4.0
+        feats[:, :, 1] = np.where(occupied, max_z, 0.0) / 3.0
+        feats[:, :, 2] = sum_i / safe
+        cell_cx = np.broadcast_to(np.arange(W) + 0.5, (H, W))
+        cell_cy = np.broadcast_to((np.arange(H) + 0.5)[:, None], (H, W))
+        feats[:, :, 3] = np.where(occupied, sum_x / safe - cell_cx, 0.0)
+        feats[:, :, 4] = np.where(occupied, sum_y / safe - cell_cy, 0.0)
+    return feats
+
+
 class TestLidarBevFeatures:
+    @pytest.mark.parametrize("case", ["repeated_cells", "empty", "crowded_frames"])
+    def test_bincount_sums_match_add_at(self, case):
+        rng = np.random.default_rng(11)
+        if case == "repeated_cells":
+            # 2,000 points over a few cells of a coarse grid, some out of range
+            xy = rng.uniform(-30.0, 30.0, size=(2000, 2))
+            clouds = [np.column_stack([xy, rng.normal(0.5, 1.0, size=(2000, 2))])
+                      .astype(np.float32)]
+            grid = 4
+        elif case == "empty":
+            clouds, grid = [np.zeros((0, 4), dtype=np.float32)], SIM.bev_grid
+        else:
+            clouds, grid = generate_scene(MODEL, CROWDED, 1).points, SIM.bev_grid
+        embed = lidar_embedding(8)
+        for points in clouds:
+            want = (add_at_hand_features(points, DET, grid).reshape(-1, HAND_FEATURES) @ embed)
+            got = lidar_bev_features(points, DET, 1, 8, grid)[0]
+            assert got.tobytes() == want.reshape(grid, grid, 8).tobytes()
+
+
     def test_no_points_all_zero(self):
         maps = lidar_bev_features(np.zeros((0, 4)), DET, 2, 8, 32)
         for m in maps:
@@ -166,8 +330,6 @@ class TestLidarBevFeatures:
         scene = _scene(2)
         # hand features are embedded; reconstruct bounds via a probe point set
         pts = np.array([[0.05, 0.05, 0.3, 0.5]], dtype=np.float32)
-        from fusiondet.scenesim import lidar_embedding
-
         maps = lidar_bev_features(pts, DET, 1, 8, 128)
         embed = lidar_embedding(8)
         cell = maps[0][np.any(maps[0] != 0, axis=2)]
