@@ -297,9 +297,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def canonical_json(self) -> str:
-        return _canonical_json(self.to_dict())
-
     def hash(self) -> str:
         return _hash(self.to_dict())
 

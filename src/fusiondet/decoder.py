@@ -27,16 +27,18 @@ from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
 
 @dataclass
 class LayerPrediction:
-    """Per-layer decoder outputs for all queries (graph tensors kept for loss)."""
+    """Per-layer decoder outputs for all queries (graph tensors kept for loss).
+    A UAF head's fields are None in a mode that does not run it: all four
+    under equal fusion, ``dist_*`` under oracle u (see :func:`decode`)."""
 
     class_logits: T.Tensor  # (N, n_cls)
     box_state: T.Tensor  # (N, 10), after this layer's refinement
     u_cam: np.ndarray  # (N,) uncertainties actually used in fusion
     u_lid: np.ndarray
-    dist_cam: T.Tensor  # (N,) f_dist outputs
-    dist_lid: T.Tensor
-    reg_cam: T.Tensor  # (N, 2) f_reg BEV position estimates
-    reg_lid: T.Tensor
+    dist_cam: T.Tensor | None  # (N,) f_dist outputs
+    dist_lid: T.Tensor | None
+    reg_cam: T.Tensor | None  # (N, 2) f_reg BEV position estimates
+    reg_lid: T.Tensor | None
 
     def scores(self) -> np.ndarray:
         return expit(self.class_logits.data)
@@ -114,20 +116,21 @@ def decode_layer(
     roi_cam = sample_camera(centers, pat_cam, cam_feats, rig)
     mix_cam = adaptive_mix(batch.features, roi_cam, group("camera.mix"))
 
-    pool_cam = uaf.pool_roi(roi_cam)
-    pool_lid = uaf.pool_roi(roi_lid)
-    dist_cam = uaf.predict_distance(pool_cam, group("camera.dist"))
-    dist_lid = uaf.predict_distance(pool_lid, group("lidar.dist"))
-    reg_cam = uaf.regress_xy(pool_cam, group("camera.reg"), centers_xy)
-    reg_lid = uaf.regress_xy(pool_lid, group("lidar.reg"), centers_xy)
-
+    dist_cam = dist_lid = reg_cam = reg_lid = None
     if fusion == "equal":
         u_cam = u_lid = T.Tensor(np.full(batch.count, 0.5))
     else:
-        dists = (dist_cam, dist_lid)
+        pool_cam, pool_lid = uaf.pool_roi(roi_cam), uaf.pool_roi(roi_lid)
+        # oracle u and the training loss read the position estimates
+        reg_cam = uaf.regress_xy(pool_cam, group("camera.reg"), centers_xy)
+        reg_lid = uaf.regress_xy(pool_lid, group("lidar.reg"), centers_xy)
         if oracle_gt is not None:
             gt_xy = _nearest_gt_xy(centers_xy.data, oracle_gt)
             dists = [T.Tensor(uaf.oracle_distance_xy(r.data, gt_xy)) for r in (reg_cam, reg_lid)]
+        else:
+            dist_cam = uaf.predict_distance(pool_cam, group("camera.dist"))
+            dist_lid = uaf.predict_distance(pool_lid, group("lidar.dist"))
+            dists = (dist_cam, dist_lid)
         u_cam, u_lid = (uaf.uncertainty_from_distance(d) for d in dists)
 
     fuse_p = group("fuse")
@@ -139,16 +142,8 @@ def decode_layer(
     logits = T.linear(fused, cls_p.w, cls_p.b)
     new_state = refine_box(fused, batch.box_state, group("refine"), cfg)
 
-    pred = LayerPrediction(
-        class_logits=logits,
-        box_state=new_state,
-        u_cam=u_cam.data,
-        u_lid=u_lid.data,
-        dist_cam=dist_cam,
-        dist_lid=dist_lid,
-        reg_cam=reg_cam,
-        reg_lid=reg_lid,
-    )
+    pred = LayerPrediction(logits, new_state, u_cam.data, u_lid.data,
+                           dist_cam, dist_lid, reg_cam, reg_lid)
     return pred, QueryBatch(fused, T.Tensor(new_state.data.copy()))
 
 
@@ -168,7 +163,10 @@ def decode(
     weights ("equal"). With ``oracle_gt`` set, uncertainties come from the
     auxiliary regressor against the nearest ground-truth box instead of the
     distance predictor (oracle-uncertainty mode); it is a BoxArray or a
-    sequence of Box3D, as every ground truth the decoder reads.
+    sequence of Box3D, as every ground truth the decoder reads. UAF heads run
+    only where read, their LayerPrediction fields None elsewhere: none under
+    equal fusion (which ignores ``oracle_gt``), the regressors under oracle
+    u, all four under predicted u, the mode :func:`compute_loss` reads.
     """
     if oracle_gt is not None:
         oracle_gt = BoxArray.stack(oracle_gt)

@@ -420,22 +420,20 @@ def _content_vector(box: Box3D, depth: float) -> np.ndarray:
 
 
 def camera_features(
-    gt_boxes: list,
+    frame_boxes: list,
     rig: CameraRig,
     model: ModelSection,
     sim: SimSection,
     rng,
 ) -> dict:
     """Gaussian blobs at projected object centers over noise plus a fixed
-    positional encoding. Returns (v, m, t) -> (H, W, C) maps."""
+    positional encoding. ``frame_boxes`` holds each frame's boxes, as
+    :func:`box_at_frame` poses them. Returns (v, m, t) -> (H, W, C) maps."""
     C = model.channels
     if C < CONTENT_CHANNELS + POSENC_CHANNELS:
         raise SimError(
             f"channels must be >= {CONTENT_CHANNELS + POSENC_CHANNELS} for camera content"
         )
-    # each frame's boxes and their projections into every view
-    frame_boxes = [[box_at_frame(box, rig, t, sim.frame_dt) for box in gt_boxes]
-                   for t in range(model.num_frames)]
     projected = [project_points(np.array([b.center for b in boxes]).reshape(-1, 3), rig.views)
                  for boxes in frame_boxes]
     maps = {}
@@ -484,18 +482,20 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
     rig = build_rig(model, sim)
     gt_boxes = _place_objects(model, sim, rng_place)
 
+    # each frame's box poses, read by both the LiDAR and the camera
+    frame_boxes = [[box_at_frame(b, rig, t, sim.frame_dt) for b in gt_boxes]
+                   for t in range(model.num_frames)]
     points = []
     obj_ids = []
-    for t in range(model.num_frames):
-        frame_boxes = [box_at_frame(b, rig, t, sim.frame_dt) for b in gt_boxes]
-        p, ids = lidar_points(frame_boxes, det_range, sim, rng_points)
+    for boxes in frame_boxes:
+        p, ids = lidar_points(boxes, det_range, sim, rng_points)
         points.append(p)
         obj_ids.append(ids)
 
     lidar_maps = lidar_bev_features(
         points[0], det_range, model.num_lidar_scales, model.channels, sim.bev_grid
     )
-    cam_maps = camera_features(gt_boxes, rig, model, sim, rng_cam)
+    cam_maps = camera_features(frame_boxes, rig, model, sim, rng_cam)
     return SceneSample(
         scene_id=scene_id,
         seed=int(sim.seed),

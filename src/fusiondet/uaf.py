@@ -4,7 +4,10 @@ uncertainty-weighted feature fusion.
 Per-modality uncertainty is u = 1 - exp(-d) for a nonnegative distance d:
 either predicted by a small MLP on the pooled RoI feature (inference) or
 derived from the auxiliary BEV regressor against a matched ground-truth box
-(training targets and oracle-mode robustness evaluation).
+(training targets and oracle-mode robustness evaluation). The decoder runs
+both heads in predicted mode, the regressor alone in oracle mode and neither
+under equal fusion, leaving a head's LayerPrediction fields None where it
+does not run.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from fusiondet import tensor as T
+from fusiondet import uaf
 from fusiondet.config import ModelSection, OracleSection, SimSection, TrainSection
 from fusiondet.decoder import (
     compute_loss,
@@ -96,12 +97,49 @@ class TestDecode:
         with pytest.raises(ValueError):
             _run(scene, model, sim, store, fusion="bogus")
 
-    def test_equal_fusion_and_oracle_modes_run(self):
+    def test_equal_fusion_and_oracle_modes_run(self, monkeypatch):
+        # each UAF head runs only in the mode that reads it, and the fields
+        # of a head that did not run are None
         scene, model, sim, store = _setup()
-        _, eq = _run(scene, model, sim, store, fusion="equal")
+        heads = ("predict_distance", "regress_xy")
+        calls = []
+
+        def counted(name):
+            real = getattr(uaf, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in heads:
+            monkeypatch.setattr(uaf, name, counted(name))
+
+        def run(**decode_kw):
+            calls.clear()
+            _, preds = _run(scene, model, sim, store, **decode_kw)
+            assert len(preds) == model.num_layers
+            per_layer = tuple(calls.count(name) / model.num_layers for name in heads)
+            return preds, per_layer
+
+        eq, per_layer = run(fusion="equal", oracle_gt=scene.gt_boxes)
+        assert per_layer == (0, 0)
         assert np.all(eq[0].u_cam == 0.5) and np.all(eq[0].u_lid == 0.5)
-        _, orc = _run(scene, model, sim, store, oracle_gt=scene.gt_boxes)
+        for pred in eq:
+            assert pred.dist_cam is pred.dist_lid is pred.reg_cam is pred.reg_lid is None
+
+        orc, per_layer = run(oracle_gt=scene.gt_boxes)
+        assert per_layer == (0, 2)
         assert np.all((orc[0].u_lid >= 0) & (orc[0].u_lid < 1))
+        for pred in orc:
+            assert pred.dist_cam is None and pred.dist_lid is None
+            assert pred.reg_cam.shape == pred.reg_lid.shape == (model.num_queries, 2)
+
+        predicted, per_layer = run()
+        assert per_layer == (2, 2)
+        for pred in predicted:
+            assert pred.dist_cam.shape == pred.dist_lid.shape == (model.num_queries,)
+            assert pred.reg_cam.shape == pred.reg_lid.shape == (model.num_queries, 2)
 
 
 class TestOracleUncertainty:
