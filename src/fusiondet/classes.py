@@ -34,6 +34,10 @@ SPEED_SCALE = np.array([2.5, 0.8, 0.0])
 
 NUM_CLASSES = len(CLASS_NAMES)
 
+# the simulator's camera feature channels: content, then a positional encoding
+CONTENT_CHANNELS = NUM_CLASSES + 8  # one-hot + invdepth + size(3) + sincos + vel(2)
+POSENC_CHANNELS = 8
+
 
 def draw_class(rng: np.random.Generator) -> int:
     """One class index drawn from CLASS_MIX.

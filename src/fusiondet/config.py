@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import tensor as T
+from .classes import CONTENT_CHANNELS, POSENC_CHANNELS
 from .geometry import DetectionRange
 
 
@@ -229,6 +230,8 @@ class EvalSection:
             raise ConfigError("eval.thresholds must be ascending")
         if sorted(self.bins) != list(self.bins):
             raise ConfigError("eval.bins must be ascending")
+        if self.tp_threshold <= 0:
+            raise ConfigError("eval.tp_threshold must be a positive distance")
 
 
 @dataclass
@@ -270,6 +273,10 @@ class RunConfig:
     def validate(self):
         for sec in (self.model, self.sim, self.train, self.eval, self.scenario):
             sec.validate()
+        # the simulator writes this many channels of camera content
+        if self.model.channels < CONTENT_CHANNELS + POSENC_CHANNELS:
+            raise ConfigError(f"model.channels must be >= {CONTENT_CHANNELS + POSENC_CHANNELS} "
+                              f"(the simulator's camera content), got {self.model.channels}")
         # every camera scale and every BEV scale must have a whole texel
         # count, so the map strides are exact
         for name in ("image_width", "image_height"):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,9 +104,31 @@ class CameraView:
         )
 
 
+class RigProjection(NamedTuple):
+    """A rig's projection constants, stacked as read-only arrays.
+
+    Per frame t, the rotation (transposed, for row vectors) and shift of the
+    map from the current frame's ego coordinates into frame t's; per view,
+    the same for the extrinsics; then each view's focal lengths, principal
+    point and (W, H) image size as (1, V, 1, 2) rows.
+    """
+
+    align_rot: np.ndarray  # (T, 3, 3)
+    align_shift: np.ndarray  # (T, 1, 3)
+    ext_rot: np.ndarray  # (V, 3, 3)
+    ext_shift: np.ndarray  # (V, 1, 3)
+    focal: np.ndarray  # (1, V, 1, 2)
+    principal: np.ndarray  # (1, V, 1, 2)
+    image_size: np.ndarray  # (1, V, 1, 2), integer pixels
+
+
 @dataclass
 class CameraRig:
-    """All camera views plus per-frame ego poses (ego frame at t -> world)."""
+    """All camera views plus per-frame ego poses (ego frame at t -> world).
+
+    A rig is not changed after it is built: its projection constants are
+    stacked on first use and kept with it.
+    """
 
     views: list
     ego_poses: list  # T 4x4 transforms; index 0 is the current frame
@@ -123,6 +147,22 @@ class CameraRig:
     @property
     def num_frames(self) -> int:
         return len(self.ego_poses)
+
+    @cached_property
+    def projection(self) -> RigProjection:
+        """This rig's :class:`RigProjection`, built once per rig."""
+        rel = np.stack([invert_rigid(pose) @ self.ego_poses[0] for pose in self.ego_poses])
+        ext = np.stack([view.extrinsics for view in self.views])
+        intr = np.stack([view.intrinsics for view in self.views])
+        rows = (1, len(self.views), 1, 2)
+        out = RigProjection(
+            np.swapaxes(rel[:, :3, :3], 1, 2).copy(), rel[:, None, :3, 3].copy(),
+            np.swapaxes(ext[:, :3, :3], 1, 2).copy(), ext[:, None, :3, 3].copy(),
+            intr[:, [0, 1], [0, 1]].reshape(rows), intr[:, 0:2, 2].reshape(rows).copy(),
+            np.array([view.image_size for view in self.views]).reshape(rows))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def to_dict(self) -> dict:
         return {

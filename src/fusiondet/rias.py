@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
-from .geometry import DEPTH_FLOOR, CameraRig, invert_rigid
+from .geometry import DEPTH_FLOOR, CameraRig, GeometryError
 from .queries import QueryBatch
 
 
@@ -121,7 +121,8 @@ def sample_camera(
     view's frustum produce zero rows. Hit decisions (and the 1/|V| factor)
     are constants of the forward pass; gradients flow through projection
     and bilinear weights. Projection runs in double precision for all
-    frames and views at once; only the hit (frame, view, point) triples are
+    frames and views at once, with the constants the rig stacks once
+    (``rig.projection``); only the hit (frame, view, point) triples are
     read, every scale in one packed read, and each term is added into its
     (frame, point) row in view-then-scale order.
     """
@@ -129,27 +130,22 @@ def sample_camera(
     M, V, C = feats.num_scales, len(rig.views), feats.channels
     P = N * K
 
+    if Tt > rig.num_frames:
+        raise GeometryError(f"{Tt} sampled frames, but the rig has {rig.num_frames}")
+    proj = rig.projection
+
     # 1. every frame's points in that frame's ego coordinates: (T, P, 3);
     # the conversions return the pattern's gradients in its own dtype
     pts = T.add(T.reshape(centers, (N, 1, 1, 3)), pattern.offsets)  # (N, T, K, 3)
     pts = T.reshape(T.transpose(T.astype(pts, np.float64), (1, 0, 2, 3)), (Tt, P, 3))
-    rel = np.stack([invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[0] for t in range(Tt)])
-    p_t = T.add(T.matmul(pts, np.swapaxes(rel[:, :3, :3], 1, 2).copy()),
-                rel[:, None, :3, 3].copy())
+    p_t = T.add(T.matmul(pts, proj.align_rot[:Tt]), proj.align_shift[:Tt])
 
     # 2. into every view's pixels: (T, V, P, 2), depth (T, V, P, 1)
-    ext = np.stack([view.extrinsics for view in rig.views])
-    p_cam = T.add(T.matmul(T.reshape(p_t, (Tt, 1, P, 3)),
-                           np.swapaxes(ext[:, :3, :3], 1, 2).copy()),
-                  ext[:, None, :3, 3].copy())
+    p_cam = T.add(T.matmul(T.reshape(p_t, (Tt, 1, P, 3)), proj.ext_rot), proj.ext_shift)
     z = T.narrow(p_cam, 3, 2, 1)
-    intr = np.stack([view.intrinsics for view in rig.views])
-    focal = intr[:, [0, 1], [0, 1]].reshape(1, V, 1, 2)
-    principal = intr[:, 0:2, 2].reshape(1, V, 1, 2)
-    uv = T.add(T.mul(T.div(T.narrow(p_cam, 3, 0, 2), T.clamp_min(z, DEPTH_FLOOR)), focal),
-               principal)
-    size = np.array([view.image_size for view in rig.views]).reshape(1, V, 1, 2)
-    inside = (uv.data >= 0.0) & (uv.data < size)
+    uv = T.add(T.mul(T.div(T.narrow(p_cam, 3, 0, 2), T.clamp_min(z, DEPTH_FLOOR)), proj.focal),
+               proj.principal)
+    inside = (uv.data >= 0.0) & (uv.data < proj.image_size)
     hit = (z.data[..., 0] > DEPTH_FLOOR) & inside[..., 0] & inside[..., 1]  # (T, V, P)
 
     # 3. compact to the hit (frame, view, point) triples, M scale rows each

@@ -24,7 +24,9 @@ import numpy as np
 from .classes import (
     CLASS_INTENSITY,
     CLUTTER_INTENSITY,
+    CONTENT_CHANNELS,
     NUM_CLASSES,
+    POSENC_CHANNELS,
     SIZE_JITTER,
     SIZE_PRIORS,
     SPEED_SCALE,
@@ -46,8 +48,6 @@ from .geometry import (
 )
 
 HAND_FEATURES = 5  # count, max height, mean intensity, centroid dx, dy
-CONTENT_CHANNELS = NUM_CLASSES + 8  # one-hot + invdepth + size(3) + sincos + vel(2)
-POSENC_CHANNELS = 8
 FRONT_VIEW = 0
 
 
@@ -355,8 +355,9 @@ def lidar_bev_features(
         cell = iy * W + ix
         count, sum_i, sum_x, sum_y = (np.bincount(cell, w, minlength=H * W).reshape(H, W)
                                       for w in (None, pi, xs, ys))
-        max_z = np.full((H, W), -np.inf)
-        np.maximum.at(max_z, (iy, ix), pz)
+        max_z = np.full(H * W, -np.inf)
+        np.maximum.at(max_z, cell, pz)
+        max_z = max_z.reshape(H, W)
         occupied = count > 0
         safe = np.maximum(count, 1.0)
         feats[:, :, 0] = np.log1p(count) / 4.0

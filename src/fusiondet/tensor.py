@@ -11,6 +11,7 @@ Default precision is single; numerical tests run everything in double.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -549,19 +550,30 @@ def gather_rows(a, index) -> Tensor:
 
     def d_a(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        _add_rows_at(full, idx, g)
         return full
 
     return _make(a.data[idx].copy(), "gather_rows", (a,), (d_a,))
 
 
+def _add_rows_at(out, idx, rows) -> None:
+    """``np.add.at(out, idx, rows)`` along axis 0, run on the flat view of
+    ``out`` at element indices ``idx * width + arange(width)``: the same
+    adds in the same order (row by row, each row's elements in turn), on
+    numpy's fast 1-D path. ``rows`` has shape ``idx.shape + out.shape[1:]``."""
+    width = math.prod(out.shape[1:])
+    flat = idx.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(out.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+
+
 def scatter_add_rows(a, index, num_rows: int) -> Tensor:
     """Add row i of ``a`` into row ``index[i]`` of a zero (num_rows, ...)
-    array, in row order; backward gathers the rows back."""
+    array; rows are added in row order, each row's elements in turn, by one
+    flat ``np.add.at``. Backward gathers the rows back."""
     a = _wrap(a)
     idx = np.asarray(index, dtype=np.int64)
     out = np.zeros((num_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    np.add.at(out, idx, a.data)
+    _add_rows_at(out, idx, a.data)
     return _make(out, "scatter_add_rows", (a,), (lambda g: g[idx],))
 
 
@@ -587,6 +599,11 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
     contribute zero (zero padding), never a neighbouring grid's texel.
     Differentiable w.r.t. both the buffer values and the coordinates;
     plain-array coords are read in the buffer's dtype.
+
+    The four corners' rows are gathered in one take; each output element
+    adds its weighted corners to zero in the corner order (0, 0), (1, 0),
+    (0, 1), (1, 1). The values gradient is one flat ``np.add.at`` that adds
+    corner by corner in that order, point by point within a corner.
     """
     values = _wrap(values)
     coords = _wrap(coords, like=values)
@@ -611,34 +628,32 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
         _note_kink(np.minimum(fx, 1.0 - fx))
         _note_kink(np.minimum(fy, 1.0 - fy))
 
+    # each axis once: the two texel columns (rows), their in-grid tests and
+    # weights; corner k = 2 * dj + di, in the order (0, 0), (1, 0), (0, 1), (1, 1)
+    ii = np.stack([i0, i0 + 1])
+    jj = np.stack([j0, j0 + 1])
+    masks = (((jj >= 0) & (jj < H))[:, None] & ((ii >= 0) & (ii < W))[None]).reshape(4, -1)
     # masking the (P,) corner weights gives the same sums as masking the
     # (P, C) corner values, at a fraction of the work
-    w00 = (1 - fx) * (1 - fy)
-    w10 = fx * (1 - fy)
-    w01 = (1 - fx) * fy
-    w11 = fx * fy
-    rows, masks, weights = [], [], []
-    for (di, dj), w in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (w00, w10, w01, w11)):
-        ii = i0 + di
-        jj = j0 + dj
-        valid = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
-        rows.append(base + np.clip(jj, 0, H - 1) * W + np.clip(ii, 0, W - 1))
-        masks.append(valid)
-        weights.append(w * valid)
-    flat = sum(w[:, None] * values.data[r] for w, r in zip(weights, rows))
+    weights = (np.stack([1 - fx, fx])[None] * np.stack([1 - fy, fy])[:, None]).reshape(4, -1)
+    weights *= masks
+    rows = (base + np.clip(jj, 0, H - 1)[:, None] * W + np.clip(ii, 0, W - 1)[None]).reshape(-1)
+    corners = np.take(values.data, rows, axis=0).reshape(4, -1, C)
+    # einsum adds the four weighted corners into each output element in corner
+    # order, but sums a lone element's four as a dot product, in another order
+    flat = (np.einsum("kp,kpc->pc", weights, corners) if corners[0].size != 1
+            else sum(weights[:, :, None] * corners))
     out = flat.reshape(coords.data.shape[:-1] + (C,))
 
     def d_values(g):
-        gf = g.reshape(-1, C)
         dv = np.zeros_like(values.data)
-        for w, r in zip(weights, rows):
-            np.add.at(dv, r, gf * w[:, None])
+        _add_rows_at(dv, rows, g.reshape(1, -1, C) * weights[:, :, None])
         return dv
 
     def d_coords(g):
-        gf = g.reshape(-1, C)
-        # the (P, C) corners are gathered again rather than kept from forward
-        gdot = [np.einsum("pc,pc->p", gf, values.data[r]) * m for r, m in zip(rows, masks)]
+        # the (4, P, C) corners are gathered again rather than kept from forward
+        corners = np.take(values.data, rows, axis=0).reshape(4, -1, C)
+        gdot = np.einsum("pc,kpc->kp", g.reshape(-1, C), corners) * masks
         dx = (
             -(1 - fy) * gdot[0] + (1 - fy) * gdot[1] - fy * gdot[2] + fy * gdot[3]
         )

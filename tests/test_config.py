@@ -84,11 +84,11 @@ class TestLeafTypes:
 
     def test_good_leaves_accepted(self):
         cfg = RunConfig()
-        cfg.apply_override("model.channels", "16")
+        cfg.apply_override("model.channels", "24")
         cfg.apply_override("model.precision", "double")  # bare strings stay allowed
         cfg.apply_override("eval.bins", "[0, 15.5]")
         cfg.validate()
-        assert (cfg.model.channels, cfg.model.precision) == (16, "double")
+        assert (cfg.model.channels, cfg.model.precision) == (24, "double")
 
     @pytest.mark.parametrize("args", [
         ["-O", 'model.channels="abc"'],
@@ -177,6 +177,11 @@ BAD_SIZES = [
     ("model.nms_iou", "1.5"),
     ("eval.thresholds", "[]"),
     ("eval.thresholds", "[0, 1]"),
+    ("eval.tp_threshold", "0"),
+    ("eval.tp_threshold", "-1"),
+    # below the simulator's camera content width, 19 channels
+    ("model.channels", "18"),
+    ("model.channels", "1"),
     # scale counts whose stride exceeds the image or BEV size; the power of
     # two of the largest is never formed
     ("model.num_cam_scales", "100000"),
@@ -211,6 +216,21 @@ class TestSizes:
                      "--out", str(out)]) == 2
         _one_line_error(capsys, "config error:")
         assert not os.path.exists(out)
+
+    def test_eval_with_nonpositive_tp_threshold_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["eval", "-O", "eval.tp_threshold=-1", "--dataset", str(tmp_path / "ds"),
+                     "--out", str(out)]) == 2
+        _one_line_error(capsys, "config error:")
+        assert not os.path.exists(out)
+
+    def test_channels_floor_is_the_camera_content_width(self):
+        cfg = RunConfig()
+        cfg.apply_override("model.channels", "19")
+        cfg.validate()
+        # sections built directly, as the gradient suite's mini models are,
+        # are not held to it
+        ModelSection(channels=4, num_queries=4, num_top=2, num_random=2).validate()
 
     def test_sizes_follow_the_scale_counts(self):
         cfg = RunConfig()

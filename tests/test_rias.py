@@ -5,13 +5,14 @@ and their own bilinear interpolation; they share no code with the batched
 implementation under test.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fusiondet import gradsuite
+from fusiondet import geometry, gradsuite
 from fusiondet import tensor as T
 from fusiondet.config import ModelSection, RunConfig
 from fusiondet.featuremaps import CameraFeatureSet, LidarFeaturePyramid
@@ -680,6 +681,58 @@ class TestClosedForm:
             feats, rig,
         ).data
         np.testing.assert_allclose(out[0, :K], out[0, K:], atol=1e-12)
+
+
+class TestRigProjectionConstants:
+    @staticmethod
+    def _sample(rig):
+        rng = np.random.default_rng(0)
+        V, Tt, K = rig.num_views, rig.num_frames, 2
+        feats = CameraFeatureSet({(v, 0, t): rng.normal(size=(24, 32, 2))
+                                  for v in range(V) for t in range(Tt)}, V, 1, Tt, [2.0])
+        pattern = SamplingPattern(T.Tensor(rng.normal(size=(2, Tt, K, 3))),
+                                  T.Tensor(_normalized_weights(rng, (2, Tt, 1, K), (2, 3))))
+        centers = T.Tensor(np.array([[8.0, 0.0, 0.5], [0.0, 6.0, 0.3]]))
+        return sample_camera(centers, pattern, feats, rig).data
+
+    def test_built_once_per_rig(self, monkeypatch):
+        rig = _random_rig(np.random.default_rng(4), 3, 2)
+        calls = []
+        invert = geometry.invert_rigid
+        monkeypatch.setattr(geometry, "invert_rigid", lambda pose: calls.append(1) or invert(pose))
+        first = self._sample(rig)
+        assert len(calls) == rig.num_frames
+        assert np.array_equal(self._sample(rig), first) and len(calls) == rig.num_frames
+        assert np.count_nonzero(first) > 0
+
+    def test_read_only(self):
+        rig = _random_rig(np.random.default_rng(4), 3, 2)
+        for a in rig.projection:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_from_dict_and_replace_get_their_own(self):
+        rig = _random_rig(np.random.default_rng(4), 3, 2)
+        first = self._sample(rig)
+        copy = CameraRig.from_dict(rig.to_dict())
+        still = dataclasses.replace(rig, ego_poses=[np.eye(4), np.eye(4)])
+        for other in (copy, still):
+            assert "projection" not in vars(other)
+            assert other.projection is not rig.projection
+        assert all(np.array_equal(a, b) for a, b in zip(copy.projection, rig.projection))
+        assert np.array_equal(self._sample(copy), first)
+        assert np.count_nonzero(still.projection.align_shift) == 0
+        assert np.count_nonzero(rig.projection.align_shift) > 0
+
+    def test_more_frames_than_the_rig_errors(self):
+        rig = _random_rig(np.random.default_rng(4), 1, 1)
+        feats = CameraFeatureSet({(0, 0, t): np.ones((24, 32, 2)) for t in range(2)},
+                                 1, 1, 2, [2.0])
+        pattern = SamplingPattern(T.Tensor(np.zeros((1, 2, 2, 3))),
+                                  T.Tensor(np.full((1, 2, 1, 2), 0.5)))
+        with pytest.raises(geometry.GeometryError):
+            sample_camera(T.Tensor(np.zeros((1, 3))), pattern, feats, rig)
 
 
 # ---------------------------------------------------------------------------

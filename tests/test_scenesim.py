@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusiondet import scenesim
 from fusiondet.classes import CLASS_INTENSITY, CLASS_MIX, CLUTTER_INTENSITY, NUM_CLASSES
 from fusiondet.config import ModelSection, RunConfig, SimSection
 from fusiondet.geometry import Box3D, bev_rotated_iou, project_to_view
@@ -282,7 +283,7 @@ def add_at_hand_features(points, det_range, grid):
 
 class TestLidarBevFeatures:
     @pytest.mark.parametrize("case", ["repeated_cells", "empty", "crowded_frames"])
-    def test_bincount_sums_match_add_at(self, case):
+    def test_bincount_sums_match_add_at(self, case, monkeypatch):
         rng = np.random.default_rng(11)
         if case == "repeated_cells":
             # 2,000 points over a few cells of a coarse grid, some out of range
@@ -299,6 +300,14 @@ class TestLidarBevFeatures:
             want = (add_at_hand_features(points, DET, grid).reshape(-1, HAND_FEATURES) @ embed)
             got = lidar_bev_features(points, DET, 1, 8, grid)[0]
             assert got.tobytes() == want.reshape(grid, grid, 8).tobytes()
+        # each hand feature alone, the flat np.maximum.at's max height (feature
+        # 1) included, through an identity embedding
+        monkeypatch.setattr(scenesim, "lidar_embedding", lambda channels: np.eye(HAND_FEATURES))
+        for points in clouds:
+            got = lidar_bev_features(points, DET, 1, HAND_FEATURES, grid)[0]
+            want = add_at_hand_features(points, DET, grid)
+            assert np.array_equal(got, want)
+            assert np.any(want[..., 1]) == (len(points) > 0)
 
 
     def test_no_points_all_zero(self):

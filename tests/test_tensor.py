@@ -549,3 +549,185 @@ class TestReadAtDtype:
         out = LidarFeaturePyramid([grid], self.DET, np.float64).sample([0], np.array([[1.0, 1.0]]))
         out.backward()
         assert grid.grad.dtype == np.float64 and grid.grad.sum() == 2.0
+
+
+# ---------------------------------------------------------------------------
+# one corner gather and one weighted sum: the per-corner read's numbers
+# ---------------------------------------------------------------------------
+
+
+def per_corner_bilinear_sample_packed(values, shapes, starts, map_idx, coords):
+    """``T.bilinear_sample_packed`` as it was written before the corners were
+    gathered in one take: per corner, its own row index, mask, weight and
+    gather, summed by ``sum``; the VJPs scatter one ``np.add.at`` per corner
+    and form one dot product per corner."""
+    values = T._wrap(values)
+    coords = T._wrap(coords, like=values)
+    C = values.data.shape[1]
+    c = coords.data.reshape(-1, 2)
+    which = np.asarray(map_idx, dtype=np.int64).reshape(-1)
+    shapes = np.asarray(shapes, dtype=np.int64)
+    H = shapes[which, 0]
+    W = shapes[which, 1]
+    base = np.asarray(starts, dtype=np.int64)[which]
+    x = c[:, 0] - 0.5
+    y = c[:, 1] - 0.5
+    i0 = np.floor(x).astype(np.int64)
+    j0 = np.floor(y).astype(np.int64)
+    fx = x - i0
+    fy = y - j0
+    if T._KINK_SINK is not None:
+        T._note_kink(np.minimum(fx, 1.0 - fx))
+        T._note_kink(np.minimum(fy, 1.0 - fy))
+    w00 = (1 - fx) * (1 - fy)
+    w10 = fx * (1 - fy)
+    w01 = (1 - fx) * fy
+    w11 = fx * fy
+    rows, masks, weights = [], [], []
+    for (di, dj), w in zip(((0, 0), (1, 0), (0, 1), (1, 1)), (w00, w10, w01, w11)):
+        ii = i0 + di
+        jj = j0 + dj
+        valid = (ii >= 0) & (ii < W) & (jj >= 0) & (jj < H)
+        rows.append(base + np.clip(jj, 0, H - 1) * W + np.clip(ii, 0, W - 1))
+        masks.append(valid)
+        weights.append(w * valid)
+    flat = sum(w[:, None] * values.data[r] for w, r in zip(weights, rows))
+    out = flat.reshape(coords.data.shape[:-1] + (C,))
+
+    def d_values(g):
+        gf = g.reshape(-1, C)
+        dv = np.zeros_like(values.data)
+        for w, r in zip(weights, rows):
+            np.add.at(dv, r, gf * w[:, None])
+        return dv
+
+    def d_coords(g):
+        gf = g.reshape(-1, C)
+        gdot = [np.einsum("pc,pc->p", gf, values.data[r]) * m for r, m in zip(rows, masks)]
+        dx = -(1 - fy) * gdot[0] + (1 - fy) * gdot[1] - fy * gdot[2] + fy * gdot[3]
+        dy = -(1 - fx) * gdot[0] - fx * gdot[1] + (1 - fx) * gdot[2] + fx * gdot[3]
+        return np.stack([dx, dy], axis=-1).reshape(coords.data.shape)
+
+    return T._make(out, "bilinear_sample", (values, coords), (d_values, d_coords))
+
+
+def _read_and_gradients(read, values, shapes, starts, map_idx, coords, g, tensor_coords):
+    """Output, both gradients (or None) and the recorded kink distances of one
+    packed read, backpropagated from seed ``g``."""
+    v = T.Tensor(values, requires_grad=True)
+    c = T.Tensor(coords, requires_grad=True) if tensor_coords else coords
+    with T.track_kinks() as kinks:
+        out = read(v, shapes, starts, map_idx, c)
+    out.backward(g)
+    return out.data, v.grad, c.grad if tensor_coords else None, kinks.distances
+
+
+class TestPackedReadMatchesPerCornerReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), points=st.sampled_from([0, 1, 2, 7, 40, 300]),
+           channels=st.sampled_from([1, 2, 3, 19, 32]), spread=st.floats(0.0, 3.0),
+           buffer_dtype=st.sampled_from([np.float32, np.float64]),
+           coords_dtype=st.sampled_from([np.float32, np.float64]),
+           seed_dtype=st.sampled_from([np.float32, np.float64]),
+           tensor_coords=st.booleans(), negative=st.booleans())
+    def test_values_dtype_and_both_gradients(self, seed, points, channels, spread, buffer_dtype,
+                                             coords_dtype, seed_dtype, tensor_coords, negative):
+        rng = np.random.default_rng(seed)
+        shapes = rng.integers(1, 7, size=(int(rng.integers(1, 4)), 2))
+        sizes = shapes[:, 0] * shapes[:, 1]
+        values = rng.normal(size=(sizes.sum(), channels)) * 10.0 ** rng.integers(-3, 4)
+        if negative:
+            # masked corners read 0 * negative = -0.0, which the sum must not keep
+            values = -np.abs(values)
+        map_idx = rng.integers(0, len(shapes), size=points)
+        hw = shapes[map_idx][:, ::-1]
+        # in the grid and up to ``spread`` texels outside it on every side
+        coords = rng.uniform(-spread, hw + spread, size=(points, 2))
+        if rng.random() < 0.3:
+            coords = np.round(coords * 2.0) / 2.0  # on texel centres and lattice lines
+        g = rng.normal(size=(points, channels)).astype(seed_dtype)
+        args = (values.astype(buffer_dtype), shapes, np.cumsum(sizes) - sizes, map_idx,
+                coords.astype(coords_dtype), g, tensor_coords)
+        got = _read_and_gradients(T.bilinear_sample_packed, *args)
+        want = _read_and_gradients(per_corner_bilinear_sample_packed, *args)
+        for a, b in zip(got[:3], want[:3]):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[3] == want[3]
+
+    def test_all_masked_points_over_negative_values_read_positive_zero(self):
+        values = -np.ones((6, 3))
+        coords = np.array([[-2.0, -2.0], [9.0, 1.0], [1.0, 9.5]])
+        for dtype in (np.float32, np.float64):
+            out = T.bilinear_sample_packed(values.astype(dtype), [(2, 3)], [0], [0, 0, 0], coords)
+            want = per_corner_bilinear_sample_packed(values.astype(dtype), [(2, 3)], [0],
+                                                     [0, 0, 0], coords)
+            assert out.data.tobytes() == want.data.tobytes() == np.zeros((3, 3)).tobytes()
+
+    def test_empty_point_set(self):
+        values = T.Tensor(np.ones((6, 4)), requires_grad=True)
+        coords = T.Tensor(np.zeros((0, 5, 2)), requires_grad=True)
+        out = T.bilinear_sample_packed(values, [(2, 3)], [0], np.zeros((0, 5), np.int64), coords)
+        assert out.shape == (0, 5, 4) and out.dtype == np.float64
+        out.backward()
+        assert np.count_nonzero(values.grad) == 0 and coords.grad.shape == (0, 5, 2)
+
+    def test_one_point_one_channel(self):
+        # a lone output element is where einsum would sum out of corner order
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            values, coords = rng.normal(size=(12, 1)), rng.uniform(0.0, 4.0, size=(1, 2))
+            out = T.bilinear_sample_packed(values, [(3, 4)], [0], [0], coords)
+            want = per_corner_bilinear_sample_packed(values, [(3, 4)], [0], [0], coords)
+            assert out.data.tobytes() == want.data.tobytes()
+
+
+def add_at_rows_2d(out, idx, rows):
+    """The row scatter as it was written before it ran on the flat view."""
+    np.add.at(out, idx, rows)
+
+
+class TestFlatRowScatter:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+           tail=st.lists(st.integers(1, 4), max_size=2), count=st.integers(0, 60),
+           out_dtype=st.sampled_from([np.float32, np.float64]),
+           row_dtype=st.sampled_from([np.float32, np.float64]))
+    def test_matches_2d_add_at(self, seed, rows, tail, count, out_dtype, row_dtype):
+        # repeated, unsorted and negative in-range indices, rows of any rank
+        rng = np.random.default_rng(seed)
+        shape = (rows, *tail)
+        idx = rng.integers(-rows, rows, size=count)
+        src = (rng.normal(size=(count, *tail)) * 10.0 ** rng.integers(-3, 4)).astype(row_dtype)
+        want, got = np.zeros(shape, out_dtype), np.zeros(shape, out_dtype)
+        add_at_rows_2d(want, idx, src)
+        T._add_rows_at(got, idx, src)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scatter_add_rows_and_gather_rows_vjp(self):
+        rng = np.random.default_rng(0)
+        idx = np.array([3, -1, 0, 3, 4, -5, 2, 3])
+        a = T.Tensor(rng.normal(size=(8, 2, 3)), requires_grad=True)
+        out = T.scatter_add_rows(a, idx, 5)
+        want = np.zeros((5, 2, 3))
+        add_at_rows_2d(want, idx, a.data)
+        assert out.data.tobytes() == want.tobytes()
+        src = T.Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
+        picked = T.gather_rows(src, idx)
+        g = rng.normal(size=picked.shape)
+        picked.backward(g)
+        want = np.zeros((5, 2, 3))
+        add_at_rows_2d(want, idx, g)
+        assert src.grad.tobytes() == want.tobytes()
+
+    def test_empty_input(self):
+        out = T.scatter_add_rows(np.zeros((0, 4)), np.zeros(0, np.int64), 3)
+        assert out.shape == (3, 4) and np.count_nonzero(out.data) == 0
+
+    @pytest.mark.parametrize("bad", [5, -6])
+    def test_out_of_range_index_raises(self, bad):
+        with pytest.raises(IndexError):
+            add_at_rows_2d(np.zeros((5, 3)), np.array([0, bad]), np.ones((2, 3)))
+        with pytest.raises(IndexError):
+            T.scatter_add_rows(np.ones((2, 3)), [0, bad], 5)
