@@ -190,6 +190,10 @@ class SimSection:
             raise ConfigError("sim.base_stride must be >= 1")
         if self.focal <= 0:
             raise ConfigError("sim.focal must be positive")
+        if self.blob_sigma_px <= 0:
+            raise ConfigError("sim.blob_sigma_px must be positive")
+        if self.point_density < 0 or self.clutter_density < 0:
+            raise ConfigError("sim.point_density and sim.clutter_density must be >= 0")
         self.oracle.validate()
 
 

@@ -317,9 +317,10 @@ def compute_loss(
     for pred, matches, d_targets in zip(preds, matching, unc_targets):
         n = pred.class_logits.shape[0]
         n_match = len(matches)
+        p_idx = [pi for pi, _ in matches]
+        g_idx = [gi for _, gi in matches]
         targets = np.zeros((n, n_cls))
-        for pi, gi in matches:
-            targets[pi, gt_boxes.class_id[gi]] = 1.0
+        targets[p_idx, gt_boxes.class_id[g_idx]] = 1.0
         norm = float(max(1, n_match))
         layer_loss = T.mul(
             focal_loss(pred.class_logits, targets, train_cfg.focal_alpha,
@@ -329,8 +330,6 @@ def compute_loss(
         breakdown["cls"] += layer_loss.item()
 
         if n_match > 0:
-            p_idx = [pi for pi, _ in matches]
-            g_idx = [gi for _, gi in matches]
             tgt = gt_state_all[g_idx]
             rows = T.gather_rows(pred.box_state, p_idx)
             diff = T.mul(T.absolute(T.sub(rows, tgt)), scale)

@@ -187,31 +187,26 @@ def init_queries(
     boxes: BoxArray,
     cam_feats: CameraFeatureSet,
     rig: CameraRig,
-    default_embedding: T.Tensor,
     det_range: DetectionRange,
 ) -> tuple:
     """Per-box features: view-mean/scale-sum bilinear reads at the projected
-    center (current frame), for all boxes in one packed read; boxes outside
-    every frustum get the learned default embedding.
+    center (current frame), for all boxes in one packed read.
 
-    Returns the feature rows (one tensor per box) and the boxes with their
-    centers clamped to the detection range.
+    Returns the (len(boxes), C) rows (None when no box is in any frustum),
+    each box's seen flag and the boxes with centers clamped to the range.
     """
     r = det_range
     center = np.clip(boxes.center, [r.x_min, r.y_min, r.z_min], [r.x_max, r.y_max, r.z_max])
     boxes = BoxArray(center, boxes.size, boxes.yaw, boxes.velocity, boxes.class_id,
                      boxes.score)
     uvz, hit = project_points(align_temporal(center, rig, 0), rig.views)
+    seen = hit.any(axis=0)
+    if not seen.any():
+        return None, seen, boxes
     # hits in box then view order
     hit_box, hit_view = np.nonzero(hit.T)
-    if hit_box.size == 0:
-        return [default_embedding] * len(boxes), boxes
     uv = uvz[hit_view, hit_box, :2]
-    rows = sample_view_scale_mean(cam_feats, hit_box, hit_view, uv, len(boxes))
-    seen = np.zeros(len(boxes), dtype=bool)
-    seen[hit_box] = True
-    return [T.narrow(rows, 0, i, 1) if seen[i] else default_embedding
-            for i in range(len(boxes))], boxes
+    return sample_view_scale_mean(cam_feats, hit_box, hit_view, uv, len(boxes)), seen, boxes
 
 
 def generate_queries(
@@ -223,17 +218,25 @@ def generate_queries(
     default_embedding: T.Tensor,
     rng: np.random.Generator,
 ) -> QueryBatch:
-    """Full query-generation pipeline; always returns exactly N_q queries."""
+    """Full query-generation pipeline; always returns exactly N_q queries.
+
+    Features are one gather from the read rows plus the default embedding
+    (last row: unseen and random queries), float64 under single precision;
+    with no box read, one concat of N_q embedding rows, float32, whose
+    backward keeps the incoming gradient's dtype where a gather's takes the
+    table's. Either way the embedding's gradient rows add in query order.
+    """
     det_range = cfg.detection_range()
     proposals = perspective_oracle(gt_boxes, rig, oracle, rng, det_range)
     top = select_topk(lift_proposals(proposals, rig), cfg)
-    feature_rows, top = init_queries(top, cam_feats, rig, default_embedding, det_range)
+    rows, seen, top = init_queries(top, cam_feats, rig, det_range)
     rand = random_queries(cfg.num_queries - len(top), det_range, rng)
-    feature_rows += [default_embedding] * len(rand)
-    # joined row by row: the batch dtype (under single precision, float32
-    # only when every row is the default embedding) and the order in which
-    # the embedding's gradients add up follow from it, and outputs depend on
-    # both
-    features = T.concat([T.reshape(f, (1, cfg.channels)) for f in feature_rows], axis=0)
+    embedding = T.reshape(default_embedding, (1, cfg.channels))
+    if rows is None:
+        features = T.concat([embedding] * cfg.num_queries)
+    else:
+        index = np.full(cfg.num_queries, len(top))  # the embedding row
+        index[:len(top)] = np.where(seen, np.arange(len(top)), len(top))
+        features = T.gather_rows(T.concat([rows, embedding]), index)
     state = np.concatenate([boxes_to_state(top), boxes_to_state(rand)]).astype(cfg.dtype)
     return QueryBatch(features=features, box_state=T.Tensor(state))

@@ -169,6 +169,9 @@ BAD_SIZES = [
     ("sim.bev_grid", "127"),
     ("sim.bev_grid", "0"),
     ("sim.focal", "-1"),
+    ("sim.point_density", "-1"),
+    ("sim.clutter_density", "-1"),
+    ("sim.blob_sigma_px", "0"),
     ("sim.image_width", "4"),
     ("sim.image_width", "330"),
     ("sim.image_height", "0"),

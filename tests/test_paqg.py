@@ -281,35 +281,62 @@ class TestGenerateQueries:
         const_val = 1.25
         feats = scene.feature_set(model)
         feats.values.data[:] = const_val
-        emb = T.Tensor(np.zeros(model.channels))
         boxes = BoxArray.stack([Box3D([10.0, 0.0, 0.5], [4, 2, 1.5], 0.0, score=1.0)])
-        rows, _ = init_queries(boxes, feats, scene.rig, emb, model.detection_range())
+        rows, seen, _ = init_queries(boxes, feats, scene.rig, model.detection_range())
+        assert seen.tolist() == [True]
         # M scales sum: M * const
-        np.testing.assert_allclose(rows[0].data, model.num_cam_scales * const_val, atol=1e-9)
+        np.testing.assert_allclose(rows.data[0], model.num_cam_scales * const_val, atol=1e-9)
 
-    def test_out_of_frustum_gets_default_embedding(self):
+    def test_out_of_frustum_gets_default_embedding(self, monkeypatch):
         scene, model, sim = _scene()
         emb = T.Tensor(np.full(model.channels, 7.0))
-        boxes = BoxArray.stack([Box3D([0.0, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0)])
-        rows, _ = init_queries(boxes, scene.feature_set(model), scene.rig, emb,
-                               model.detection_range())
-        assert rows[0] is emb
+        boxes = BoxArray.stack([Box3D([10.0, 0.0, 0.5], [4, 2, 1.5], 0.0, score=1.0),
+                                Box3D([0.0, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0)])
+        rows, seen, _ = init_queries(boxes, scene.feature_set(model), scene.rig,
+                                     model.detection_range())
+        assert seen.tolist() == [True, False]
+        assert not np.any(rows.data[1])
+        # the unseen box's query carries the embedding, the seen box's its read
+        monkeypatch.setattr(paqg, "select_topk", lambda boxes_in, cfg: boxes)
+        batch = generate_queries(scene.gt_boxes, scene.rig, scene.feature_set(model), model,
+                                 _noiseless(), emb, np.random.default_rng(0))
+        np.testing.assert_array_equal(batch.features.data[0], rows.data[0])
+        np.testing.assert_array_equal(batch.features.data[1:], 7.0)
 
     def test_permutation_equivariance(self):
         scene, model, sim = _scene()
-        emb = T.Tensor(np.zeros(model.channels))
         boxes = BoxArray.stack([
             Box3D([10.0, 2.0, 0.5], [4, 2, 1.5], 0.0, score=0.9),
             Box3D([-8.0, 5.0, 0.5], [2, 2, 1.5], 1.0, score=0.8),
             Box3D([3.0, -9.0, 0.5], [1, 1, 1.5], -1.0, score=0.7),
         ])
-        fwd, fwd_boxes = init_queries(boxes, scene.feature_set(model), scene.rig, emb,
-                                      model.detection_range())
-        rev, rev_boxes = init_queries(boxes.take(np.arange(3)[::-1]), scene.feature_set(model),
-                                      scene.rig, emb, model.detection_range())
-        for fa, fb in zip(fwd, rev[::-1]):
-            np.testing.assert_allclose(np.asarray(fa.data), np.asarray(fb.data))
+        fwd, fwd_seen, fwd_boxes = init_queries(boxes, scene.feature_set(model), scene.rig,
+                                                model.detection_range())
+        rev, rev_seen, rev_boxes = init_queries(boxes.take(np.arange(3)[::-1]),
+                                                scene.feature_set(model), scene.rig,
+                                                model.detection_range())
+        np.testing.assert_array_equal(fwd_seen, rev_seen[::-1])
+        np.testing.assert_allclose(fwd.data, rev.data[::-1])
         np.testing.assert_array_equal(fwd_boxes.score, rev_boxes.score[::-1])
+
+    def test_op_count_does_not_grow_with_the_query_budget(self, monkeypatch):
+        # the batch is one gather, not one op per query
+        ops = []
+        make = T._make
+        monkeypatch.setattr(T, "_make", lambda *a: ops.append(a[1]) or make(*a))
+        counts = []
+        for num_queries, num_top in ((60, 20), (240, 80)):
+            cfg = RunConfig()
+            cfg.model.num_queries, cfg.model.num_top = num_queries, num_top
+            cfg.model.num_random = num_queries - num_top
+            scene = generate_scene(cfg.model, cfg.sim, 0)
+            emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
+            ops.clear()
+            generate_queries(scene.gt_boxes, scene.rig, scene.feature_set(cfg.model),
+                             cfg.model, cfg.sim.oracle, emb, np.random.default_rng(0))
+            assert "bilinear_sample" in ops  # some box was read
+            counts.append(len(ops))
+        assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +350,22 @@ def _run(generate, scene, cfg, oracle, gt_boxes, seed):
     rng = np.random.default_rng(seed)
     batch = generate(gt_boxes, scene.rig, scene.feature_set(cfg.model), cfg.model, oracle,
                      emb, rng)
-    batch.features.backward(np.random.default_rng(seed).normal(size=batch.features.shape))
+    # through a float64 op, as in training, so the gradient reaches float32
+    # features (nothing read) in float64
+    out = T.mul(T.Tensor(np.ones(batch.features.shape)), batch.features)
+    out.backward(np.random.default_rng(seed).normal(size=out.shape))
     return batch.features.data, batch.box_state.data, emb.grad, rng.bit_generator.state
+
+
+def _same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike ``array_equal``, a sign-of-zero
+    change shows."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same(got, want):
     for a, b in zip(got[:3], want[:3]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert _same_bytes(a, b)
     assert got[3] == want[3]
 
 
@@ -378,12 +414,21 @@ class TestMatchesReference:
 # ---------------------------------------------------------------------------
 
 
-def per_box_init_queries(boxes, cam_feats, rig, default_embedding, det_range):
-    """``init_queries`` through the reference's per-(box, hit view, scale) reads."""
+def per_box_init_queries(boxes, cam_feats, rig, det_range):
+    """``init_queries`` through the reference's per-(box, hit view, scale) reads,
+    with a zero row for each unseen box."""
     as_box3d = [Box3D(boxes.center[i], boxes.size[i], boxes.yaw[i], boxes.velocity[i],
                       boxes.class_id[i], boxes.score[i]) for i in range(len(boxes))]
-    rows = ref.init_queries(as_box3d, cam_feats, rig, default_embedding, det_range)
-    return [f for f, _ in rows], BoxArray.stack([b for _, b in rows])
+    read = ref.init_queries(as_box3d, cam_feats, rig, None, det_range)
+    seen = np.array([f is not None for f, _ in read], dtype=bool)
+    boxes = BoxArray.stack([b for _, b in read])
+    if not seen.any():
+        return None, seen, boxes
+    dtype = next(f.dtype for f, _ in read if f is not None)
+    zero = T.Tensor(np.zeros(cam_feats.channels, dtype=dtype))
+    rows = T.concat([T.reshape(zero if f is None else f, (1, cam_feats.channels))
+                     for f, _ in read])
+    return rows, seen, boxes
 
 
 class TestBatchedQueryFeatures:
@@ -410,7 +455,7 @@ class TestBatchedQueryFeatures:
                 m.setattr(paqg, "init_queries", per_box_init_queries)
                 want = self._features_state_and_grad(scene, cfg, oracle, scene_id)
             for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert _same_bytes(a, b)
             # the last row is a random query, which carries the default embedding
             read_rows += int(np.sum(np.any(got[0] != got[0][-1], axis=1)))
         assert read_rows > 0
@@ -433,15 +478,20 @@ class TestBatchedQueryFeatures:
         assert np.array_equal(batch.features.data,
                               np.tile(emb.data, (cfg.model.num_queries, 1)))
 
-    def test_all_miss_boxes_keep_the_default_embedding(self):
+    def test_all_miss_boxes_keep_the_default_embedding(self, monkeypatch):
         cfg = RunConfig()
         scene = generate_scene(cfg.model, cfg.sim, 0)
         emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
         det = cfg.model.detection_range()
         boxes = BoxArray.stack([Box3D([x, 0.0, 2.9], [1, 1, 1], 0.0, score=1.0)
                                 for x in (0.0, 0.5)])
+        monkeypatch.setattr(paqg, "select_topk", lambda boxes_in, cfg: boxes)
         for init in (init_queries, per_box_init_queries):
-            rows, _ = init(boxes, scene.feature_set(cfg.model), scene.rig, emb, det)
-            assert [f is emb for f in rows] == [True, True]
-        features = T.concat([T.reshape(f, (1, cfg.model.channels)) for f in rows])
-        assert features.dtype == np.float32
+            rows, seen, _ = init(boxes, scene.feature_set(cfg.model), scene.rig, det)
+            assert rows is None and seen.tolist() == [False, False]
+            monkeypatch.setattr(paqg, "init_queries", init)
+            batch = self._generate(scene, cfg, _noiseless(), emb, 0)
+            # nothing read, so the batch is the float32 default embedding
+            assert batch.features.dtype == np.float32
+            assert np.array_equal(batch.features.data,
+                                  np.tile(emb.data, (cfg.model.num_queries, 1)))
