@@ -218,13 +218,8 @@ def generate_queries(
     default_embedding: T.Tensor,
     rng: np.random.Generator,
 ) -> QueryBatch:
-    """Full query-generation pipeline; always returns exactly N_q queries.
-
-    Features are one gather from the read rows plus the default embedding
-    (last row: unseen and random queries), float64 under single precision;
-    with no box read, one concat of N_q embedding rows, float32, whose
-    backward keeps the incoming gradient's dtype where a gather's takes the
-    table's. Either way the embedding's gradient rows add in query order.
+    """Full query-generation pipeline; always returns exactly N_q queries,
+    whose features are one gather (README "Model notes": dtype, gradient order).
     """
     det_range = cfg.detection_range()
     proposals = perspective_oracle(gt_boxes, rig, oracle, rng, det_range)
@@ -232,11 +227,12 @@ def generate_queries(
     rows, seen, top = init_queries(top, cam_feats, rig, det_range)
     rand = random_queries(cfg.num_queries - len(top), det_range, rng)
     embedding = T.reshape(default_embedding, (1, cfg.channels))
-    if rows is None:
+    if rows is None:  # a concat's backward keeps the incoming gradient's dtype
         features = T.concat([embedding] * cfg.num_queries)
-    else:
+    else:  # the embedding enters the table, and the tape, only if a query reads it
         index = np.full(cfg.num_queries, len(top))  # the embedding row
         index[:len(top)] = np.where(seen, np.arange(len(top)), len(top))
-        features = T.gather_rows(T.concat([rows, embedding]), index)
+        table = rows if index.max() < len(top) else T.concat([rows, embedding])
+        features = T.gather_rows(table, index)
     state = np.concatenate([boxes_to_state(top), boxes_to_state(rand)]).astype(cfg.dtype)
     return QueryBatch(features=features, box_state=T.Tensor(state))

@@ -359,8 +359,10 @@ def _run(generate, scene, cfg, oracle, gt_boxes, seed):
 
 def _same_bytes(a, b) -> bool:
     """Equal dtype, shape and bytes: unlike ``array_equal``, a sign-of-zero
-    change shows."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    change shows. Two ``None`` (no gradient) are the same."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same(got, want):
@@ -407,6 +409,22 @@ class TestMatchesReference:
             boxes = lift_proposals(props, scene.rig)
             suppressed += len(boxes) - len(paqg.nms_3d(boxes, cfg.model.nms_iou))
         assert suppressed > 0
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_no_random_queries_bit_for_bit(self, precision):
+        # every query a seen top-k box: no query reads the default embedding,
+        # which must then get no gradient at all, as in the reference
+        cfg = RunConfig()
+        cfg.model.precision = precision
+        cfg.model.num_queries, cfg.model.num_top, cfg.model.num_random = 4, 4, 0
+        untouched = 0
+        for scene_id in range(6):
+            scene = generate_scene(cfg.model, cfg.sim, scene_id)
+            args = (scene, cfg, OracleSection(), scene.gt_boxes, scene_id)
+            want = _run(ref.generate_queries, *args)
+            _assert_same(_run(generate_queries, *args), want)
+            untouched += want[2] is None
+        assert untouched > 0
 
 
 # ---------------------------------------------------------------------------
