@@ -25,7 +25,8 @@ from .params import init_model_params
 from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
 from .scenesim import generate_scene
 
-KERNELS = ("generate_queries", "sample_lidar", "sample_camera", "adaptive_mix", "full_layer")
+KERNELS = ("generate_queries", "predict_pattern", "sample_lidar", "sample_camera",
+           "adaptive_mix", "full_layer")
 
 
 class BenchError(ValueError):
@@ -41,7 +42,6 @@ class BenchReport:
     p90_ms: float
     p99_ms: float
     queries_per_s: float
-    parts_ms: dict
 
 
 def _percentiles(samples: list) -> tuple:
@@ -61,16 +61,15 @@ def _time_ms(fn, repetitions: int) -> list:
     return samples
 
 
-def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchReport:
+def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int) -> BenchReport:
     """Time one kernel at the configured sizes; >= 30 warm repetitions.
 
-    ``full_layer`` times :func:`decoder.decode_layer` (sampling, mixing, UAF
-    and the heads), and its ``parts_ms`` hold the mean time of each stage
-    kernel, timed on its own. Every stage kernel runs on layer-0 inputs built
-    once, outside the timed region: ``predict_pattern`` and ``adaptive_mix``
-    cover both branches, the two samplers one branch each.
     ``generate_queries`` times query generation for scene 0 (oracle, lifting,
     NMS, feature reads, random fill), each repetition from the same seed.
+    The other kernels run on layer-0 inputs built once, outside the timed
+    region: ``predict_pattern`` and ``adaptive_mix`` cover both branches, the
+    two samplers one branch each, and ``full_layer`` times
+    :func:`decoder.decode_layer` (sampling, mixing, UAF and the heads).
     """
     if kernel not in KERNELS:
         raise BenchError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
@@ -101,25 +100,17 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
         roi_lid = sample_lidar(centers_xy, pat_lid, pyramid)
         roi_cam = sample_camera(centers, pat_cam, feats, scene.rig)
         stages = {
+            "generate_queries": queries,
             "predict_pattern": lambda: (predict_pattern(batch, pp_lid, "lidar", mcfg),
                                         predict_pattern(batch, pp_cam, "camera", mcfg)),
             "sample_lidar": lambda: sample_lidar(centers_xy, pat_lid, pyramid),
             "sample_camera": lambda: sample_camera(centers, pat_cam, feats, scene.rig),
             "adaptive_mix": lambda: (adaptive_mix(batch.features, roi_lid, mp_lid),
                                      adaptive_mix(batch.features, roi_cam, mp_cam)),
-        }
-        if kernel == "generate_queries":
-            samples = _time_ms(queries, repetitions)
-            parts_ms = {}
-        elif kernel == "full_layer":
-            samples = _time_ms(
+            "full_layer":
                 lambda: decode_layer(0, batch, feats, pyramid, scene.rig, store, mcfg),
-                repetitions)
-            parts_ms = {name: float(np.mean(_time_ms(fn, repetitions)))
-                        for name, fn in stages.items()}
-        else:
-            samples = _time_ms(stages[kernel], repetitions)
-            parts_ms = {}
+        }
+        samples = _time_ms(stages[kernel], repetitions)
 
     p50, p90, p99 = _percentiles(samples)
     qps = mcfg.num_queries / (p50 / 1e3) if p50 > 0 else float("inf")
@@ -138,7 +129,6 @@ def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int = 50) -> BenchRep
         p90_ms=p90,
         p99_ms=p99,
         queries_per_s=qps,
-        parts_ms=parts_ms,
     )
 
 

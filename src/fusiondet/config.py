@@ -151,6 +151,9 @@ class OracleSection:
     fp_rate: float = 0.5  # Poisson mean false positives per view
 
     def validate(self):
+        for key in ("pixel_sigma", "depth_sigma", "size_sigma", "yaw_sigma", "vel_sigma"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"sim.oracle.{key} must be >= 0")
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ConfigError("sim.oracle.miss_rate must be in [0, 1]")
         if self.fp_rate < 0:
@@ -194,6 +197,10 @@ class SimSection:
             raise ConfigError("sim.blob_sigma_px must be positive")
         if self.point_density < 0 or self.clutter_density < 0:
             raise ConfigError("sim.point_density and sim.clutter_density must be >= 0")
+        if self.feature_noise < 0:
+            raise ConfigError("sim.feature_noise must be >= 0")
+        if self.max_place_retries < 1:
+            raise ConfigError("sim.max_place_retries must be >= 1")
         self.oracle.validate()
 
 

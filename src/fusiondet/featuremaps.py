@@ -120,13 +120,12 @@ class LidarFeaturePyramid(_PackedMaps):
         return len(self.shapes)
 
 
-def sample_view_scale_mean(feats: CameraFeatureSet, box, view, uv, num_boxes: int,
-                           frame: int = 0) -> T.Tensor:
+def sample_view_scale_mean(feats: CameraFeatureSet, box, view, uv, num_boxes: int) -> T.Tensor:
     """Per box, the mean over its hit views of the sum over scales of
     bilinear reads at its projected center, all in one packed read.
 
     Hit r says that box ``box[r]`` projects into view ``view[r]`` at
-    full-resolution pixel ``uv[r]`` in ``frame``; hits come in box then view
+    full-resolution pixel ``uv[r]`` in frame 0; hits come in box then view
     order, and each pixel is divided by the per-scale stride. Returns
     (num_boxes, C) rows, summed in box, view, scale order; a box with no hit
     gets a zero row.
@@ -138,7 +137,7 @@ def sample_view_scale_mean(feats: CameraFeatureSet, box, view, uv, num_boxes: in
     scale = np.tile(np.arange(M), box.size)
     coords = np.repeat(np.asarray(uv, dtype=np.float64), M, axis=0)
     coords = coords / np.asarray(feats.strides, dtype=np.float64)[scale][:, None]
-    samp = feats.sample(feats.index(np.repeat(view, M), scale, frame), coords)
+    samp = feats.sample(feats.index(np.repeat(view, M), scale, 0), coords)
     rows = T.scatter_add_rows(samp, np.repeat(box, M), num_boxes)
     count = np.bincount(box, minlength=num_boxes)
     return T.mul(rows, (1.0 / np.maximum(count, 1))[:, None])

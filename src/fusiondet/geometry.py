@@ -341,16 +341,16 @@ def unproject_center(cx: float, cy: float, d: float, view: CameraView) -> np.nda
     return unproject_points([[cx, cy]], [d], [view], [0])[0]
 
 
-def project_points(points, views: list, depth_floor: float = DEPTH_FLOOR):
+def project_points(points, views: list):
     """Pinhole projection of (N, 3) points into each of V views: (V, N, 3)
-    rows (u, v, depth) and a (V, N) mask of the points in front of a view's
-    near plane and inside its image; (u, v) mean nothing outside the mask."""
+    rows (u, v, depth) and a (V, N) mask of the points more than DEPTH_FLOOR
+    in front of a view and inside its image; (u, v) mean nothing outside it."""
     E = np.stack([view.extrinsics for view in views])[:, None]
     K = np.stack([view.intrinsics for view in views])[:, None]
     W, H = np.array([view.image_size for view in views], dtype=float).T[:, :, None]
     p_cam = apply_rigid(E, points)
     z = p_cam[..., 2]
-    front = z > depth_floor
+    front = z > DEPTH_FLOOR
     z_front = np.where(front, z, 1.0)
     u = K[..., 0, 0] * p_cam[..., 0] / z_front + K[..., 0, 2]
     v = K[..., 1, 1] * p_cam[..., 1] / z_front + K[..., 1, 2]
@@ -358,9 +358,9 @@ def project_points(points, views: list, depth_floor: float = DEPTH_FLOOR):
     return np.stack([u, v, z], axis=-1), hit
 
 
-def project_to_view(p, view: CameraView, depth_floor: float = DEPTH_FLOOR):
+def project_to_view(p, view: CameraView):
     """Pinhole projection; None if behind the near plane or outside the image."""
-    uvz, hit = project_points(np.asarray(p, dtype=float)[None], [view], depth_floor)
+    uvz, hit = project_points(np.asarray(p, dtype=float)[None], [view])
     return tuple(uvz[0, 0]) if hit[0, 0] else None
 
 
@@ -431,7 +431,7 @@ def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
                         a.size[0] * a.size[1], b.size[0] * b.size[1])
 
 
-def nms_3d(boxes, iou_threshold: float = 0.5) -> list:
+def nms_3d(boxes, iou_threshold: float) -> list:
     """Greedy NMS on rotated BEV IoU; returns kept indices, score-descending.
 
     ``boxes`` is a BoxArray or a sequence of Box3D. Ties in score break by

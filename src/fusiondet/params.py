@@ -178,8 +178,6 @@ def save_checkpoint(path: str, store: ParamStore, step: int, model_hash: str,
     def emit(name, arr, kind):
         nonlocal offset
         raw = np.ascontiguousarray(arr)
-        if raw.dtype.byteorder == ">":
-            raw = raw.astype(raw.dtype.newbyteorder("<"))
         b = raw.tobytes()
         entries.append(
             {

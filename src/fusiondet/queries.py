@@ -18,8 +18,8 @@ from .geometry import BoxArray, GeometryError, wrap_angles
 STATE_DIM = 10
 
 
-def boxes_to_state(boxes, dtype=np.float64) -> np.ndarray:
-    """State rows of a BoxArray or a sequence of Box3D, one per box.
+def boxes_to_state(boxes) -> np.ndarray:
+    """Float64 state rows of a BoxArray or a sequence of Box3D, one per box.
 
     Logs, sines and cosines are taken with ``math`` one element at a time:
     numpy's vectorised ``log`` rounds some inputs differently.
@@ -32,7 +32,7 @@ def boxes_to_state(boxes, dtype=np.float64) -> np.ndarray:
     state[:, 6] = [math.sin(a) for a in yaw]
     state[:, 7] = [math.cos(a) for a in yaw]
     state[:, 8:10] = boxes.velocity
-    return state.astype(dtype)
+    return state
 
 
 def state_to_boxes(state: np.ndarray, scores=None, class_ids=None) -> BoxArray:

@@ -190,7 +190,7 @@ def adaptive_mix(features: T.Tensor, roi: T.Tensor, params) -> T.Tensor:
     w_s = T.reshape(T.linear(features, params.spat_w, params.spat_b), (N, S, S))
     m_s = T.relu(
         T.layer_norm(
-            T.matmul(T.swap_last(m_c), w_s), params.ln_spat_gain, params.ln_spat_shift
+            T.matmul(T.transpose(m_c, (0, 2, 1)), w_s), params.ln_spat_gain, params.ln_spat_shift
         )
     )
     flat = T.reshape(m_s, (N, C * S))

@@ -217,7 +217,7 @@ def backward(tape: Tape, seed=None) -> None:
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
-            if vjp is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             contrib = vjp(g)
             pid = id(parent)
@@ -422,8 +422,8 @@ def softmax(a, axis: int = -1) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(a, gain, shift, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(a, gain, shift) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps LAYER_NORM_EPS), then affine."""
     a = _wrap(a)
     gain = _wrap(gain, like=a)
     shift = _wrap(shift, like=a)
@@ -433,7 +433,7 @@ def layer_norm(a, gain, shift, eps: float = LAYER_NORM_EPS) -> Tensor:
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + shift.data
 
@@ -494,22 +494,12 @@ def reshape(a, shape) -> Tensor:
     )
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _wrap(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
     inverse = tuple(np.argsort(axes))
     return _make(
         a.data.transpose(axes), "transpose", (a,), (lambda g: g.transpose(inverse),)
     )
-
-
-def swap_last(a) -> Tensor:
-    """Transpose the trailing two axes (batched matrix transpose)."""
-    a = _wrap(a)
-    axes = list(range(a.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(a, tuple(axes))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -684,14 +674,12 @@ def bilinear_sample(grid, coords) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    """x @ weight (+ bias), with x (..., in), weight (in, out) and bias (out,).
+def linear(x, weight, bias) -> Tensor:
+    """x @ weight + bias, with x (..., in), weight (in, out) and bias (out,).
 
-    With a bias this is one tape node, so the pre-bias product is not kept;
-    its values and gradients are those of ``add(matmul(x, weight), bias)``.
+    One tape node, so the pre-bias product is not kept; its values and
+    gradients are those of ``add(matmul(x, weight), bias)``.
     """
-    if bias is None:
-        return matmul(x, weight)
     x = _wrap(x)
     weight = _wrap(weight)
     if x.ndim < 2 or weight.ndim < 2:

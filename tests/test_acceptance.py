@@ -5,6 +5,7 @@ Criterion 6 performs the full toy training run and its artifacts are shared
 with criterion 7, so this module is slow (~10 min end to end).
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -295,6 +296,27 @@ def test_criterion_6_toy_training(trained):
     _verdict(6, "2000-step training: loss decreases, mAP@2m >= 0.6, ATE <= 1.0, <= 20 min",
              ok, f"mAP@2m {map2:.3f}, ATE {ate:.2f} m, {minutes:.1f} min, "
                  f"window means decreasing: {decreasing}")
+
+
+TRAINED_DIGEST = "f3fbbcf22a1a32d9276013b8614264fa4a9efe9bdce7cdb8bad26df910acb126"
+
+
+def test_default_training_run_is_unchanged(trained):
+    """Every loss record of the 2000-step default run and every final
+    parameter's name, dtype and bytes, pinned, so a change that claims
+    unchanged outputs cannot differ first at a late step (a gradient that
+    turns float32 at step 624 passes every short comparison).
+
+    Like tests/test_digests.py, the digest assumes this host's OpenBLAS
+    kernels; it moves with every intended output change.
+    """
+    _, _, store, records, _ = trained
+    h = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8"))
+    for name, t in store.items():
+        h.update(name.encode("utf-8"))
+        h.update(t.data.dtype.name.encode("utf-8"))
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == TRAINED_DIGEST
 
 
 # ---------------------------------------------------------------------------

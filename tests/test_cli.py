@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fusiondet
-from fusiondet import cli, train
+from fusiondet import bench, cli, train
+from fusiondet.bench import KERNELS
 from fusiondet.cli import build_parser, main
 from fusiondet.config import ScenarioSection
 from fusiondet.params import load_checkpoint
@@ -399,19 +400,17 @@ class TestBenchAndGradcheck:
         assert rep["p50_ms"] <= rep["p90_ms"] <= rep["p99_ms"]
         assert rep["queries_per_s"] > 0
 
-    def test_bench_full_layer_parts(self, tmp_path):
+    def test_bench_times_every_kernel_once(self, tmp_path, monkeypatch):
+        real, timed = bench._time_ms, []
+        monkeypatch.setattr(bench, "_time_ms",
+                            lambda fn, reps: timed.append(fn) or real(fn, reps))
         cfg = _write_cfg(tmp_path / "cfg.json")
         out = str(tmp_path / "bench2.json")
-        assert main(["bench", "--config", cfg, "--kernel", "full_layer",
-                     "--reps", "30", "--out", out]) == 0
-        rep = json.load(open(out))["reports"][0]
-        assert set(rep["parts_ms"]) == {"predict_pattern", "sample_lidar",
-                                        "sample_camera", "adaptive_mix"}
-        assert all(v > 0 for v in rep["parts_ms"].values())
-        # each stage kernel is timed on its own, and the layer runs all four
-        # plus UAF and the heads, so their sum stays below the layer's time
-        # (p50 is load-sensitive; compare with p99)
-        assert sum(rep["parts_ms"].values()) <= rep["p99_ms"] * 1.2
+        assert main(["bench", "--config", cfg, "--reps", "30", "--out", out]) == 0
+        reports = json.load(open(out))["reports"]
+        assert [r["kernel"] for r in reports] == list(KERNELS)
+        assert "predict_pattern" in KERNELS and len(timed) == len(KERNELS)
+        assert all("parts_ms" not in r and 0 < r["p50_ms"] for r in reports)
 
     def test_bench_generate_queries(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "cfg.json")
@@ -420,7 +419,7 @@ class TestBenchAndGradcheck:
                      "--reps", "30", "--out", out]) == 0
         rep = json.load(open(out))["reports"][0]
         assert rep["kernel"] == "generate_queries" and rep["repetitions"] >= 30
-        assert 0 < rep["p50_ms"] <= rep["p90_ms"] and rep["parts_ms"] == {}
+        assert 0 < rep["p50_ms"] <= rep["p90_ms"]
         assert capsys.readouterr().out.startswith("generate_queries")
 
     def test_gradcheck_quick(self, tmp_path):

@@ -175,6 +175,14 @@ BAD_SIZES = [
     ("sim.image_width", "4"),
     ("sim.image_width", "330"),
     ("sim.image_height", "0"),
+    ("sim.feature_noise", "-1"),
+    ("sim.max_place_retries", "0"),
+    # negative noise scales (0 stays valid: tests use noiseless oracles)
+    ("sim.oracle.pixel_sigma", "-2"),
+    ("sim.oracle.depth_sigma", "-0.1"),
+    ("sim.oracle.size_sigma", "-0.1"),
+    ("sim.oracle.yaw_sigma", "-0.1"),
+    ("sim.oracle.vel_sigma", "-0.1"),
     ("model.max_offset_factor", "0"),
     ("model.nms_iou", "-0.1"),
     ("model.nms_iou", "1.5"),

@@ -362,7 +362,7 @@ def _same_bytes(a, b) -> bool:
     change shows. Two ``None`` (no gradient) are the same."""
     if a is None or b is None:
         return a is b
-    return a.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same(got, want):
@@ -457,16 +457,20 @@ class TestBatchedQueryFeatures:
     def _features_state_and_grad(self, scene, cfg, oracle, seed):
         emb = init_model_params(cfg.model, seed=0)["query.default_embedding"]
         batch = self._generate(scene, cfg, oracle, emb, seed)
-        batch.features.backward(np.random.default_rng(seed).normal(size=batch.features.shape))
+        # seeded through a float64 op, as the loss seeds training: a seed
+        # passed to backward would be cast to the features' dtype
+        w = np.random.default_rng(seed).normal(size=batch.features.shape)
+        T.sum_(T.mul(batch.features, T.Tensor(w, dtype=np.float64))).backward()
         return batch.features.data, batch.box_state.data, emb.grad
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_matches_per_box_reads(self, precision, monkeypatch):
         cfg = RunConfig()
         cfg.model.precision = precision
-        oracle = OracleSection(pixel_sigma=4.0, fp_rate=2.0)
+        noisy = OracleSection(pixel_sigma=4.0, fp_rate=2.0)
+        all_miss = OracleSection(miss_rate=1.0, fp_rate=0.0)  # no box, so no read
         read_rows = 0
-        for scene_id in range(6):
+        for scene_id, oracle in [(i, noisy) for i in range(6)] + [(0, all_miss)]:
             scene = generate_scene(cfg.model, cfg.sim, scene_id)
             got = self._features_state_and_grad(scene, cfg, oracle, scene_id)
             with monkeypatch.context() as m:
@@ -474,6 +478,8 @@ class TestBatchedQueryFeatures:
                 want = self._features_state_and_grad(scene, cfg, oracle, scene_id)
             for a, b in zip(got, want):
                 assert _same_bytes(a, b)
+            # the float64 gradient reaches the embedding as it is, read or not
+            assert got[2].dtype == np.float64
             # the last row is a random query, which carries the default embedding
             read_rows += int(np.sum(np.any(got[0] != got[0][-1], axis=1)))
         assert read_rows > 0
