@@ -21,6 +21,7 @@ from . import __version__
 from .bench import KERNELS, BenchError, bench_kernel, machine_info
 from .config import ConfigError, RunConfig, ScenarioSection
 from .fileio import atomic_open, write_json
+from .geometry import GeometryError
 from .gradsuite import run_suite
 from .metrics import evaluate_detections, write_bins_csv, write_report_json
 from .params import (
@@ -217,6 +218,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     results = run_suite(num_seeds=args.seeds)
     doc = {"results": results, "version": __version__}
     if args.out:
@@ -304,7 +307,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
-    except (CliError, SimError, CheckpointError, BenchError, DivergenceError, OSError) as exc:
+    except (CliError, SimError, CheckpointError, BenchError, DivergenceError, GeometryError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT
     except MemoryError as exc:

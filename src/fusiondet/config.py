@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import tensor as T
-from .classes import CONTENT_CHANNELS, POSENC_CHANNELS
+from .classes import CONTENT_CHANNELS, NUM_CLASSES, POSENC_CHANNELS
 from .geometry import DetectionRange
 
 
@@ -109,8 +109,8 @@ class ModelSection:
             raise ConfigError("model.num_layers must be >= 1")
         if self.precision not in ("single", "double"):
             raise ConfigError("model.precision must be 'single' or 'double'")
-        for name in ("channels", "num_points", "num_cam_scales", "num_lidar_scales",
-                     "num_frames", "num_views", "num_classes"):
+        for name in ("channels", "num_queries", "num_points", "num_cam_scales",
+                     "num_lidar_scales", "num_frames", "num_views", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1")
         for name in ("range_xy", "range_z"):
@@ -201,6 +201,8 @@ class SimSection:
             raise ConfigError("sim.feature_noise must be >= 0")
         if self.max_place_retries < 1:
             raise ConfigError("sim.max_place_retries must be >= 1")
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise ConfigError("sim.seed must be >= 0")
         self.oracle.validate()
 
 
@@ -226,6 +228,8 @@ class TrainSection:
             raise ConfigError("train.steps must be >= 0")
         if self.lr <= 0:
             raise ConfigError("train.lr must be positive")
+        if self.seed < 0:
+            raise ConfigError("train.seed must be >= 0")
 
 
 @dataclass
@@ -263,6 +267,8 @@ class ScenarioSection:
                 raise ConfigError("scenario rates must be in [0, 1]")
         if self.stuck_sensor not in ("camera", "lidar"):
             raise ConfigError("scenario.stuck_sensor must be 'camera' or 'lidar'")
+        if self.seed < 0:
+            raise ConfigError("scenario.seed must be >= 0")
 
 
 def _require_multiple(dotted: str, size: int, base: int, exp: int, rule: str):
@@ -288,6 +294,9 @@ class RunConfig:
         if self.model.channels < CONTENT_CHANNELS + POSENC_CHANNELS:
             raise ConfigError(f"model.channels must be >= {CONTENT_CHANNELS + POSENC_CHANNELS} "
                               f"(the simulator's camera content), got {self.model.channels}")
+        if self.model.num_classes < NUM_CLASSES:
+            raise ConfigError(f"model.num_classes must be >= {NUM_CLASSES} (the simulator's "
+                              f"classes), got {self.model.num_classes}")
         # every camera scale and every BEV scale must have a whole texel
         # count, so the map strides are exact
         for name in ("image_width", "image_height"):

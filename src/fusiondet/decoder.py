@@ -63,8 +63,7 @@ def refine_box(features: T.Tensor, state: T.Tensor, params, cfg: ModelSection) -
     resid = T.mlp(features, params)
     step = np.concatenate([cfg.detection_range().extent * cfg.center_step, np.ones(5),
                            np.full(2, cfg.velocity_step)])
-    # the state's gradient comes back in its own dtype
-    moved = T.add(T.astype(state, state.dtype), T.mul(resid, step))
+    moved = T.add(state, T.mul(resid, step))
     sincos = T.narrow(moved, 1, 6, 2)
     norm = T.sqrt(T.add(T.sum_(T.mul(sincos, sincos), axis=1), 1e-12))
     unit = T.div(sincos, T.reshape(norm, (-1, 1)))

@@ -192,8 +192,8 @@ def init_queries(
     """Per-box features: view-mean/scale-sum bilinear reads at the projected
     center (current frame), for all boxes in one packed read.
 
-    Returns the (len(boxes), C) rows (None when no box is in any frustum),
-    each box's seen flag and the boxes with centers clamped to the range.
+    Returns the (len(boxes), C) rows (zero for a box no view sees), each
+    box's seen flag and the boxes with centers clamped to the range.
     """
     r = det_range
     center = np.clip(boxes.center, [r.x_min, r.y_min, r.z_min], [r.x_max, r.y_max, r.z_max])
@@ -202,7 +202,8 @@ def init_queries(
     uvz, hit = project_points(align_temporal(center, rig, 0), rig.views)
     seen = hit.any(axis=0)
     if not seen.any():
-        return None, seen, boxes
+        zero = np.zeros((len(boxes), cam_feats.channels), cam_feats.values.dtype)
+        return T.Tensor(zero), seen, boxes
     # hits in box then view order
     hit_box, hit_view = np.nonzero(hit.T)
     uv = uvz[hit_view, hit_box, :2]
@@ -227,12 +228,10 @@ def generate_queries(
     rows, seen, top = init_queries(top, cam_feats, rig, det_range)
     rand = random_queries(cfg.num_queries - len(top), det_range, rng)
     embedding = T.reshape(default_embedding, (1, cfg.channels))
-    if rows is None:  # a concat's backward keeps the incoming gradient's dtype
-        features = T.concat([embedding] * cfg.num_queries)
-    else:  # the embedding enters the table, and the tape, only if a query reads it
-        index = np.full(cfg.num_queries, len(top))  # the embedding row
-        index[:len(top)] = np.where(seen, np.arange(len(top)), len(top))
-        table = rows if index.max() < len(top) else T.concat([rows, embedding])
-        features = T.gather_rows(table, index)
+    index = np.full(cfg.num_queries, len(top))  # the embedding row
+    index[:len(top)] = np.where(seen, np.arange(len(top)), len(top))
+    # the embedding enters the table, and the tape, only if a query reads it
+    table = rows if index.max() < len(top) else T.concat([rows, embedding])
+    features = T.gather_rows(table, index)
     state = np.concatenate([boxes_to_state(top), boxes_to_state(rand)]).astype(cfg.dtype)
     return QueryBatch(features=features, box_state=T.Tensor(state))

@@ -275,6 +275,8 @@ def load_checkpoint(path: str):
             raise CheckpointError(f"checkpoint data for {name} does not fill "
                                   f"shape {shape} of {dtype}")
         arr = np.frombuffer(data[start : start + nbytes], dtype=dtype).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint data for {name} is not finite")
         if e.get("kind") == "optimizer":
             optimizer[name] = arr
         else:

@@ -667,7 +667,8 @@ def load_dataset(dataset_dir: str) -> list:
     """The scenes of a written dataset; SimError unless every file the
     manifest's config implies loads with its shape: per frame points (N, 4)
     and N ids, V*M*T camera maps (H/stride, W/stride, C), R LiDAR maps
-    halving from ``sim.bev_grid``; points and maps must be floating point.
+    halving from ``sim.bev_grid``; points and maps must be floating point,
+    and the rig must have V views of the image size and T ego poses.
     Each modality's maps are packed into one buffer at the model's
     precision."""
     manifest = load_manifest(dataset_dir)
@@ -699,6 +700,11 @@ def load_dataset(dataset_dir: str) -> list:
             scene_id, seed = side["scene_id"], side["seed"]
             gt_boxes = [Box3D.from_dict(b) for b in side["gt_boxes"]]
             rig = CameraRig.from_dict(side["rig"])
+            want = (model.num_views, model.num_frames, {(sim.image_width, sim.image_height)})
+            have = (rig.num_views, rig.num_frames, {tuple(v.image_size) for v in rig.views})
+            if have != want:
+                raise SimError(f"scene file {d}/scene.json has a rig of (views, ego poses, "
+                               f"image sizes) {have}, not {want}")
             det_range = DetectionRange.from_dict(side["det_range"])
             scenes.append(
                 SceneSample(

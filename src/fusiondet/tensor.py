@@ -6,7 +6,8 @@ softmax, bilinear sampling, reductions and shape ops). Every primitive
 carries an analytic vector-Jacobian product and is validated against
 central finite differences by ``grad_check``.
 
-Default precision is single; numerical tests run everything in double.
+Default precision is single; numerical tests run everything in double. No
+VJP narrows the gradient it receives: ``astype`` is the only cast.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def backward(tape: Tape, seed=None) -> None:
     if seed is None:
         seed = np.ones_like(root.data)
     else:
-        seed = np.asarray(seed, dtype=root.data.dtype)
+        seed = np.asarray(seed)
+        seed = seed.astype(np.result_type(seed, root.data), copy=False)
         if seed.shape != root.data.shape:
             raise GraphError(
                 f"seed shape {seed.shape} does not match output shape {root.data.shape}"
@@ -526,7 +528,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     sl = tuple(sl)
 
     def d_a(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a.data.shape, np.result_type(g, a.data))
         full[sl] = g
         return full
 
@@ -539,11 +541,11 @@ def gather_rows(a, index) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
 
     def d_a(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a.data.shape, np.result_type(g, a.data))
         _add_rows_at(full, idx, g)
         return full
 
-    return _make(a.data[idx].copy(), "gather_rows", (a,), (d_a,))
+    return _make(a.data[idx], "gather_rows", (a,), (d_a,))
 
 
 def _add_rows_at(out, idx, rows) -> None:
@@ -636,7 +638,7 @@ def bilinear_sample_packed(values, shapes, starts, map_idx, coords) -> Tensor:
     out = flat.reshape(coords.data.shape[:-1] + (C,))
 
     def d_values(g):
-        dv = np.zeros_like(values.data)
+        dv = np.zeros(values.data.shape, np.result_type(g, values.data))
         _add_rows_at(dv, rows, g.reshape(1, -1, C) * weights[:, :, None])
         return dv
 

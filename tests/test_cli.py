@@ -14,8 +14,8 @@ import fusiondet
 from fusiondet import bench, cli, train
 from fusiondet.bench import KERNELS
 from fusiondet.cli import build_parser, main
-from fusiondet.config import ScenarioSection
-from fusiondet.params import load_checkpoint
+from fusiondet.config import RunConfig, ScenarioSection
+from fusiondet.params import init_model_params, load_checkpoint, save_checkpoint
 
 
 def _write_cfg(path, **edits):
@@ -285,6 +285,79 @@ class TestMalformedDataset:
         code, err = self._eval(tmp_path, cfg, ds, capsys)
         assert code == 1 and len(err) == 1
         assert fname in err[0] and "floating point" in err[0]
+
+
+def _edited_checkpoint(tmp_path, cfg, name, index, value, optimizer=False):
+    """``--checkpoint`` of a fresh model with element ``index`` of ``name``
+    set to ``value``, in the parameter or in its optimizer state."""
+    run = RunConfig.load(cfg)
+    store = init_model_params(run.model, seed=run.train.seed)
+    arr = np.zeros_like(store[name].data) if optimizer else store[name].data
+    arr[index] = value
+    path = str(tmp_path / "edited.fdcp")
+    save_checkpoint(path, store, 0, run.model.hash(), optimizer={name: arr} if optimizer else None)
+    return ["--checkpoint", path]
+
+
+def _one_ego_pose(ds):
+    """Cut scene 0's rig to one ego pose, under a two-frame model."""
+    path = os.path.join(ds, "scene_0000", "scene.json")
+    with open(path) as fh:
+        side = json.load(fh)
+    side["rig"]["ego_poses"] = side["rig"]["ego_poses"][:1]
+    with open(path, "w") as fh:
+        json.dump(side, fh)
+    return []
+
+
+LAST_REFINE = "layer1.refine.b2"  # the last decoder layer's box head under _write_cfg
+# name: (exit code, what the error line names, argv before --out)
+MALFORMED = {
+    "generate --seed -1": (2, "sim.seed", lambda tmp, cfg, ds: [
+        "generate", "--config", cfg, "--seed", "-1"]),
+    "train.seed=-3": (2, "train.seed", lambda tmp, cfg, ds: [
+        "train", "--config", cfg, "--dataset", ds, "-O", "train.seed=-3"]),
+    "scenario.seed=-1": (2, "scenario.seed", lambda tmp, cfg, ds: [
+        "robustness", "--config", cfg, "--dataset", ds, "-O", "scenario.seed=-1"]),
+    "model.num_classes=2": (2, "model.num_classes", lambda tmp, cfg, ds: [
+        "train", "--config", cfg, "--dataset", ds, "-O", "model.num_classes=2"]),
+    "no queries": (2, "model.num_queries", lambda tmp, cfg, ds: [
+        "train", "--config", cfg, "--dataset", ds, "-O", "model.num_queries=0",
+        "-O", "model.num_top=0", "-O", "model.num_random=0"]),
+    "gradcheck --seeds 0": (1, "--seeds", lambda tmp, cfg, ds: ["gradcheck", "--seeds", "0"]),
+    "gradcheck --seeds -3": (1, "--seeds", lambda tmp, cfg, ds: ["gradcheck", "--seeds", "-3"]),
+    "infer, NaN parameter": (1, LAST_REFINE, lambda tmp, cfg, ds: [
+        "infer", "--config", cfg, "--dataset", ds,
+        *_edited_checkpoint(tmp, cfg, LAST_REFINE, 0, np.nan)]),
+    "eval, NaN parameter": (1, LAST_REFINE, lambda tmp, cfg, ds: [
+        "eval", "--config", cfg, "--dataset", ds,
+        *_edited_checkpoint(tmp, cfg, LAST_REFINE, 0, np.nan)]),
+    "infer, infinite optimizer state": (1, LAST_REFINE, lambda tmp, cfg, ds: [
+        "infer", "--config", cfg, "--dataset", ds,
+        *_edited_checkpoint(tmp, cfg, LAST_REFINE, 0, np.inf, optimizer=True)]),
+    "infer, one ego pose": (1, "ego poses", lambda tmp, cfg, ds: [
+        "infer", "--config", cfg, "--dataset", ds, *_one_ego_pose(ds)]),
+    "infer, box size -1e4": (1, "box sizes", lambda tmp, cfg, ds: [
+        "infer", "--config", cfg, "--dataset", ds,
+        *_edited_checkpoint(tmp, cfg, LAST_REFINE, 3, -1e4)]),
+    "eval, box size -1e4": (1, "box sizes", lambda tmp, cfg, ds: [
+        "eval", "--config", cfg, "--dataset", ds,
+        *_edited_checkpoint(tmp, cfg, LAST_REFINE, 3, -1e4)]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_ends_in_one_line(workspace, capsys, case):
+    tmp_path, cfg, ds = workspace
+    code, names, argv = MALFORMED[case]
+    out = tmp_path / "out"
+    argv = argv(tmp_path, cfg, ds) + ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("config error:" if code == 2 else "error:") and names in err
+    assert not os.path.exists(out)
 
 
 class TestEvalAndInfer:

@@ -199,6 +199,12 @@ BAD_SIZES = [
     ("model.num_lidar_scales", "100000"),
     ("model.num_cam_scales", "10000000000"),
     ("model.num_lidar_scales", "10000000000"),
+    # numpy's generators take non-negative seeds only
+    ("sim.seed", "-1"),
+    ("train.seed", "-3"),
+    ("scenario.seed", "-1"),
+    # the simulator draws 3 classes
+    ("model.num_classes", "2"),
 ]
 
 

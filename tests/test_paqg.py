@@ -440,8 +440,9 @@ def per_box_init_queries(boxes, cam_feats, rig, det_range):
     read = ref.init_queries(as_box3d, cam_feats, rig, None, det_range)
     seen = np.array([f is not None for f, _ in read], dtype=bool)
     boxes = BoxArray.stack([b for _, b in read])
-    if not seen.any():
-        return None, seen, boxes
+    if not seen.any():  # zero rows at the buffer's dtype
+        return T.Tensor(np.zeros((len(boxes), cam_feats.channels), cam_feats.values.dtype)), \
+            seen, boxes
     dtype = next(f.dtype for f, _ in read if f is not None)
     zero = T.Tensor(np.zeros(cam_feats.channels, dtype=dtype))
     rows = T.concat([T.reshape(zero if f is None else f, (1, cam_feats.channels))
@@ -512,7 +513,9 @@ class TestBatchedQueryFeatures:
         monkeypatch.setattr(paqg, "select_topk", lambda boxes_in, cfg: boxes)
         for init in (init_queries, per_box_init_queries):
             rows, seen, _ = init(boxes, scene.feature_set(cfg.model), scene.rig, det)
-            assert rows is None and seen.tolist() == [False, False]
+            assert seen.tolist() == [False, False]
+            assert rows.dtype == np.float32 and rows.shape == (2, cfg.model.channels)
+            assert not np.any(rows.data)
             monkeypatch.setattr(paqg, "init_queries", init)
             batch = self._generate(scene, cfg, _noiseless(), emb, 0)
             # nothing read, so the batch is the float32 default embedding

@@ -209,6 +209,12 @@ class TestOracleEquivalence:
 # ---------------------------------------------------------------------------
 
 
+def _pattern_slice(a, axis, i):
+    """Slice ``i`` of ``a`` along ``axis``, whose gradient is rounded to
+    ``a``'s dtype, as the samplers' ``T.astype`` rounds the pattern's."""
+    return T.astype(T.narrow(a, axis, i, 1), a.dtype)
+
+
 def per_view_sample_camera(centers, pattern, feats, rig):
     """The camera sampler as one graph per frame, view and scale: points
     projected view by view, every view with a hit read at every scale."""
@@ -218,7 +224,7 @@ def per_view_sample_camera(centers, pattern, feats, rig):
     K = pattern.offsets.shape[2]
     frame_rows = []
     for t in range(Tt):
-        off_t = T.reshape(T.narrow(pattern.offsets, 1, t, 1), (N, K, 3))
+        off_t = T.reshape(_pattern_slice(pattern.offsets, 1, t), (N, K, 3))
         pts = T.add(T.reshape(centers, (N, 1, 3)), off_t)
         flat = T.reshape(pts, (N * K, 3))
         rel = invert_rigid(rig.ego_poses[t]) @ rig.ego_poses[0]
@@ -251,7 +257,7 @@ def per_view_sample_camera(centers, pattern, feats, rig):
                 coords = T.mul(T.concat([u, w], axis=1), 1.0 / feats.strides[m])
                 samp = T.bilinear_sample(packed_map(feats, feats.index(v, m, t)), coords)
                 w_m = T.reshape(
-                    T.narrow(T.narrow(pattern.weights, 1, t, 1), 2, m, 1), (N, K)
+                    _pattern_slice(T.narrow(pattern.weights, 1, t, 1), 2, m), (N, K)
                 )
                 term = T.mul(T.mul(samp, T.reshape(w_m, (N * K, 1))), gate)
                 acc_t = term if acc_t is None else T.add(acc_t, term)
@@ -270,12 +276,12 @@ def per_scale_sample_lidar(centers_xy, pattern, pyramid):
     acc = None
     for r in range(pyramid.num_scales):
         rows, cols = pyramid.shapes[r]
-        off_r = T.reshape(T.narrow(pattern.offsets, 1, r, 1), (N, K, 2))
+        off_r = T.reshape(_pattern_slice(pattern.offsets, 1, r), (N, K, 2))
         shift = np.array([-rng.x_min, -rng.y_min])
         scale = np.array([cols / (rng.x_max - rng.x_min), rows / (rng.y_max - rng.y_min)])
         uv = T.mul(T.add(T.add(base, off_r), shift), scale)
         samp = T.bilinear_sample(packed_map(pyramid, r), uv)
-        term = T.mul(samp, T.reshape(T.narrow(pattern.weights, 1, r, 1), (N, K, 1)))
+        term = T.mul(samp, T.reshape(_pattern_slice(pattern.weights, 1, r), (N, K, 1)))
         acc = term if acc is None else T.add(acc, term)
     return acc
 

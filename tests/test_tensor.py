@@ -208,6 +208,31 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones(100_000))
 
 
+# (source dtype, incoming gradient dtype): a wide gradient into a narrow
+# source, and a narrow gradient into a wide one
+MIXED_DTYPES = [(np.float32, np.float64), (np.float64, np.float32)]
+
+
+class TestGradientDtypeRule:
+    @pytest.mark.parametrize("source, grad", MIXED_DTYPES)
+    def test_no_vjp_narrows_a_gradient(self, source, grad):
+        a = T.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True, dtype=source)
+        outs = [T.narrow(a, 0, 1, 2), T.gather_rows(a, [3, 0, 3]),
+                T.bilinear_sample_packed(a, [(2, 2)], [0], [0, 0], [[0.7, 1.2], [1.5, 0.2]])]
+        for out in outs:
+            (vjp,) = out.vjps  # the values VJP alone: plain-array coords are constants
+            assert vjp(np.ones(out.shape, grad)).dtype == np.float64
+        a.backward(np.ones(a.shape, grad))  # the seed is promoted, not cast
+        assert a.grad.dtype == np.float64
+
+    @pytest.mark.parametrize("source, grad", MIXED_DTYPES)
+    def test_astype_returns_its_source_dtype(self, source, grad):
+        a = T.Tensor(np.arange(3.0), requires_grad=True, dtype=source)
+        out = T.astype(a, grad)
+        assert out.dtype == grad
+        assert out.vjps[0](np.ones(3, grad)).dtype == source
+
+
 class TestLinear:
     @staticmethod
     def _composite(x, w, b):
@@ -595,7 +620,7 @@ def per_corner_bilinear_sample_packed(values, shapes, starts, map_idx, coords):
 
     def d_values(g):
         gf = g.reshape(-1, C)
-        dv = np.zeros_like(values.data)
+        dv = np.zeros(values.data.shape, np.result_type(g, values.data))
         for w, r in zip(weights, rows):
             np.add.at(dv, r, gf * w[:, None])
         return dv
