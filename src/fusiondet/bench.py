@@ -1,9 +1,10 @@
-"""Micro-benchmarks for one decoder layer and its sampling and mixing kernels.
+"""Micro-benchmarks for query generation and one decoder layer's kernels.
 
-Wall-time percentiles over repeated runs with deterministic inputs. numpy
-allocates inside every op, so the "no allocation in the timed region" rule
-cannot hold here; timings are for regression tracking only, not comparable
-to any hardware-bound latency figures.
+Each kernel repeats calls that one real no-grad decode of scene 0 makes,
+recorded with their arguments, so the bench times the decoder as train and
+infer wire it. numpy allocates inside every op, so the "no allocation in the
+timed region" rule cannot hold here; timings are for regression tracking
+only, not comparable to any hardware-bound latency figures.
 """
 
 from __future__ import annotations
@@ -12,21 +13,25 @@ import os
 import platform
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy
 
+from . import decoder, train
 from . import tensor as T
 from .config import RunConfig
-from .decoder import decode_layer
-from .geometry import BoxArray
-from .paqg import generate_queries
 from .params import init_model_params
-from .rias import adaptive_mix, predict_pattern, sample_camera, sample_lidar
 from .scenesim import generate_scene
 
-KERNELS = ("generate_queries", "predict_pattern", "sample_lidar", "sample_camera",
-           "adaptive_mix", "full_layer")
+# kernel -> the binding whose calls it repeats, looked up by the decode at call time
+BINDINGS = {
+    "generate_queries": (train, "generate_queries"),
+    **{stage: (decoder, stage) for stage in ("predict_pattern", "sample_lidar",
+                                             "sample_camera", "adaptive_mix")},
+    "full_layer": (decoder, "decode_layer"),
+}
+KERNELS = tuple(BINDINGS)
 
 
 class BenchError(ValueError):
@@ -39,14 +44,8 @@ class BenchReport:
     config: dict
     repetitions: int
     p50_ms: float
-    p90_ms: float
-    p99_ms: float
+    p90_ms: float | None  # from 100 repetitions on, so 10 samples lie beyond it
     queries_per_s: float
-
-
-def _percentiles(samples: list) -> tuple:
-    arr = np.array(samples)
-    return tuple(float(np.percentile(arr, q)) for q in (50, 90, 99))
 
 
 def _time_ms(fn, repetitions: int) -> list:
@@ -61,74 +60,65 @@ def _time_ms(fn, repetitions: int) -> list:
     return samples
 
 
-def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int) -> BenchReport:
-    """Time one kernel at the configured sizes; >= 30 warm repetitions.
+def _record(log: list, kernel: str, fn, *args, **kwargs):
+    log.append((kernel, args, kwargs))
+    return fn(*args, **kwargs)
 
-    ``generate_queries`` times query generation for scene 0 (oracle, lifting,
-    NMS, feature reads, random fill), each repetition from the same seed.
-    The other kernels run on layer-0 inputs built once, outside the timed
-    region: ``predict_pattern`` and ``adaptive_mix`` cover both branches, the
-    two samplers one branch each, and ``full_layer`` times
-    :func:`decoder.decode_layer` (sampling, mixing, UAF and the heads).
+
+def _decode_calls(cfg: RunConfig, scene, store) -> list:
+    """(kernel, args, kwargs) of each call a no-grad decode of ``scene`` makes
+    through a binding, in order; each binding is restored on return or raise."""
+    log = []
+    originals = [(owner, name, getattr(owner, name)) for owner, name in BINDINGS.values()]
+    try:
+        for kernel, (owner, name, fn) in zip(KERNELS, originals):
+            setattr(owner, name, partial(_record, log, kernel, fn))
+        with T.no_grad():
+            train.decode_scene(cfg, scene, store, np.random.default_rng(0), "uaf", False)
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+    return log
+
+
+def bench_kernel(kernel: str, cfg: RunConfig, repetitions: int) -> BenchReport:
+    """Time one kernel at the configured sizes, over >= 30 warm repetitions.
+
+    The kernel repeats its calls from one no-grad :func:`train.decode_scene`
+    of scene 0 (fusion "uaf", ``default_rng(0)``) up to the second decoder
+    layer: query generation (a fresh ``default_rng(0)`` each time), layer 0's
+    stage calls, or ``full_layer``, the layer-0 :func:`decoder.decode_layer`.
     """
     if kernel not in KERNELS:
         raise BenchError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    repetitions = max(30, int(repetitions))
+    if repetitions < 30:
+        raise BenchError(f"--reps must be >= 30, got {repetitions}")
     mcfg = cfg.model
-    scene = generate_scene(mcfg, cfg.sim, scene_id=0)
-    store = init_model_params(mcfg, seed=0)
-    feats = scene.feature_set(mcfg)
-    pyramid = scene.lidar_pyramid(mcfg)
-
-    gt = BoxArray.stack(scene.gt_boxes)  # as the train step passes them
-
-    def queries():
-        return generate_queries(gt, scene.rig, feats, mcfg, cfg.sim.oracle,
-                                store["query.default_embedding"], np.random.default_rng(0))
-
-    batch = queries()
-    pp_lid = store.group("layer0.lidar")
-    pp_cam = store.group("layer0.camera")
-    mp_lid = store.group("layer0.lidar.mix")
-    mp_cam = store.group("layer0.camera.mix")
-    centers = batch.centers()
-    centers_xy = batch.centers_xy()
-
+    log = _decode_calls(cfg, generate_scene(mcfg, cfg.sim, scene_id=0),
+                        init_model_params(mcfg, seed=0))
+    layer1 = next((i for i, (k, a, _) in enumerate(log) if k == "full_layer" and a[0] == 1),
+                  len(log))
+    calls = [(a, kw) for k, a, kw in log[:layer1] if k == kernel]
+    owner, name = BINDINGS[kernel]
+    fn = getattr(owner, name)
     with T.no_grad():
-        pat_lid = predict_pattern(batch, pp_lid, "lidar", mcfg)
-        pat_cam = predict_pattern(batch, pp_cam, "camera", mcfg)
-        roi_lid = sample_lidar(centers_xy, pat_lid, pyramid)
-        roi_cam = sample_camera(centers, pat_cam, feats, scene.rig)
-        stages = {
-            "generate_queries": queries,
-            "predict_pattern": lambda: (predict_pattern(batch, pp_lid, "lidar", mcfg),
-                                        predict_pattern(batch, pp_cam, "camera", mcfg)),
-            "sample_lidar": lambda: sample_lidar(centers_xy, pat_lid, pyramid),
-            "sample_camera": lambda: sample_camera(centers, pat_cam, feats, scene.rig),
-            "adaptive_mix": lambda: (adaptive_mix(batch.features, roi_lid, mp_lid),
-                                     adaptive_mix(batch.features, roi_cam, mp_cam)),
-            "full_layer":
-                lambda: decode_layer(0, batch, feats, pyramid, scene.rig, store, mcfg),
-        }
-        samples = _time_ms(stages[kernel], repetitions)
+        if kernel == "generate_queries":  # the generator is the last argument
+            (args, kwargs), = calls
+            samples = _time_ms(lambda: fn(*args[:-1], np.random.default_rng(0), **kwargs),
+                               repetitions)
+        else:
+            samples = _time_ms(lambda: [fn(*a, **kw) for a, kw in calls], repetitions)
 
-    p50, p90, p99 = _percentiles(samples)
-    qps = mcfg.num_queries / (p50 / 1e3) if p50 > 0 else float("inf")
+    p50 = float(np.percentile(samples, 50))
     return BenchReport(
         kernel=kernel,
-        config={
-            "num_queries": mcfg.num_queries,
-            "num_points": mcfg.num_points,
-            "cam_scales": mcfg.num_cam_scales,
-            "lidar_scales": mcfg.num_lidar_scales,
-            "frames": mcfg.num_frames,
-            "channels": mcfg.channels,
-        },
+        config={"num_queries": mcfg.num_queries, "num_points": mcfg.num_points,
+                "cam_scales": mcfg.num_cam_scales, "lidar_scales": mcfg.num_lidar_scales,
+                "frames": mcfg.num_frames, "channels": mcfg.channels},
         repetitions=repetitions,
         p50_ms=p50,
-        p90_ms=p90,
-        p99_ms=p99,
-        queries_per_s=qps,
+        p90_ms=float(np.percentile(samples, 90)) if repetitions >= 100 else None,
+        queries_per_s=mcfg.num_queries / (p50 / 1e3) if p50 > 0 else float("inf"),
     )
 
 

@@ -130,10 +130,8 @@ def cmd_train(args) -> int:
                        f"train.steps={cfg.train.steps}")
     log_path = args.out + ".log.jsonl"
     # the log is written whole or not at all, so a resumed run starts from a
-    # copy of the log it continues; a diverging run ends in one
-    # DivergenceError line, without numpy's overflow warnings before it
-    with atomic_open(log_path, "wb") as log_fh, \
-            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # copy of the log it continues
+    with atomic_open(log_path, "wb") as log_fh:
         if args.resume and os.path.exists(log_path):
             with open(log_path, "rb") as old:
                 shutil.copyfileobj(old, log_fh)
@@ -241,7 +239,8 @@ def cmd_bench(args) -> int:
     if args.out:
         write_json(args.out, doc)
     for r in reports:
-        print(f"{r.kernel:16s} p50 {r.p50_ms:7.3f} ms  p90 {r.p90_ms:7.3f} ms  "
+        p90 = "    n/a" if r.p90_ms is None else f"{r.p90_ms:7.3f}"
+        print(f"{r.kernel:16s} p50 {r.p50_ms:7.3f} ms  p90 {p90} ms  "
               f"{r.queries_per_s:9.0f} q/s")
     return 0
 
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="kernel micro-benchmarks")
     common(sp, out_required=False)
     sp.add_argument("--kernel", choices=list(KERNELS))
-    sp.add_argument("--reps", type=int, default=50)
+    sp.add_argument("--reps", type=int, default=100)
     sp.set_defaults(fn=cmd_bench)
     return p
 
@@ -303,7 +302,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a diverging run or a draw the simulator cannot make ends in one
+        # line, without numpy's floating-point warnings before it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

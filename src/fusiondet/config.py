@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -115,9 +116,10 @@ class ModelSection:
                 raise ConfigError(f"model.{name} must be >= 1")
         for name in ("range_xy", "range_z"):
             bounds = getattr(self, name)
-            if len(bounds) != 2 or not bounds[0] < bounds[1]:
-                raise ConfigError(f"model.{name} must be [min, max] with min < max, "
-                                  f"got {json.dumps(bounds)}")
+            if len(bounds) != 2 or not (bounds[0] < bounds[1]
+                                        and math.isfinite(bounds[1] - bounds[0])):
+                raise ConfigError(f"model.{name} must be [min, max] with min < max and a "
+                                  f"finite extent, got {json.dumps(bounds)}")
         if self.max_offset_factor <= 0:
             raise ConfigError("model.max_offset_factor must be positive")
         if not 0.0 <= self.nms_iou <= 1.0:
@@ -230,6 +232,8 @@ class TrainSection:
             raise ConfigError("train.lr must be positive")
         if self.seed < 0:
             raise ConfigError("train.seed must be >= 0")
+        if self.log_every < 1:
+            raise ConfigError("train.log_every must be >= 1")
 
 
 @dataclass
@@ -305,6 +309,13 @@ class RunConfig:
                               "sim.base_stride * 2^(model.num_cam_scales - 1)")
         _require_multiple("sim.bev_grid", self.sim.bev_grid, 1,
                           self.model.num_lidar_scales - 1, "2^(model.num_lidar_scales - 1)")
+        # objects spawn uniformly in [min + margin, max - margin] of range_xy
+        low, high = (self.model.range_xy[0] + self.sim.spawn_margin,
+                     self.model.range_xy[1] - self.sim.spawn_margin)
+        if not (low <= high and math.isfinite(high - low)):
+            raise ConfigError(f"sim.spawn_margin={self.sim.spawn_margin} leaves model.range_xy "
+                              f"the spawn interval [{low:g}, {high:g}]; it must be non-empty "
+                              "with a finite extent")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

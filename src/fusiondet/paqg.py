@@ -35,6 +35,7 @@ from .geometry import (
     wrap_angles,
 )
 from .queries import QueryBatch, boxes_to_state
+from .scenesim import SimError, poisson_count
 
 
 @dataclass
@@ -63,6 +64,17 @@ class Proposals:
 
     def take(self, idx) -> "Proposals":
         return Proposals(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+
+def _liftable(values: np.ndarray, oracle: OracleSection, key: str,
+              positive: bool = True) -> np.ndarray:
+    """True-positive values drawn with noise of scale ``sim.oracle.<key>``;
+    SimError unless each is finite, and positive where ``positive``."""
+    if np.all(np.isfinite(values)) and not (positive and np.any(values <= 0)):
+        return values
+    what = "finite and positive" if positive else "finite"
+    raise SimError(f"sim.oracle.{key}={getattr(oracle, key):g} draws proposal values "
+                   f"that are not {what}")
 
 
 def perspective_oracle(
@@ -103,7 +115,7 @@ def perspective_oracle(
             noise.append(0.0 + scale * rng.standard_normal(9))  # rng.normal(0.0, scale)
         W, H = view.image_size
         fp_span = np.array([W, H, max_depth, math.pi, 0.3]) - fp_low
-        for _ in range(rng.poisson(o.fp_rate)):
+        for _ in range(poisson_count(rng, o.fp_rate, "sim.oracle.fp_rate")):
             cls = draw_class(rng)
             fp.append((v, cls))
             fp_size.append(SIZE_PRIORS[cls] * np.exp(rng.normal(0.0, SIZE_JITTER, size=3)))
@@ -125,14 +137,18 @@ def perspective_oracle(
     fp_draws = np.array(fp_draws).reshape(-1, 5)
     # depth noise goes through math.exp and size noise through np.exp, as in
     # the scalar oracle: the two round some inputs differently
+    try:
+        depth = uvz[:, 2] * [math.exp(x) for x in noise[:, 2].tolist()]
+    except OverflowError:  # a factor past the float range, refused below
+        depth = np.full(len(tp), math.inf)
+    size = gt.size[g] * np.exp(np.ascontiguousarray(noise[:, 3:6]))
     proposals = Proposals(
         view=np.concatenate([tp_view, fp_view]),
         uv=np.concatenate([np.clip(uvz[:, :2] + du, 0.0, edge), fp_draws[:, 0:2]]),
-        depth=np.concatenate([uvz[:, 2] * [math.exp(x) for x in noise[:, 2].tolist()],
-                              fp_draws[:, 2]]),
-        size=np.concatenate([gt.size[g] * np.exp(np.ascontiguousarray(noise[:, 3:6])),
-                             np.reshape(fp_size, (-1, 3))]),
-        yaw=np.concatenate([gt.yaw[g] + noise[:, 6], fp_draws[:, 3]]),
+        depth=np.concatenate([_liftable(depth, o, "depth_sigma"), fp_draws[:, 2]]),
+        size=np.concatenate([_liftable(size, o, "size_sigma"), np.reshape(fp_size, (-1, 3))]),
+        yaw=np.concatenate([_liftable(gt.yaw[g] + noise[:, 6], o, "yaw_sigma", positive=False),
+                            fp_draws[:, 3]]),
         velocity=np.concatenate([gt.velocity[g] + noise[:, 7:9], np.zeros((len(fp), 2))]),
         score=np.concatenate([score, fp_draws[:, 4]]),
         class_id=np.concatenate([gt.class_id[g], fp_cls]),

@@ -55,6 +55,16 @@ class SimError(RuntimeError):
     pass
 
 
+def poisson_count(rng: np.random.Generator, lam: float, keys: str) -> int:
+    """One Poisson draw of mean ``lam``; SimError naming the config ``keys``
+    that set the mean when numpy cannot draw it (past about 9.2e18, or NaN)."""
+    try:
+        return int(rng.poisson(lam))
+    except ValueError:
+        raise SimError(f"the Poisson mean {lam:g} set by {keys} is past what the "
+                       "simulator can draw") from None
+
+
 @dataclass
 class ScenarioSpec(ScenarioSection):
     """Runtime form of a sensor-failure scenario: the config's ScenarioSection
@@ -287,7 +297,7 @@ def lidar_points(
             if cos_t <= 0.05:
                 continue
             lam = sim.point_density * (4 * ha * hb) * cos_t / max(dist * dist, 1.0)
-            count = int(rng.poisson(lam))
+            count = poisson_count(rng, lam, "sim.point_density")
             if count == 0:
                 continue
             a = rng.uniform(-ha, ha, size=count)
@@ -304,7 +314,8 @@ def lidar_points(
     p, owner = p[~occluded], owner[~occluded]
     inten = CLASS_INTENSITY[[b.class_id for b in boxes_in_frame]][owner]
     area = (det_range.x_max - det_range.x_min) * (det_range.y_max - det_range.y_min)
-    n_clutter = int(rng.poisson(sim.clutter_density * area))
+    n_clutter = poisson_count(rng, sim.clutter_density * area,
+                              "sim.clutter_density and the model.range_xy area")
     cx = rng.uniform(det_range.x_min, det_range.x_max, size=n_clutter)
     cy = rng.uniform(det_range.y_min, det_range.y_max, size=n_clutter)
     cz = rng.normal(0.0, 0.02, size=n_clutter)
@@ -483,9 +494,14 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
     rig = build_rig(model, sim)
     gt_boxes = _place_objects(model, sim, rng_place)
 
-    # each frame's box poses, read by both the LiDAR and the camera
+    # each frame's box poses, read by both the LiDAR and the camera; a long
+    # frame_dt can move the ego or a box past the float range
     frame_boxes = [[box_at_frame(b, rig, t, sim.frame_dt) for b in gt_boxes]
                    for t in range(model.num_frames)]
+    if not all(np.isfinite(a).all() for a in (*rig.ego_poses,
+                                              *(b.center for bs in frame_boxes for b in bs))):
+        raise SimError(f"sim.frame_dt={sim.frame_dt:g} gives non-finite past-frame poses "
+                       f"(sim.ego_speed={sim.ego_speed:g} and the object speeds)")
     points = []
     obj_ids = []
     for boxes in frame_boxes:
@@ -591,13 +607,15 @@ def _save_array(d: str, fname: str, arr: np.ndarray):
 
 def write_dataset(out_dir: str, cfg: RunConfig, scenes):
     """Write any iterable of scenes, each as it comes: atomic file writes,
-    manifest removed first and written last."""
-    os.makedirs(out_dir, exist_ok=True)
+    manifest removed before the first scene is written and written last. A
+    scene that fails to be made before the first leaves ``out_dir`` as it was."""
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
     names = []
     for sc in scenes:
+        if not names:
+            os.makedirs(out_dir, exist_ok=True)
+            if os.path.exists(manifest_path):
+                os.remove(manifest_path)
         name = f"scene_{sc.scene_id:04d}"
         names.append(name)
         d = os.path.join(out_dir, name)

@@ -354,7 +354,8 @@ def relu(a) -> Tensor:
     if _KINK_SINK is not None:
         _note_kink(np.abs(a.data))
     mask = a.data > 0  # gradient at exactly 0 is 0 by convention
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), (lambda g: g * mask,))
+    # np.maximum keeps a NaN, so the finite checks downstream see it
+    return _make(np.maximum(a.data, 0.0), "relu", (a,), (lambda g: g * mask,))
 
 
 def exp(a) -> Tensor:

@@ -66,8 +66,8 @@ def _require_finite(step: int, what: str, values):
         raise DivergenceError(f"training diverged at step {step}: {what} is not finite")
 
 
-def _decode_scene(cfg: RunConfig, scene, store: ParamStore, rng: np.random.Generator,
-                  fusion: str, oracle_uncertainty: bool) -> tuple:
+def decode_scene(cfg: RunConfig, scene, store: ParamStore, rng: np.random.Generator,
+                 fusion: str, oracle_uncertainty: bool) -> tuple:
     """One scene's queries, decoded: (a LayerPrediction per layer, GT BoxArray).
     ``generate_queries`` and ``decode`` are this module's globals, looked up
     at each call, so wrappers set on ``train`` see every call."""
@@ -87,8 +87,8 @@ def _train_step(cfg: RunConfig, scene, step: int, store: ParamStore,
     lives only in this frame, so it is freed before the next step starts."""
     tcfg = cfg.train
     mcfg = cfg.model
-    preds, gt = _decode_scene(cfg, scene, store, _query_rng(tcfg.seed, 13, step),
-                              fusion="uaf", oracle_uncertainty=False)
+    preds, gt = decode_scene(cfg, scene, store, _query_rng(tcfg.seed, 13, step),
+                             fusion="uaf", oracle_uncertainty=False)
     for layer, pred in enumerate(preds):
         _require_finite(step, f"layer {layer}'s box state", pred.box_state.data)
         _require_finite(step, f"layer {layer}'s class logits", pred.class_logits.data)
@@ -124,7 +124,7 @@ def train_loop(
         scene = scenes[_scene_order(n, tcfg.seed, epoch)[pos]]
         rec = _train_step(cfg, scene, step, store, velocity)
         records.append(rec)
-        if log_fn is not None and (step % max(1, tcfg.log_every) == 0):
+        if log_fn is not None and step % tcfg.log_every == 0:
             log_fn(rec)
     return records
 
@@ -146,9 +146,9 @@ def run_inference(
     gts_per_scene = []
     with T.no_grad():
         for scene in scenes:
-            preds, gt = _decode_scene(cfg, scene, store,
-                                      _query_rng(cfg.sim.seed, 17, scene.scene_id),
-                                      fusion, oracle_uncertainty)
+            preds, gt = decode_scene(cfg, scene, store,
+                                     _query_rng(cfg.sim.seed, 17, scene.scene_id),
+                                     fusion, oracle_uncertainty)
             preds_per_scene.append(preds[-1].boxes())
             gts_per_scene.append(gt)
     return preds_per_scene, gts_per_scene

@@ -205,6 +205,12 @@ BAD_SIZES = [
     ("scenario.seed", "-1"),
     # the simulator draws 3 classes
     ("model.num_classes", "2"),
+    # an empty spawn interval, or a range extent past the float range
+    ("sim.spawn_margin", "25"),
+    ("model.range_xy", "[-1e-300, 1e-300]"),
+    ("model.range_xy", "[-1e308, 1e308]"),
+    ("model.range_z", "[-1e308, 1e308]"),
+    ("train.log_every", "0"),
 ]
 
 

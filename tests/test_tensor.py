@@ -127,6 +127,15 @@ class TestBackward:
             T.relu(x).backward()
             np.testing.assert_allclose(x.grad, [g])
 
+    def test_relu_keeps_a_nan_and_every_finite_value(self):
+        x = np.array([-0.0, 0.0, 1.5, -2.0, 1e-45, -1e-45, np.inf, -np.inf, np.nan],
+                     dtype=np.float32)
+        out = T.relu(T.Tensor(x)).data
+        assert np.isnan(out[-1])
+        # the same bytes as the masked form for everything else, -0.0 included
+        assert out[:-1].tobytes() == np.where(x > 0, x, 0.0)[:-1].tobytes()
+        assert out.dtype == np.float32
+
     def test_diamond_graph_visits_once(self):
         # y = x*x + x*x: gradient 4x only if contributions accumulate correctly
         x = T.Tensor([3.0], dtype=np.float64, requires_grad=True)
