@@ -37,7 +37,6 @@ from .scenesim import (
     apply_scenario,
     generate_scene,
     load_dataset,
-    load_manifest,
     write_dataset,
 )
 from .train import DivergenceError, run_inference, train_loop
@@ -87,18 +86,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_scenes(cfg: RunConfig, dataset_dir: str) -> list:
-    """The dataset's scenes, after checking it was generated for ``cfg``."""
-    have = load_manifest(dataset_dir).get("dataset_hash")
-    want = cfg.dataset_hash()
-    if have != want:
-        raise CliError(
-            f"dataset hash mismatch: dataset {have}, config {want} "
-            "(model/sim sections differ)"
-        )
-    return load_dataset(dataset_dir)
-
-
 def _load_params(cfg: RunConfig, checkpoint: str | None):
     store = init_model_params(cfg.model, seed=cfg.train.seed)
     step = 0
@@ -116,14 +103,14 @@ def _decode_setup(args) -> tuple:
     """The config, scenes and parameters that infer, eval and robustness
     decode with."""
     cfg = _load_config(args)
-    scenes = _load_scenes(cfg, args.dataset)
+    scenes = load_dataset(args.dataset, cfg)
     store, _, _ = _load_params(cfg, args.checkpoint)
     return cfg, scenes, store
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    scenes = _load_scenes(cfg, args.dataset)
+    scenes = load_dataset(args.dataset, cfg)
     store, start_step, velocity = _load_params(cfg, args.resume)
     if start_step > cfg.train.steps:
         raise CliError(f"checkpoint {args.resume} is at step {start_step}, past "

@@ -95,14 +95,6 @@ class CameraView:
             "image_size": list(self.image_size),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraView":
-        return cls(
-            intrinsics=np.array(d["intrinsics"]),
-            extrinsics=np.array(d["extrinsics"]),
-            image_size=tuple(d["image_size"]),
-        )
-
 
 class RigProjection(NamedTuple):
     """A rig's projection constants, stacked as read-only arrays.
@@ -169,13 +161,6 @@ class CameraRig:
             "views": [v.to_dict() for v in self.views],
             "ego_poses": [p.tolist() for p in self.ego_poses],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraRig":
-        return cls(
-            views=[CameraView.from_dict(v) for v in d["views"]],
-            ego_poses=[np.array(p) for p in d["ego_poses"]],
-        )
 
 
 @dataclass
@@ -308,10 +293,6 @@ class DetectionRange:
             "y": [self.y_min, self.y_max],
             "z": [self.z_min, self.z_max],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectionRange":
-        return cls(d["x"][0], d["x"][1], d["y"][0], d["y"][1], d["z"][0], d["z"][1])
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ def perspective_oracle(
         size=np.concatenate([_liftable(size, o, "size_sigma"), np.reshape(fp_size, (-1, 3))]),
         yaw=np.concatenate([_liftable(gt.yaw[g] + noise[:, 6], o, "yaw_sigma", positive=False),
                             fp_draws[:, 3]]),
-        velocity=np.concatenate([gt.velocity[g] + noise[:, 7:9], np.zeros((len(fp), 2))]),
+        velocity=np.concatenate([_liftable(gt.velocity[g] + noise[:, 7:9], o, "vel_sigma",
+                                           positive=False), np.zeros((len(fp), 2))]),
         score=np.concatenate([score, fp_draws[:, 4]]),
         class_id=np.concatenate([gt.class_id[g], fp_cls]),
     )

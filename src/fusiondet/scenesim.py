@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import tokenize
 from dataclasses import asdict, dataclass, replace
 
@@ -32,9 +33,9 @@ from .classes import (
     SPEED_SCALE,
     draw_class,
 )
-from .config import ConfigError, ModelSection, RunConfig, ScenarioSection, SimSection
+from .config import ModelSection, RunConfig, ScenarioSection, SimSection
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
-from .fileio import atomic_open, write_json
+from .fileio import write_json
 from .geometry import (
     Box3D,
     CameraRig,
@@ -83,10 +84,8 @@ class SceneSample:
     modality at the precision of the model it was made for."""
 
     scene_id: int
-    seed: int
     gt_boxes: list
     rig: CameraRig
-    det_range: DetectionRange
     points: list  # per frame, (N, 4) float32-compatible [x, y, z, intensity]
     obj_ids: list  # per frame, (N,) int32; -1 for clutter
     cam_set: CameraFeatureSet
@@ -494,14 +493,17 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
     rig = build_rig(model, sim)
     gt_boxes = _place_objects(model, sim, rng_place)
 
-    # each frame's box poses, read by both the LiDAR and the camera; a long
-    # frame_dt can move the ego or a box past the float range
+    # each frame's box poses, read by both the LiDAR and the camera; a wide
+    # range, fast motion or a long frame_dt can put the ego or a box so far
+    # out that the squared distances the sensor models take leave the float
+    # range
     frame_boxes = [[box_at_frame(b, rig, t, sim.frame_dt) for b in gt_boxes]
                    for t in range(model.num_frames)]
-    if not all(np.isfinite(a).all() for a in (*rig.ego_poses,
-                                              *(b.center for bs in frame_boxes for b in bs))):
-        raise SimError(f"sim.frame_dt={sim.frame_dt:g} gives non-finite past-frame poses "
-                       f"(sim.ego_speed={sim.ego_speed:g} and the object speeds)")
+    centers = np.array([b.center for bs in frame_boxes for b in bs]).reshape(-1, 3)
+    if not (np.isfinite(rig.ego_poses).all() and np.isfinite(np.sum(centers * centers))):
+        raise SimError(f"model.range_xy, sim.ego_speed={sim.ego_speed:g} and "
+                       f"sim.frame_dt={sim.frame_dt:g} put past-frame poses out of the float "
+                       "range the sensor models compute in")
     points = []
     obj_ids = []
     for boxes in frame_boxes:
@@ -515,10 +517,8 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
     cam_maps = camera_features(frame_boxes, rig, model, sim, rng_cam)
     return SceneSample(
         scene_id=scene_id,
-        seed=int(sim.seed),
         gt_boxes=gt_boxes,
         rig=rig,
-        det_range=det_range,
         points=points,
         obj_ids=obj_ids,
         cam_set=_pack_camera(cam_maps, model, sim),
@@ -583,11 +583,11 @@ def apply_scenario(
                 lidar_frame = 1
 
     if points[lidar_frame] is not sample.points[0]:
+        det_range = lidar_set.det_range
         lidar_maps = lidar_bev_features(
-            points[lidar_frame], sample.det_range, model.num_lidar_scales,
-            model.channels, sim.bev_grid,
+            points[lidar_frame], det_range, model.num_lidar_scales, model.channels, sim.bev_grid,
         )
-        lidar_set = LidarFeaturePyramid(lidar_maps, sample.det_range, model.dtype)
+        lidar_set = LidarFeaturePyramid(lidar_maps, det_range, model.dtype)
     return replace(sample, points=points, obj_ids=obj_ids, cam_set=cam_set,
                    lidar_set=lidar_set)
 
@@ -600,52 +600,61 @@ MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 
 
-def _save_array(d: str, fname: str, arr: np.ndarray):
-    with atomic_open(os.path.join(d, fname), "wb") as fh:
-        np.save(fh, arr)
-
-
 def write_dataset(out_dir: str, cfg: RunConfig, scenes):
-    """Write any iterable of scenes, each as it comes: atomic file writes,
-    manifest removed before the first scene is written and written last. A
-    scene that fails to be made before the first leaves ``out_dir`` as it was."""
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    """Write any iterable of scenes, each as it comes, into a directory next
+    to ``out_dir`` that replaces ``out_dir`` once the manifest is written
+    last: a write that fails leaves ``out_dir`` as it was. Each scene file
+    stores the seed and detection range of ``cfg``."""
+    out_dir = os.path.normpath(out_dir)
+    tmp = f"{out_dir}.{os.getpid()}.tmp"
+    from_cfg = {"seed": cfg.sim.seed, "det_range": cfg.model.detection_range().to_dict()}
     names = []
-    for sc in scenes:
-        if not names:
-            os.makedirs(out_dir, exist_ok=True)
-            if os.path.exists(manifest_path):
-                os.remove(manifest_path)
-        name = f"scene_{sc.scene_id:04d}"
-        names.append(name)
-        d = os.path.join(out_dir, name)
-        os.makedirs(d, exist_ok=True)
-        side = {
-            "scene_id": sc.scene_id,
-            "seed": sc.seed,
-            "gt_boxes": [b.to_dict() for b in sc.gt_boxes],
-            "rig": sc.rig.to_dict(),
-            "det_range": sc.det_range.to_dict(),
-            "num_frames": len(sc.points),
+    try:
+        os.makedirs(tmp)
+        for sc in scenes:
+            name = f"scene_{sc.scene_id:04d}"
+            names.append(name)
+            d = os.path.join(tmp, name)
+            os.mkdir(d)
+            side = {
+                "scene_id": sc.scene_id,
+                "gt_boxes": [b.to_dict() for b in sc.gt_boxes],
+                "rig": sc.rig.to_dict(),
+                "num_frames": len(sc.points),
+                **from_cfg,
+            }
+            write_json(os.path.join(d, "scene.json"), side)
+            for t, (p, ids) in enumerate(zip(sc.points, sc.obj_ids)):
+                np.save(os.path.join(d, f"points_t{t}.npy"), p.astype(np.float32))
+                np.save(os.path.join(d, f"obj_ids_t{t}.npy"), ids.astype(np.int32))
+            for (v, m, t), grid in sorted(sc.cam_maps.items()):
+                np.save(os.path.join(d, f"cam_v{v}_m{m}_t{t}.npy"), grid.astype(np.float32))
+            for r, grid in enumerate(sc.lidar_maps):
+                np.save(os.path.join(d, f"lidar_r{r}.npy"), grid.astype(np.float32))
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "config_hash": cfg.hash(),
+            "dataset_hash": cfg.dataset_hash(),
+            "seed": cfg.sim.seed,
+            "num_scenes": len(names),
+            "scenes": names,
+            "config": cfg.to_dict(),
         }
-        write_json(os.path.join(d, "scene.json"), side)
-        for t, (p, ids) in enumerate(zip(sc.points, sc.obj_ids)):
-            _save_array(d, f"points_t{t}.npy", p.astype(np.float32))
-            _save_array(d, f"obj_ids_t{t}.npy", ids.astype(np.int32))
-        for (v, m, t), grid in sorted(sc.cam_maps.items()):
-            _save_array(d, f"cam_v{v}_m{m}_t{t}.npy", grid.astype(np.float32))
-        for r, grid in enumerate(sc.lidar_maps):
-            _save_array(d, f"lidar_r{r}.npy", grid.astype(np.float32))
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config_hash": cfg.hash(),
-        "dataset_hash": cfg.dataset_hash(),
-        "seed": cfg.sim.seed,
-        "num_scenes": len(names),
-        "scenes": names,
-        "config": cfg.to_dict(),
-    }
-    write_json(manifest_path, manifest)
+        write_json(os.path.join(tmp, MANIFEST_NAME), manifest)
+        if os.path.isdir(out_dir):
+            old = f"{tmp}.old"
+            os.rename(out_dir, old)
+            try:
+                os.rename(tmp, out_dir)
+            except BaseException:
+                os.rename(old, out_dir)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.rename(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def load_manifest(dataset_dir: str) -> dict:
@@ -681,25 +690,52 @@ def _load_array(d: str, fname: str, shape: tuple, floating: bool = True) -> np.n
     return arr
 
 
-def load_dataset(dataset_dir: str) -> list:
-    """The scenes of a written dataset; SimError unless every file the
-    manifest's config implies loads with its shape: per frame points (N, 4)
-    and N ids, V*M*T camera maps (H/stride, W/stride, C), R LiDAR maps
-    halving from ``sim.bev_grid``; points and maps must be floating point,
-    and the rig must have V views of the image size and T ego poses.
-    Each modality's maps are packed into one buffer at the model's
-    precision."""
+def _differing_part(have, want, part: str):
+    """The first part of the JSON value ``have`` that is not ``want``, named
+    by its keys in words and its indices (``rig ego poses``, ``rig
+    views[1] intrinsics[0][0]``); None if the two are equal."""
+    if have == want:
+        return None
+    if isinstance(have, dict) and isinstance(want, dict) and have.keys() == want.keys():
+        parts = [(have[k], want[k], f"{part} {k.replace('_', ' ')}") for k in want]
+    elif isinstance(have, list) and isinstance(want, list) and len(have) == len(want):
+        parts = [(h, w, f"{part}[{i}]") for i, (h, w) in enumerate(zip(have, want))]
+    else:
+        return part
+    return next(_differing_part(*p) for p in parts if p[0] != p[1])
+
+
+def load_dataset(dataset_dir: str, cfg: RunConfig) -> list:
+    """The scenes of a dataset written for ``cfg``.
+
+    SimError unless the manifest's dataset hash is ``cfg``'s, each scene
+    file stores the rig, detection range, seed and frame count ``cfg``
+    builds, and every file ``cfg`` implies loads with its shape: per frame
+    points (N, 4) and N ids, V*M*T camera maps (H/stride, W/stride, C), R
+    LiDAR maps halving from ``sim.bev_grid``; points and maps must be
+    floating point. Every scene shares the one rig and detection range
+    built from ``cfg``, and each modality's maps are packed into one buffer
+    at the model's precision.
+    """
     manifest = load_manifest(dataset_dir)
+    have, want = manifest.get("dataset_hash"), cfg.dataset_hash()
+    if have != want:
+        raise SimError(f"dataset hash mismatch: dataset {have}, config {want} "
+                       "(model/sim sections differ)")
     try:
-        cfg = RunConfig.from_dict(manifest["config"])
         names = [str(name) for name in manifest["scenes"]]
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SimError(f"dataset manifest in {dataset_dir} is not valid: {exc!r}") from None
     model, sim, C = cfg.model, cfg.sim, cfg.model.channels
+    rig, det_range = build_rig(model, sim), model.detection_range()
+    # what each scene file must store, as cfg builds it
+    stored = {"rig": rig.to_dict(), "det_range": det_range.to_dict(), "seed": sim.seed,
+              "num_frames": model.num_frames}
     strides = [cfg_stride(m, sim.base_stride) for m in range(model.num_cam_scales)]
     scenes = []
     for name in names:
         d = os.path.join(dataset_dir, name)
+        path = os.path.join(d, "scene.json")
         points = [_load_array(d, f"points_t{t}.npy", (None, 4)) for t in range(model.num_frames)]
         obj_ids = [_load_array(d, f"obj_ids_t{t}.npy", (len(p),), floating=False)
                    for t, p in enumerate(points)]
@@ -713,24 +749,17 @@ def load_dataset(dataset_dir: str) -> list:
         lidar_maps = [_load_array(d, f"lidar_r{r}.npy", (sim.bev_grid >> r, sim.bev_grid >> r, C))
                       for r in range(model.num_lidar_scales)]
         try:
-            with open(os.path.join(d, "scene.json"), "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 side = json.load(fh)
-            scene_id, seed = side["scene_id"], side["seed"]
-            gt_boxes = [Box3D.from_dict(b) for b in side["gt_boxes"]]
-            rig = CameraRig.from_dict(side["rig"])
-            want = (model.num_views, model.num_frames, {(sim.image_width, sim.image_height)})
-            have = (rig.num_views, rig.num_frames, {tuple(v.image_size) for v in rig.views})
-            if have != want:
-                raise SimError(f"scene file {d}/scene.json has a rig of (views, ego poses, "
-                               f"image sizes) {have}, not {want}")
-            det_range = DetectionRange.from_dict(side["det_range"])
+            for key, value in stored.items():
+                part = _differing_part(side[key], value, key.replace("_", " "))
+                if part is not None:
+                    raise SimError(f"scene file {path} differs from the config in its {part}")
             scenes.append(
                 SceneSample(
-                    scene_id=scene_id,
-                    seed=seed,
-                    gt_boxes=gt_boxes,
+                    scene_id=side["scene_id"],
+                    gt_boxes=[Box3D.from_dict(b) for b in side["gt_boxes"]],
                     rig=rig,
-                    det_range=det_range,
                     points=points,
                     obj_ids=obj_ids,
                     cam_set=_pack_camera(cam_maps, model, sim),
@@ -738,5 +767,5 @@ def load_dataset(dataset_dir: str) -> list:
                 )
             )
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise SimError(f"scene file {d}/scene.json is not valid: {exc!r}") from None
+            raise SimError(f"scene file {path} is not valid: {exc!r}") from None
     return scenes

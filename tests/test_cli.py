@@ -48,6 +48,16 @@ def _count_alive(monkeypatch, name):
     return alive
 
 
+def _tree_bytes(root):
+    """Relative path -> bytes of every file under ``root``."""
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json")
@@ -102,6 +112,24 @@ class TestGenerate:
         alive = _count_alive(monkeypatch, "generate_scene")
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "ds")]) == 0
         assert len(alive) == 4 and max(alive) <= 2
+
+    def test_failed_force_leaves_the_old_dataset(self, workspace, monkeypatch, capsys):
+        # under this override scene 2 leaves the float range after scenes 0
+        # and 1 are written
+        tmp_path, cfg, ds = workspace
+        before = _tree_bytes(ds)
+        made = []
+        real = cli.generate_scene
+        monkeypatch.setattr(cli, "generate_scene",
+                            lambda model, sim, i: made.append(i) or real(model, sim, i))
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg, "--out", ds, "--force",
+                     "-O", "sim.ego_speed=0", "-O", "sim.frame_dt=6.7e153"]) == 1
+        assert made == [0, 1, 2] and "sim.frame_dt" in capsys.readouterr().err
+        assert _tree_bytes(ds) == before
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "ds"]
+        assert main(["infer", "--config", cfg, "--dataset", ds,
+                     "--out", str(tmp_path / "preds.json")]) == 0
 
     def test_manifest_contents(self, workspace):
         tmp_path, cfg, ds = workspace
@@ -328,6 +356,22 @@ def _one_ego_pose(ds):
     return []
 
 
+def _edited_scene(ds, key, edit):
+    """Replace ``key`` of scene 1's scene.json by ``edit`` of its value."""
+    path = os.path.join(ds, "scene_0001", "scene.json")
+    with open(path) as fh:
+        side = json.load(fh)
+    side[key] = edit(side[key])
+    with open(path, "w") as fh:
+        json.dump(side, fh)
+    return []
+
+
+def _focal_140(rig):
+    rig["views"][1]["intrinsics"][0][0] = 140.0
+    return rig
+
+
 def _generate_under(override):
     return lambda tmp, cfg, ds: ["generate", "--config", cfg, "-O", override]
 
@@ -369,6 +413,21 @@ MALFORMED = {
         *_edited_checkpoint(tmp, cfg, LAST_REFINE, 0, np.inf, optimizer=True)]),
     "infer, one ego pose": (1, "ego poses", lambda tmp, cfg, ds: [
         "infer", "--config", cfg, "--dataset", ds, *_one_ego_pose(ds)]),
+    # a scene file that stores another range, rig, seed or frame count than
+    # the config builds; the line names the file and the part
+    "eval, scene det_range 100 m": (1, "scene.json differs from the config in its det range x",
+                                    lambda tmp, cfg, ds: [
+        "eval", "--config", cfg, "--dataset", ds, *_edited_scene(
+            ds, "det_range", lambda r: {**r, "x": [-100.0, 100.0], "y": [-100.0, 100.0]})]),
+    "infer, scene focal length 140": (1, "scene.json differs from the config in its rig views[1] "
+                                      "intrinsics[0][0]", lambda tmp, cfg, ds: [
+        "infer", "--config", cfg, "--dataset", ds, *_edited_scene(ds, "rig", _focal_140)]),
+    "infer, scene seed": (1, "scene.json differs from the config in its seed",
+                          lambda tmp, cfg, ds: [
+        "infer", "--config", cfg, "--dataset", ds, *_edited_scene(ds, "seed", lambda s: s + 1)]),
+    "train, scene num_frames": (1, "scene.json differs from the config in its num frames",
+                                lambda tmp, cfg, ds: [
+        "train", "--config", cfg, "--dataset", ds, *_edited_scene(ds, "num_frames", lambda n: 1)]),
     "infer, box size -1e4": (1, "box sizes", lambda tmp, cfg, ds: [
         "infer", "--config", cfg, "--dataset", ds,
         *_edited_checkpoint(tmp, cfg, LAST_REFINE, 3, -1e4)]),
@@ -386,11 +445,16 @@ MALFORMED = {
         "train", "--config", cfg, "--dataset", ds, "-O", "train.log_every=0"]),
     **{item: (1, item.split("=")[0], _generate_under(item)) for item in (
         "sim.point_density=1e308", "sim.clutter_density=1e308",
-        "model.range_xy=[-1e200,1e200]", "sim.frame_dt=1e308")},
+        "model.range_xy=[-1e200,1e200]", "sim.frame_dt=1e308", "sim.ego_speed=1e308")},
     **{item: (1, item.split("=")[0], _train_under(item)) for item in (
         "sim.oracle.fp_rate=1e308", "sim.oracle.depth_sigma=1000",
         "sim.oracle.depth_sigma=1e308", "sim.oracle.size_sigma=1000",
-        "sim.oracle.yaw_sigma=1e308")},
+        "sim.oracle.yaw_sigma=1e308", "sim.oracle.vel_sigma=1e308")},
+    # a generate that fails in scene 0, and one that fails in scene 2 after
+    # two scenes are written, leave no directory
+    **{f"generate, frame_dt={dt}": (1, "sim.frame_dt", lambda tmp, cfg, ds, dt=dt: [
+        "generate", "--config", cfg, "-O", "sim.ego_speed=0", "-O", f"sim.frame_dt={dt}"])
+       for dt in ("1e308", "6.7e153")},
 }
 
 
@@ -405,7 +469,7 @@ def test_malformed_input_ends_in_one_line(workspace, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert err.startswith("config error:" if code == 2 else "error:") and names in err
-    assert not os.path.exists(out)
+    assert not [f for f in os.listdir(tmp_path) if f.startswith("out")]  # nor a temporary
 
 
 class TestEvalAndInfer:

@@ -70,6 +70,7 @@ def test_cli_artifacts_are_unchanged(tmp_path, precision):
     decoding = [*common, "--dataset", ds, "--checkpoint", ckpt]
     runs = [
         ["generate", *common, "--out", ds],
+        ["generate", *common, "--out", ds, "--force"],  # replaces the dataset whole
         ["train", *common, "--dataset", ds, "--out", ckpt],
         ["infer", *decoding, "--out", str(out / "preds.json")],
         ["eval", *decoding, "--out", str(out / "eval_uaf.json")],

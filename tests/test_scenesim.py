@@ -613,7 +613,7 @@ class TestPackedMaps:
         spec = ScenarioSpec(kind="front_occlusion", seed=0)
         write_dataset(str(tmp_path), cfg, [scene])
         for sc in (scene, apply_scenario(scene, spec, MODEL, sim),
-                   load_dataset(str(tmp_path))[0]):
+                   load_dataset(str(tmp_path), cfg)[0]):
             assert sc.cam_set.strides == want
             assert all(type(s) is int for s in sc.cam_set.strides)
 
@@ -645,7 +645,10 @@ class TestDatasetIo:
         manifest = load_manifest(str(tmp_path / "ds"))
         assert manifest["num_scenes"] == 2
         assert manifest["config_hash"] == cfg.hash()
-        loaded = load_dataset(str(tmp_path / "ds"))
+        loaded = load_dataset(str(tmp_path / "ds"), cfg)
+        # one rig and one detection range, built from cfg, for every scene
+        assert all(b.rig is loaded[0].rig for b in loaded)
+        assert all(b.lidar_set.det_range is loaded[0].lidar_set.det_range for b in loaded)
         for a, b in zip(scenes, loaded):
             assert len(a.gt_boxes) == len(b.gt_boxes)
             for ba, bb in zip(a.gt_boxes, b.gt_boxes):
@@ -672,13 +675,18 @@ class TestDatasetIo:
             load_manifest(str(tmp_path))
 
 
-@pytest.fixture(scope="module")
-def tiny_dataset(tmp_path_factory):
-    """A written 1-scene dataset at small sizes."""
+def _tiny_cfg() -> RunConfig:
     cfg = RunConfig()
     cfg.sim.num_scenes = 1
     cfg.sim.image_width, cfg.sim.image_height, cfg.sim.bev_grid = 64, 32, 16
     cfg.model.num_views = 2
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A written 1-scene dataset at small sizes, under ``_tiny_cfg``."""
+    cfg = _tiny_cfg()
     out = str(tmp_path_factory.mktemp("tiny") / "ds")
     write_dataset(out, cfg, [generate_scene(cfg.model, cfg.sim, 0)])
     return out
@@ -692,7 +700,7 @@ class TestDatasetFiles:
         path = os.path.join(ds, "scene_0000", fname)
         np.save(path, np.load(path).view(np.int32))
         with pytest.raises(SimError, match="floating point"):
-            load_dataset(ds)
+            load_dataset(ds, _tiny_cfg())
 
     @pytest.mark.parametrize("doc", ['{"scene_id": 0}', "[" * 100000],
                              ids=["no_boxes", "deep"])
@@ -702,7 +710,7 @@ class TestDatasetFiles:
         with open(os.path.join(ds, "scene_0000", "scene.json"), "w") as fh:
             fh.write(doc)
         with pytest.raises(SimError, match="scene.json"):
-            load_dataset(ds)
+            load_dataset(ds, _tiny_cfg())
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -726,7 +734,7 @@ class TestDatasetFiles:
             with open(path, "wb") as fh:
                 fh.write(raw)
             try:
-                scenes = load_dataset(ds)
+                scenes = load_dataset(ds, _tiny_cfg())
             except SimError:
                 return
             for scene in scenes:
