@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import tensor as T
 from .classes import CONTENT_CHANNELS, NUM_CLASSES, POSENC_CHANNELS
 from .geometry import DetectionRange
@@ -114,12 +116,13 @@ class ModelSection:
                      "num_lidar_scales", "num_frames", "num_views", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be >= 1")
+        top = float(np.finfo(self.dtype).max)  # queries hold range values at this precision
         for name in ("range_xy", "range_z"):
-            bounds = getattr(self, name)
-            if len(bounds) != 2 or not (bounds[0] < bounds[1]
-                                        and math.isfinite(bounds[1] - bounds[0])):
-                raise ConfigError(f"model.{name} must be [min, max] with min < max and a "
-                                  f"finite extent, got {json.dumps(bounds)}")
+            b = getattr(self, name)
+            if len(b) != 2 or not (b[0] < b[1] and max(-b[0], b[1], b[1] - b[0]) <= top):
+                raise ConfigError(f"model.{name} must be [min, max] with min < max, and bounds "
+                                  f"and extent finite at model.precision={self.precision}, "
+                                  f"got {json.dumps(b)}")
         if self.max_offset_factor <= 0:
             raise ConfigError("model.max_offset_factor must be positive")
         if not 0.0 <= self.nms_iou <= 1.0:

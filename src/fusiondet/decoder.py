@@ -154,21 +154,18 @@ def decode(
     store: ParamStore,
     cfg: ModelSection,
     fusion: str = "uaf",
-    oracle_gt=None,
+    oracle_gt: BoxArray | None = None,
 ) -> list:
     """Run all decoder layers; returns one LayerPrediction per layer.
 
     ``fusion`` selects Eq.-style adaptive weighting ("uaf") or fixed equal
     weights ("equal"). With ``oracle_gt`` set, uncertainties come from the
     auxiliary regressor against the nearest ground-truth box instead of the
-    distance predictor (oracle-uncertainty mode); it is a BoxArray or a
-    sequence of Box3D, as every ground truth the decoder reads. UAF heads run
-    only where read, their LayerPrediction fields None elsewhere: none under
-    equal fusion (which ignores ``oracle_gt``), the regressors under oracle
-    u, all four under predicted u, the mode :func:`compute_loss` reads.
+    distance predictor (oracle-uncertainty mode). UAF heads run only where
+    read, their LayerPrediction fields None elsewhere: none under equal
+    fusion (which ignores ``oracle_gt``), the regressors under oracle u, all
+    four under predicted u, the mode :func:`compute_loss` reads.
     """
-    if oracle_gt is not None:
-        oracle_gt = BoxArray.stack(oracle_gt)
     preds = []
     for layer in range(cfg.num_layers):
         pred, batch = decode_layer(layer, batch, cam_feats, lidar_feats, rig, store, cfg,
@@ -193,7 +190,7 @@ def _state_scale(det_range: DetectionRange) -> np.ndarray:
 def hungarian_match(
     pred_state: np.ndarray,
     pred_scores: np.ndarray,
-    gt_boxes,
+    gt_boxes: BoxArray,
     cfg: TrainSection,
     det_range: DetectionRange,
 ) -> list:
@@ -207,7 +204,6 @@ def hungarian_match(
     problem at a fraction of its size. Returns (pred_index, gt_index) pairs
     in prediction order.
     """
-    gt_boxes = BoxArray.stack(gt_boxes)
     n_pred = pred_state.shape[0]
     n_gt = len(gt_boxes)
     if n_gt == 0 or n_pred == 0:
@@ -249,26 +245,24 @@ def focal_loss(logits: T.Tensor, targets: np.ndarray, alpha: float, gamma: float
 
 def match_layers(
     preds: list,
-    gt_boxes,
+    gt_boxes: BoxArray,
     train_cfg: TrainSection,
     model_cfg: ModelSection,
 ) -> list:
     """Hungarian matching per decoder layer (on detached predictions)."""
     det_range = model_cfg.detection_range()
-    gt_boxes = BoxArray.stack(gt_boxes)
     return [
         hungarian_match(p.box_state.data, p.scores(), gt_boxes, train_cfg, det_range)
         for p in preds
     ]
 
 
-def oracle_distance_targets(preds: list, matching: list, gt_boxes,
+def oracle_distance_targets(preds: list, matching: list, gt_boxes: BoxArray,
                             cap: float = 5.0) -> list:
     """Detached per-layer BEV distance targets for the distance predictors:
     how far each modality's position estimate actually is from its matched
     GT. Targets saturate at ``cap`` meters (the uncertainty mapping is flat
     out there anyway)."""
-    gt_boxes = BoxArray.stack(gt_boxes)
     out = []
     for pred, matches in zip(preds, matching):
         if not matches:
@@ -287,7 +281,7 @@ def oracle_distance_targets(preds: list, matching: list, gt_boxes,
 
 def compute_loss(
     preds: list,
-    gt_boxes,
+    gt_boxes: BoxArray,
     matching: list,
     train_cfg: TrainSection,
     model_cfg: ModelSection,
@@ -305,7 +299,6 @@ def compute_loss(
     det_range = model_cfg.detection_range()
     scale = _state_scale(det_range)
     n_cls = model_cfg.num_classes
-    gt_boxes = BoxArray.stack(gt_boxes)
     if unc_targets is None:
         unc_targets = oracle_distance_targets(preds, matching, gt_boxes,
                                               cap=train_cfg.dist_cap)

@@ -255,9 +255,7 @@ class BoxArray:
 
     @classmethod
     def stack(cls, boxes) -> "BoxArray":
-        """The boxes of a sequence of Box3D (a BoxArray passes through)."""
-        if isinstance(boxes, BoxArray):
-            return boxes
+        """The boxes of a sequence of Box3D."""
         a = np.array([b.center.tolist() + b.size.tolist() + [b.yaw] + b.velocity.tolist()
                       + [b.class_id, b.score] for b in boxes], dtype=float).reshape(-1, 11)
         return cls(a[:, 0:3], a[:, 3:6], a[:, 6], a[:, 7:9], a[:, 9].astype(np.int64), a[:, 10])
@@ -412,17 +410,15 @@ def bev_rotated_iou(a: Box3D, b: Box3D) -> float:
                         a.size[0] * a.size[1], b.size[0] * b.size[1])
 
 
-def nms_3d(boxes, iou_threshold: float) -> list:
+def nms_3d(boxes: BoxArray, iou_threshold: float) -> list:
     """Greedy NMS on rotated BEV IoU; returns kept indices, score-descending.
 
-    ``boxes`` is a BoxArray or a sequence of Box3D. Ties in score break by
-    original index so output is input-order invariant after the stable sort.
-    A kept box is tested only against the unsuppressed boxes after it in
-    score order whose BEV circumcircles overlap its own: footprints inside
-    disjoint circles share no area, so their IoU is 0 and suppresses nothing
-    at any threshold in [0, 1].
+    Ties in score break by original index so output is input-order
+    invariant after the stable sort. A kept box is tested only against the
+    unsuppressed boxes after it in score order whose BEV circumcircles
+    overlap its own: footprints inside disjoint circles share no area, so
+    their IoU is 0 and suppresses nothing at any threshold in [0, 1].
     """
-    boxes = BoxArray.stack(boxes)
     order = np.argsort(-boxes.score, kind="stable")
     ranked = boxes.take(order)
     corners = bev_corners(ranked.center, ranked.size, ranked.yaw)

@@ -18,7 +18,7 @@ from . import uaf
 from .config import ModelSection, SimSection, TrainSection
 from .decoder import compute_loss, decode, match_layers, oracle_distance_targets, refine_box
 from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
-from .geometry import Box3D, DetectionRange
+from .geometry import Box3D, BoxArray, DetectionRange
 from .params import ParamStore, init_model_params
 from .queries import QueryBatch, boxes_to_state
 from .rias import SamplingPattern, adaptive_mix, sample_camera, sample_lidar
@@ -190,13 +190,11 @@ def _build_refine_box(rng):
     store = _mini_store(rng, cfg)
     N, C = 4, cfg.channels
     qf = T.Tensor(rng.normal(size=(N, C)), dtype=np.float64)
-    state = boxes_to_state(
-        [
-            Box3D(rng.uniform(-5, 5, 3), rng.uniform(0.5, 3.0, 3),
-                  rng.uniform(-3, 3), rng.normal(0, 1, 2))
-            for _ in range(N)
-        ]
-    )
+    state = boxes_to_state(BoxArray.stack([
+        Box3D(rng.uniform(-5, 5, 3), rng.uniform(0.5, 3.0, 3), rng.uniform(-3, 3),
+              rng.normal(0, 1, 2))
+        for _ in range(N)
+    ]))
     st = T.Tensor(state, dtype=np.float64)
 
     def fn(ins):
@@ -212,16 +210,16 @@ def _build_compute_loss(rng):
     M, Tt = cfg.num_cam_scales, cfg.num_frames
     feats = _camera_set(_camera_maps(rng, rig, cfg.channels, M, Tt), rig, M, Tt)
     pyramid = LidarFeaturePyramid(_tensors(rng, (8, 8, cfg.channels)), cfg.detection_range())
-    gts = [
+    gts = BoxArray.stack([
         Box3D([5.0, 4.0, 0.0], [2.0, 1.0, 1.2], 0.4, [0.5, 0.0], class_id=0),
         Box3D([-4.0, -5.0, 0.2], [1.0, 0.8, 1.6], -1.0, [0.0, 0.0], class_id=1),
-    ]
-    starts = [
+    ])
+    starts = BoxArray.stack([
         Box3D([5.4, 3.7, 0.1], [1.8, 1.1, 1.1], 0.5, [0.4, 0.1], class_id=0),
         Box3D([-4.3, -4.6, 0.1], [1.1, 0.9, 1.4], -0.8, [0.1, 0.0], class_id=1),
         Box3D([0.0, 7.0, 0.0], [1.5, 1.5, 1.5], 0.0, [0.0, 0.0], class_id=0),
         Box3D([-7.0, 2.0, 0.0], [1.0, 1.0, 1.0], 1.2, [0.0, 0.0], class_id=1),
-    ]
+    ])
     qf = T.Tensor(rng.normal(size=(cfg.num_queries, cfg.channels)), dtype=np.float64)
     st = T.Tensor(boxes_to_state(starts), dtype=np.float64)
     tcfg = TrainSection()

@@ -23,6 +23,8 @@ RECALL_SAMPLES = 101
 MIN_RECALL = 0.1
 MIN_PRECISION = 0.1
 TP_METRIC_NAMES = ("ate", "ase", "aoe", "ave")
+_NO_BOXES = BoxArray(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros((0, 2)),
+                     np.zeros(0, np.int64), np.zeros(0))
 
 
 def _bev_norm(d: np.ndarray) -> np.ndarray:
@@ -34,7 +36,7 @@ def _bev_norm(d: np.ndarray) -> np.ndarray:
 
 def _concat(per_scene) -> tuple:
     """All scenes' boxes as one BoxArray, and each box's scene index."""
-    arrays = [BoxArray.stack(b) for b in per_scene] or [BoxArray.stack([])]
+    arrays = list(per_scene) or [_NO_BOXES]
     scene = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
     return BoxArray(*(np.concatenate([getattr(a, f.name) for a in arrays])
                       for f in fields(BoxArray))), scene
@@ -155,8 +157,8 @@ def evaluate_detections(
     bins=(0.0, 10.0, 20.0, 30.0),
 ) -> MetricsReport:
     """AP per present class and threshold, mAP, TP errors, NDS and AP per
-    ego-distance bin (``bins`` ascending). Each scene's boxes are a BoxArray
-    or a sequence of Box3D.
+    ego-distance bin (``bins`` ascending). Each scene's boxes are one
+    BoxArray.
 
     Each (class, threshold) pair is matched once; the ``tp_threshold`` match
     also gives the TP errors and the bins of the predictions: a matched

@@ -66,30 +66,33 @@ class Proposals:
         return Proposals(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
-def _liftable(values: np.ndarray, oracle: OracleSection, key: str,
+def _liftable(values: np.ndarray, oracle: OracleSection, key: str, dtype=np.float64,
               positive: bool = True) -> np.ndarray:
     """True-positive values drawn with noise of scale ``sim.oracle.<key>``;
-    SimError unless each is finite, and positive where ``positive``."""
-    if np.all(np.isfinite(values)) and not (positive and np.any(values <= 0)):
+    SimError unless each is finite at ``dtype`` and positive where
+    ``positive``."""
+    if np.all(np.abs(values) <= np.finfo(dtype).max) and not (positive and np.any(values <= 0)):
         return values
     what = "finite and positive" if positive else "finite"
     raise SimError(f"sim.oracle.{key}={getattr(oracle, key):g} draws proposal values "
-                   f"that are not {what}")
+                   f"that are not {what} as {np.dtype(dtype)}")
 
 
 def perspective_oracle(
-    gt_boxes: list,
+    gt: BoxArray,
     rig: CameraRig,
     oracle: OracleSection,
     rng: np.random.Generator,
     det_range: DetectionRange,
+    dtype=np.float64,
 ) -> Proposals:
     """Noisy proposals per view from ground truth, plus false positives.
 
     Scores decrease monotonically with the injected pixel-noise magnitude;
     false-positive counts are Poisson per view with low scores. Proposals
     come in view order, each view's true positives (GT order) before its
-    false positives.
+    false positives. True-positive sizes and velocities, which the decoder
+    takes unclipped, must be finite at ``dtype``, the model's precision.
 
     Draws with array arguments are written as numpy computes them
     (``loc + scale * standard_normal``, ``low + (high - low) * random``):
@@ -103,7 +106,6 @@ def perspective_oracle(
     max_depth = 0.9 * max(det_range.x_max, det_range.y_max)
     # false-positive draws: pixel (u, v), depth, yaw, score
     fp_low = np.array([0.0, 0.0, 2.0, -math.pi, 0.05])
-    gt = BoxArray.stack(gt_boxes)
     uvz, hit = project_points(gt.center, rig.views)
     tp, noise = [], []  # true positives: (view, GT index) and their noise rows
     fp, fp_size, fp_draws = [], [], []  # false positives: (view, class), size, draws
@@ -146,11 +148,12 @@ def perspective_oracle(
         view=np.concatenate([tp_view, fp_view]),
         uv=np.concatenate([np.clip(uvz[:, :2] + du, 0.0, edge), fp_draws[:, 0:2]]),
         depth=np.concatenate([_liftable(depth, o, "depth_sigma"), fp_draws[:, 2]]),
-        size=np.concatenate([_liftable(size, o, "size_sigma"), np.reshape(fp_size, (-1, 3))]),
+        size=np.concatenate([_liftable(size, o, "size_sigma", dtype),
+                             np.reshape(fp_size, (-1, 3))]),
         yaw=np.concatenate([_liftable(gt.yaw[g] + noise[:, 6], o, "yaw_sigma", positive=False),
                             fp_draws[:, 3]]),
         velocity=np.concatenate([_liftable(gt.velocity[g] + noise[:, 7:9], o, "vel_sigma",
-                                           positive=False), np.zeros((len(fp), 2))]),
+                                           dtype, positive=False), np.zeros((len(fp), 2))]),
         score=np.concatenate([score, fp_draws[:, 4]]),
         class_id=np.concatenate([gt.class_id[g], fp_cls]),
     )
@@ -228,7 +231,7 @@ def init_queries(
 
 
 def generate_queries(
-    gt_boxes: list,
+    gt_boxes: BoxArray,
     rig: CameraRig,
     cam_feats: CameraFeatureSet,
     cfg: ModelSection,
@@ -240,7 +243,7 @@ def generate_queries(
     whose features are one gather (README "Model notes": dtype, gradient order).
     """
     det_range = cfg.detection_range()
-    proposals = perspective_oracle(gt_boxes, rig, oracle, rng, det_range)
+    proposals = perspective_oracle(gt_boxes, rig, oracle, rng, det_range, cfg.dtype)
     top = select_topk(lift_proposals(proposals, rig), cfg)
     rows, seen, top = init_queries(top, cam_feats, rig, det_range)
     rand = random_queries(cfg.num_queries - len(top), det_range, rng)

@@ -18,13 +18,12 @@ from .geometry import BoxArray, GeometryError, wrap_angles
 STATE_DIM = 10
 
 
-def boxes_to_state(boxes) -> np.ndarray:
-    """Float64 state rows of a BoxArray or a sequence of Box3D, one per box.
+def boxes_to_state(boxes: BoxArray) -> np.ndarray:
+    """Float64 state rows of a BoxArray, one per box.
 
     Logs, sines and cosines are taken with ``math`` one element at a time:
     numpy's vectorised ``log`` rounds some inputs differently.
     """
-    boxes = BoxArray.stack(boxes)
     state = np.empty((len(boxes), STATE_DIM))
     state[:, 0:3] = boxes.center
     state[:, 3:6] = np.reshape([math.log(x) for x in boxes.size.ravel().tolist()], (-1, 3))

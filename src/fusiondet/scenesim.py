@@ -38,6 +38,7 @@ from .featuremaps import CameraFeatureSet, LidarFeaturePyramid
 from .fileio import write_json
 from .geometry import (
     Box3D,
+    BoxArray,
     CameraRig,
     CameraView,
     DetectionRange,
@@ -84,7 +85,7 @@ class SceneSample:
     modality at the precision of the model it was made for."""
 
     scene_id: int
-    gt_boxes: list
+    gt_boxes: BoxArray
     rig: CameraRig
     points: list  # per frame, (N, 4) float32-compatible [x, y, z, intensity]
     obj_ids: list  # per frame, (N,) int32; -1 for clutter
@@ -517,7 +518,7 @@ def generate_scene(model: ModelSection, sim: SimSection, scene_id: int) -> Scene
     cam_maps = camera_features(frame_boxes, rig, model, sim, rng_cam)
     return SceneSample(
         scene_id=scene_id,
-        gt_boxes=gt_boxes,
+        gt_boxes=BoxArray.stack(gt_boxes),
         rig=rig,
         points=points,
         obj_ids=obj_ids,
@@ -758,7 +759,7 @@ def load_dataset(dataset_dir: str, cfg: RunConfig) -> list:
             scenes.append(
                 SceneSample(
                     scene_id=side["scene_id"],
-                    gt_boxes=[Box3D.from_dict(b) for b in side["gt_boxes"]],
+                    gt_boxes=BoxArray.stack([Box3D.from_dict(b) for b in side["gt_boxes"]]),
                     rig=rig,
                     points=points,
                     obj_ids=obj_ids,

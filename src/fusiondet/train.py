@@ -15,7 +15,6 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .decoder import compute_loss, decode, match_layers
-from .geometry import BoxArray
 from .paqg import generate_queries
 from .params import ParamStore
 
@@ -71,8 +70,7 @@ def decode_scene(cfg: RunConfig, scene, store: ParamStore, rng: np.random.Genera
     """One scene's queries, decoded: (a LayerPrediction per layer, GT BoxArray).
     ``generate_queries`` and ``decode`` are this module's globals, looked up
     at each call, so wrappers set on ``train`` see every call."""
-    mcfg = cfg.model
-    gt = BoxArray.stack(scene.gt_boxes)
+    mcfg, gt = cfg.model, scene.gt_boxes
     feats = scene.feature_set(mcfg)
     batch = generate_queries(gt, scene.rig, feats, mcfg, cfg.sim.oracle,
                              store["query.default_embedding"], rng)

@@ -23,6 +23,7 @@ from fusiondet.config import OracleSection, RunConfig
 from fusiondet.decoder import decode, hungarian_match, _state_scale
 from fusiondet.geometry import (
     Box3D,
+    BoxArray,
     align_temporal,
     bev_rotated_iou,
     nms_3d,
@@ -175,7 +176,7 @@ def test_criterion_4_geometry_oracles():
         boxes = [_box(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0.5, 5),
                       rng.uniform(0.5, 5), rng.uniform(-math.pi, math.pi),
                       score=float(rng.uniform(0, 1))) for _ in range(n)]
-        ok_nms &= nms_3d(boxes, 0.5) == _brute_force_nms(boxes, 0.5)
+        ok_nms &= nms_3d(BoxArray.stack(boxes), 0.5) == _brute_force_nms(boxes, 0.5)
 
     # hungarian vs exhaustive for n <= 8
     from fusiondet.config import ModelSection, TrainSection
@@ -186,12 +187,13 @@ def test_criterion_4_geometry_oracles():
     for _ in range(25):
         n_pred = int(rng.integers(1, 9))
         n_gt = int(rng.integers(1, n_pred + 1))
-        gts = [Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
-                     rng.uniform(-3, 3), rng.normal(0, 2, 2),
-                     class_id=int(rng.integers(0, 3))) for _ in range(n_gt)]
-        state = boxes_to_state([Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
+        gts = BoxArray.stack([Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
+                                    rng.uniform(-3, 3), rng.normal(0, 2, 2),
+                                    class_id=int(rng.integers(0, 3))) for _ in range(n_gt)])
+        preds = BoxArray.stack([Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
                                       rng.uniform(-3, 3), rng.normal(0, 2, 2))
                                 for _ in range(n_pred)])
+        state = boxes_to_state(preds)
         scores = rng.uniform(0, 1, size=(n_pred, 3))
         gt_state = boxes_to_state(gts)
 

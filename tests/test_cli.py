@@ -372,8 +372,9 @@ def _focal_140(rig):
     return rig
 
 
-def _generate_under(override):
-    return lambda tmp, cfg, ds: ["generate", "--config", cfg, "-O", override]
+def _generate_under(*overrides):
+    return lambda tmp, cfg, ds: ["generate", "--config", cfg,
+                                 *(arg for o in overrides for arg in ("-O", o))]
 
 
 def _train_under(override):
@@ -437,19 +438,27 @@ MALFORMED = {
     "bench --reps 29": (1, "--reps", lambda tmp, cfg, ds: [
         "bench", "--config", cfg, "--reps", "29"]),
     # config values the simulator cannot run with, then draws it cannot make;
-    # each error line names the key set
+    # each error line names the key set; a range bound past the float32
+    # range is refused under the single precision the config sets
     **{item: (2, item.split("=")[0], _generate_under(item)) for item in (
         "sim.spawn_margin=25", "model.range_xy=[-1e-300,1e-300]",
-        "model.range_xy=[-1e308,1e308]")},
+        "model.range_xy=[-1e308,1e308]", "model.range_z=[-8.9e307,8.9e307]",
+        "model.range_xy=[-1e39,1e39]")},
     "train.log_every=0": (2, "train.log_every", lambda tmp, cfg, ds: [
         "train", "--config", cfg, "--dataset", ds, "-O", "train.log_every=0"]),
     **{item: (1, item.split("=")[0], _generate_under(item)) for item in (
         "sim.point_density=1e308", "sim.clutter_density=1e308",
-        "model.range_xy=[-1e200,1e200]", "sim.frame_dt=1e308", "sim.ego_speed=1e308")},
+        "sim.frame_dt=1e308", "sim.ego_speed=1e308")},
+    # a range double precision holds, whose past-frame poses leave the float range
+    "model.range_xy=[-1e200,1e200]": (1, "model.range_xy", _generate_under(
+        "model.range_xy=[-1e200,1e200]", "model.precision=double")),
+    # size_sigma=50 and vel_sigma=1e100 draw sizes and velocities that are
+    # finite as float64, not as float32
     **{item: (1, item.split("=")[0], _train_under(item)) for item in (
         "sim.oracle.fp_rate=1e308", "sim.oracle.depth_sigma=1000",
         "sim.oracle.depth_sigma=1e308", "sim.oracle.size_sigma=1000",
-        "sim.oracle.yaw_sigma=1e308", "sim.oracle.vel_sigma=1e308")},
+        "sim.oracle.yaw_sigma=1e308", "sim.oracle.vel_sigma=1e308",
+        "sim.oracle.size_sigma=50", "sim.oracle.vel_sigma=1e100")},
     # a generate that fails in scene 0, and one that fails in scene 2 after
     # two scenes are written, leave no directory
     **{f"generate, frame_dt={dt}": (1, "sim.frame_dt", lambda tmp, cfg, ds, dt=dt: [

@@ -210,7 +210,7 @@ class TestRefineBox:
         qf = T.Tensor(rng.normal(size=(3, model.channels)), dtype=np.float64)
         boxes = [Box3D(rng.uniform(-5, 5, 3), rng.uniform(0.5, 3, 3),
                        rng.uniform(-3, 3), rng.normal(0, 1, 2)) for _ in range(3)]
-        state = T.Tensor(boxes_to_state(boxes), dtype=np.float64)
+        state = T.Tensor(boxes_to_state(BoxArray.stack(boxes)), dtype=np.float64)
         out = refine_box(qf, state, store.group("layer0.refine"), model)
         np.testing.assert_allclose(out.data, state.data, atol=1e-9)
 
@@ -224,7 +224,7 @@ class TestRefineBox:
         store["layer0.refine.w2"].data = w2 * 0.0
         store["layer0.refine.b2"].data = np.eye(1, 10, 3)[0] * math.log(2.0)
         box = Box3D([1.0, 2.0, 0.5], [2.0, 1.0, 1.5], 0.3, [0.0, 0.0])
-        state = T.Tensor(boxes_to_state([box]), dtype=np.float64)
+        state = T.Tensor(boxes_to_state(BoxArray.stack([box])), dtype=np.float64)
         qf = T.Tensor(np.zeros((1, model.channels)), dtype=np.float64)
         out = state_to_boxes(refine_box(qf, state, store.group("layer0.refine"), model).data)
         np.testing.assert_allclose(out[0].size, [4.0, 1.0, 1.5], atol=1e-12)
@@ -256,18 +256,19 @@ class TestHungarian:
     def test_single_exact_match(self):
         model = ModelSection()
         gt = Box3D([5.0, 5.0, 0.5], [4, 2, 1.5], 0.2, [1.0, 0.0], class_id=1)
-        state = boxes_to_state([gt])
+        gts = BoxArray.stack([gt])
+        state = boxes_to_state(gts)
         scores = np.array([[0.1, 0.9, 0.1]])
-        assert self._match(state, scores, [gt], model) == [(0, 0)]
+        assert self._match(state, scores, gts, model) == [(0, 0)]
 
     def test_nearer_prediction_wins(self):
         model = ModelSection()
         gt = Box3D([0.0, 0.0, 0.5], [4, 2, 1.5], 0.0, [0.0, 0.0], class_id=0)
         near = Box3D([0.5, 0.0, 0.5], [4, 2, 1.5], 0.0, [0.0, 0.0])
         far = Box3D([10.0, 0.0, 0.5], [4, 2, 1.5], 0.0, [0.0, 0.0])
-        state = boxes_to_state([far, near])
+        state = boxes_to_state(BoxArray.stack([far, near]))
         scores = np.full((2, 3), 0.5)
-        assert self._match(state, scores, [gt], model) == [(1, 0)]
+        assert self._match(state, scores, BoxArray.stack([gt]), model) == [(1, 0)]
 
     def test_matches_brute_force_assignment_cost(self):
         # exhaustive oracle over all partial matchings, with each unmatched
@@ -278,16 +279,16 @@ class TestHungarian:
         scale = _state_scale(model.detection_range())
         for trial in range(20):
             n_pred, n_gt = 8, 5
-            gts = [
+            gts = BoxArray.stack([
                 Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
                       rng.uniform(-3, 3), rng.normal(0, 2, 2),
                       class_id=int(rng.integers(0, 3)))
                 for _ in range(n_gt)
-            ]
-            pred_state = boxes_to_state(
+            ])
+            pred_state = boxes_to_state(BoxArray.stack(
                 [Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
                        rng.uniform(-3, 3), rng.normal(0, 2, 2)) for _ in range(n_pred)]
-            )
+            ))
             scores = rng.uniform(0, 1, size=(n_pred, 3))
             gt_state = boxes_to_state(gts)
             gt_cls = [g.class_id for g in gts]
@@ -311,8 +312,8 @@ class TestHungarian:
 
     def test_empty_gt(self):
         model = ModelSection()
-        state = boxes_to_state([Box3D([0, 0, 0], [1, 1, 1], 0.0)])
-        assert self._match(state, np.ones((1, 3)), [], model) == []
+        state = boxes_to_state(BoxArray.stack([Box3D([0, 0, 0], [1, 1, 1], 0.0)]))
+        assert self._match(state, np.ones((1, 3)), BoxArray.stack([]), model) == []
 
     @staticmethod
     def _padded_match(cost, c):
@@ -332,11 +333,12 @@ class TestHungarian:
     def test_matches_the_padded_form(self, seed, n_pred, n_gt, mode):
         model = ModelSection()
         rng = np.random.default_rng(seed)
-        boxes = [Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3), rng.uniform(-3, 3),
-                       rng.normal(0, 2, 2), class_id=int(rng.integers(0, 3)))
-                 for _ in range(n_pred + n_gt)]
-        gts = boxes[n_pred:]
-        pred_state = boxes_to_state(boxes[:n_pred])
+        boxes = BoxArray.stack([Box3D(rng.uniform(-20, 20, 3), rng.uniform(0.5, 4, 3),
+                                      rng.uniform(-3, 3), rng.normal(0, 2, 2),
+                                      class_id=int(rng.integers(0, 3)))
+                                for _ in range(n_pred + n_gt)])
+        gts = boxes.take(np.arange(n_pred, n_pred + n_gt))
+        pred_state = boxes_to_state(boxes.take(np.arange(n_pred)))
         scores = rng.uniform(0, 1, size=(n_pred, 3))
         diff = np.abs(pred_state[:, None, :] - boxes_to_state(gts)[None, :, :])
         cost = (self.CFG.w_cls * (1.0 - scores[:, [g.class_id for g in gts]])
@@ -378,8 +380,9 @@ class TestComputeLoss:
         # re-decode against an empty GT list
         preds = decode(batch, scene.feature_set(model), scene.lidar_pyramid(model),
                        scene.rig, store, model)
-        matching = match_layers(preds, [], TrainSection(), model)
-        loss, terms = compute_loss(preds, [], matching, TrainSection(), model)
+        no_gt = BoxArray.stack([])
+        matching = match_layers(preds, no_gt, TrainSection(), model)
+        loss, terms = compute_loss(preds, no_gt, matching, TrainSection(), model)
         assert terms["box"] == 0.0 and terms["unc"] == 0.0 and terms["reg"] == 0.0
         assert terms["cls"] > 0.0
 
@@ -390,7 +393,7 @@ class TestComputeLoss:
         tcfg = TrainSection()
         m1 = match_layers(preds, scene.gt_boxes, tcfg, model)
         l1, _ = compute_loss(preds, scene.gt_boxes, m1, tcfg, model)
-        rev = scene.gt_boxes[::-1]
+        rev = scene.gt_boxes.take(np.arange(len(scene.gt_boxes))[::-1])
         m2 = match_layers(preds, rev, tcfg, model)
         l2, _ = compute_loss(preds, rev, m2, tcfg, model)
         assert l1.item() == pytest.approx(l2.item(), rel=1e-12)
@@ -476,7 +479,7 @@ class TestStateToBoxes:
         assert len(boxes) == 0 and list(boxes) == []
 
     def test_underflowing_size_raises(self):
-        state = boxes_to_state([Box3D([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)])
+        state = boxes_to_state(BoxArray.stack([Box3D([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)]))
         state[0, 4] = -800.0  # exp underflows to 0
         with pytest.raises(GeometryError):
             _per_box_decode(state)

@@ -6,9 +6,11 @@ train digests hash the window's loss records and the parameters after it;
 the robustness digest hashes the final box states of every decode and the
 mAP and NDS of each fusion and scenario.
 
-The CLI pins hash every file a short run of each command writes. Like the
-benchmark digests they move with every intended output change, and both
-assume the BLAS they were recorded under (OpenBLAS on x86-64).
+The CLI pins hash every file a short run of each command writes, and the
+gradient-suite pin holds the worst finite-difference error of each op family
+digit for digit. Like the benchmark digests they move with every intended
+output change, and all assume the BLAS they were recorded under (OpenBLAS on
+x86-64).
 """
 
 import hashlib
@@ -83,3 +85,26 @@ def test_cli_artifacts_are_unchanged(tmp_path, precision):
                               env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, (argv[0], proc.stderr[-2000:])
     assert _tree_digest(str(out)) == CLI_DIGESTS[precision]
+
+
+# gradsuite.run_suite(3): each op family's worst relative error, as repr
+GRADSUITE_WORST = {
+    "bilinear_sample": "3.787324343029752e-10",
+    "bilinear_sample_packed": "5.662937896389053e-10",
+    "layer_norm": "1.4308456849909668e-09",
+    "softmax": "6.661338147750939e-10",
+    "adaptive_mix": "3.6104279974204254e-08",
+    "sample_lidar": "9.32948533246101e-10",
+    "sample_camera": "1.042588015920387e-09",
+    "predict_uncertainty": "1.7806747049098348e-10",
+    "fuse": "1.993872900118987e-09",
+    "refine_box": "2.009052839022085e-09",
+    "compute_loss": "2.462896830923711e-10",
+}
+
+
+def test_gradient_suite_worst_errors_are_unchanged():
+    from fusiondet import gradsuite
+
+    results = gradsuite.run_suite(3)
+    assert {name: repr(r["max_rel_error"]) for name, r in results.items()} == GRADSUITE_WORST

@@ -281,12 +281,13 @@ def _brute_force_nms(boxes, thr):
 class TestNms:
     def test_identical_boxes_keep_higher_score(self):
         boxes = [_box(0, 0, score=0.9), _box(0, 0, score=0.8)]
-        assert nms_3d(boxes, 0.5) == [0]
-        assert nms_3d(boxes[::-1], 0.5) == [1]
+        assert nms_3d(BoxArray.stack(boxes), 0.5) == [0]
+        assert nms_3d(BoxArray.stack(boxes[::-1]), 0.5) == [1]
+        assert nms_3d(BoxArray.stack([]), 0.5) == []
 
     def test_disjoint_keep_all(self):
         boxes = [_box(0, 0, score=0.5), _box(10, 0, score=0.9), _box(0, 10, score=0.7)]
-        assert sorted(nms_3d(boxes, 0.5)) == [0, 1, 2]
+        assert sorted(nms_3d(BoxArray.stack(boxes), 0.5)) == [0, 1, 2]
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(17)
@@ -298,7 +299,7 @@ class TestNms:
                      score=float(rng.uniform(0, 1)))
                 for _ in range(n)
             ]
-            assert nms_3d(boxes, 0.5) == _brute_force_nms(boxes, 0.5)
+            assert nms_3d(BoxArray.stack(boxes), 0.5) == _brute_force_nms(boxes, 0.5)
         # dense clusters: most pairs pass the circumcircle filter, many are
         # suppressed, and scores tie
         near_pairs = suppressed = 0
@@ -311,7 +312,7 @@ class TestNms:
                                   rng.uniform(-math.pi, math.pi),
                                   score=float(rng.integers(0, 8)) / 8))
             for thr in (0.1, 0.5, 0.8):
-                kept = nms_3d(boxes, thr)
+                kept = nms_3d(BoxArray.stack(boxes), thr)
                 assert kept == _brute_force_nms(boxes, thr)
                 suppressed += len(boxes) - len(kept)
             xy = np.array([b.center[:2] for b in boxes])
@@ -319,14 +320,6 @@ class TestNms:
             gap = np.linalg.norm(xy[:, None] - xy[None], axis=-1)
             near_pairs += int(np.sum(np.triu(gap < r[:, None] + r[None], k=1)))
         assert near_pairs > 500 and suppressed > 100
-
-    def test_box_array_input_matches_box_list(self):
-        rng = np.random.default_rng(23)
-        boxes = [_box(rng.uniform(-3, 3), rng.uniform(-3, 3), 2, 1,
-                      rng.uniform(-math.pi, math.pi), score=float(rng.uniform(0, 1)))
-                 for _ in range(30)]
-        assert nms_3d(BoxArray.stack(boxes), 0.5) == nms_3d(boxes, 0.5)
-        assert nms_3d([], 0.5) == []
 
     def test_input_order_invariance(self):
         rng = np.random.default_rng(19)
@@ -337,8 +330,8 @@ class TestNms:
         ]
         perm = rng.permutation(20)
         shuffled = [boxes[i] for i in perm]
-        kept_orig = {id(boxes[i]) for i in nms_3d(boxes, 0.5)}
-        kept_perm = {id(shuffled[i]) for i in nms_3d(shuffled, 0.5)}
+        kept_orig = set(nms_3d(BoxArray.stack(boxes), 0.5))
+        kept_perm = {int(perm[i]) for i in nms_3d(BoxArray.stack(shuffled), 0.5)}
         assert kept_orig == kept_perm
 
 
@@ -380,7 +373,6 @@ def test_box_array_is_a_sequence_of_box3d_rows():
                    score=float(rng.uniform()))
              for _ in range(20)]
     array = BoxArray.stack(boxes)
-    assert BoxArray.stack(array) is array
     assert len(array) == 20
     assert [b.to_dict() for b in array] == [b.to_dict() for b in boxes]
     assert array[-1].to_dict() == boxes[-1].to_dict()

@@ -29,6 +29,11 @@ def _stack(recs):
     return BoxArray.stack([b for b, _ in recs]), np.array([s for _, s in recs], dtype=int)
 
 
+def _scenes(per_scene):
+    """Each scene's list of Box3D as one BoxArray."""
+    return [BoxArray.stack(boxes) for boxes in per_scene]
+
+
 def _match(preds, gts, threshold):
     (pb, ps), (gb, gs) = _stack(preds), _stack(gts)
     return match_for_ap(pb.score, center_distances(pb, gb, ps, gs), threshold)
@@ -207,7 +212,7 @@ class TestDistanceBins:
     def test_all_near_only_first_bin(self):
         gts = [[Box3D([3.0, 4.0, 0.5], [4, 2, 1.5], 0.0, class_id=0)]]
         preds = [[Box3D([3.0, 4.0, 0.5], [4, 2, 1.5], 0.0, class_id=0, score=0.9)]]
-        rep = evaluate_detections(preds, gts, 3)
+        rep = evaluate_detections(_scenes(preds), _scenes(gts), 3)
         assert rep.distance_bins["0-10"]["map"] == pytest.approx(1.0)
         for label in ("10-20", "20-30", "30+"):
             assert rep.distance_bins[label]["map"] is None
@@ -219,9 +224,10 @@ class TestDistanceBins:
         far_gt = [Box3D([25.0, 0.0, 0.5], [4, 2, 1.5], 0.0, class_id=0)]
         near_pred = [Box3D([5.2, 0.0, 0.5], [4, 2, 1.5], 0.0, class_id=0, score=0.9)]
         far_pred = [Box3D([26.5, 0.0, 0.5], [4, 2, 1.5], 0.0, class_id=0, score=0.8)]
-        rep = evaluate_detections([near_pred + far_pred], [near_gt + far_gt], 1)
-        rep_near = evaluate_detections([near_pred], [near_gt], 1)
-        rep_far = evaluate_detections([far_pred], [far_gt], 1)
+        rep = evaluate_detections(_scenes([near_pred + far_pred]),
+                                  _scenes([near_gt + far_gt]), 1)
+        rep_near = evaluate_detections(_scenes([near_pred]), _scenes([near_gt]), 1)
+        rep_far = evaluate_detections(_scenes([far_pred]), _scenes([far_gt]), 1)
         assert rep.distance_bins["0-10"]["map"] == pytest.approx(rep_near.map_value)
         assert rep.distance_bins["20-30"]["map"] == pytest.approx(rep_far.map_value)
 
@@ -231,7 +237,7 @@ class TestDistanceBins:
             Box3D([5.0, 0.0, 0.5], [4, 2, 1.5], 0.0, class_id=0, score=0.9),
             Box3D([35.0, 0.0, 0.5], [4, 2, 1.5], 0.0, class_id=0, score=0.8),
         ]]
-        rep = evaluate_detections(preds, gts, 1)
+        rep = evaluate_detections(_scenes(preds), _scenes(gts), 1)
         # far FP cannot pollute the near bin
         assert rep.distance_bins["0-10"]["map"] == pytest.approx(1.0)
 
@@ -253,7 +259,7 @@ class TestEvaluateEndToEnd:
                       b.class_id, float(rng.uniform(0.5, 1.0)))
                 for b in boxes
             ])
-        rep = evaluate_detections(preds, gts, 3)
+        rep = evaluate_detections(_scenes(preds), _scenes(gts), 3)
         assert 0.0 <= rep.map_value <= 1.0
         assert 0.0 <= rep.nds_value <= 1.0
         doc = rep.to_dict()
@@ -270,7 +276,7 @@ class TestEvaluateEndToEnd:
         ] for _ in range(3)]
         preds = [[Box3D(b.center, b.size, b.yaw, b.velocity, b.class_id, 0.9)
                   for b in scene] for scene in gts]
-        rep = evaluate_detections(preds, gts, 3)
+        rep = evaluate_detections(_scenes(preds), _scenes(gts), 3)
         assert rep.map_value == pytest.approx(1.0)
         assert rep.nds_value == pytest.approx(1.0)
         assert all(v == 0.0 for v in rep.tp_metrics.values())
@@ -315,9 +321,8 @@ class TestMatchesReference:
         preds, gts, num_classes, thresholds, tp_threshold, bins = case
         kw = dict(thresholds=thresholds, tp_threshold=tp_threshold, bins=bins)
         want = reference.evaluate_detections(preds, gts, num_classes, **kw).to_dict()
-        assert evaluate_detections(preds, gts, num_classes, **kw).to_dict() == want
-        arrays = [BoxArray.stack(b) for b in preds], [BoxArray.stack(b) for b in gts]
-        assert evaluate_detections(*arrays, num_classes, **kw).to_dict() == want
+        got = evaluate_detections(_scenes(preds), _scenes(gts), num_classes, **kw)
+        assert got.to_dict() == want
 
     def test_decoded_scenes_equal_reference(self):
         from fusiondet.config import RunConfig

@@ -253,7 +253,7 @@ class TestGenerateQueries:
         # random queries carrying zero score and the learned embedding
         scene, model, sim = _scene()
         emb = T.Tensor(np.full(model.channels, 3.0))
-        one_gt = [scene.gt_boxes[0]]
+        one_gt = scene.gt_boxes.take([0])
         batch = generate_queries(one_gt, scene.rig, scene.feature_set(model),
                                  model, _noiseless(), emb, np.random.default_rng(0))
         assert batch.count == model.num_queries
@@ -387,7 +387,7 @@ class TestMatchesReference:
         cfg.model.precision = precision
         for scene_id in range(6):
             scene = generate_scene(cfg.model, cfg.sim, scene_id)
-            gt_boxes = [] if oracle == "no GT" else scene.gt_boxes
+            gt_boxes = BoxArray.stack([]) if oracle == "no GT" else scene.gt_boxes
             args = (scene, cfg, ORACLES[oracle], gt_boxes, scene_id)
             _assert_same(_run(generate_queries, *args), _run(ref.generate_queries, *args))
 

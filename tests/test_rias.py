@@ -34,7 +34,7 @@ from fusiondet.rias import (
     sample_camera,
     sample_lidar,
 )
-from fusiondet.geometry import Box3D, invert_rigid
+from fusiondet.geometry import Box3D, BoxArray, invert_rigid
 from fusiondet.scenesim import generate_scene
 from desk_grads import DESK_SCENES, assert_same, desk_queries, outputs_and_grads
 from paqg_reference import hit_views, packed_map
@@ -510,7 +510,7 @@ def _batch(rng, cfg, n):
         for _ in range(n)
     ]
     feats = T.Tensor(rng.normal(size=(n, cfg.channels)), dtype=np.float64)
-    return QueryBatch(feats, T.Tensor(boxes_to_state(boxes), dtype=np.float64))
+    return QueryBatch(feats, T.Tensor(boxes_to_state(BoxArray.stack(boxes)), dtype=np.float64))
 
 
 class TestPredictPattern:
@@ -813,10 +813,10 @@ class TestFullBlockGradient:
             grids = [T.Tensor(rng.normal(size=(8, 8, C)), dtype=np.float64)
                      for _ in range(R)]
             qf = T.Tensor(rng.normal(size=(N, C)), dtype=np.float64)
-            state = T.Tensor(boxes_to_state([
+            state = T.Tensor(boxes_to_state(BoxArray.stack([
                 Box3D(rng.uniform(-6, 6, 3), rng.uniform(0.8, 3, 3),
                       rng.uniform(-3, 3), rng.normal(0, 1, 2))
-                for _ in range(N)]), dtype=np.float64)
+                for _ in range(N)])), dtype=np.float64)
             pp = {
                 "offset_w": T.Tensor(rng.normal(0, 0.3, size=(C, R * K * 2)), dtype=np.float64),
                 "offset_b": T.Tensor(rng.normal(0, 0.3, size=(R * K * 2,)), dtype=np.float64),

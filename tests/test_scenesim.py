@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusiondet import scenesim
+from fusiondet import scenesim, train
 from fusiondet.classes import CLASS_INTENSITY, CLASS_MIX, CLUTTER_INTENSITY, NUM_CLASSES
-from fusiondet.config import ModelSection, RunConfig, SimSection
-from fusiondet.geometry import Box3D, bev_rotated_iou, project_to_view
+from fusiondet.config import ModelSection, RunConfig, ScenarioSection, SimSection
+from fusiondet.geometry import Box3D, BoxArray, bev_rotated_iou, project_to_view
+from fusiondet.params import init_model_params
 from fusiondet.scenesim import (
     HAND_FEATURES,
     ScenarioSpec,
@@ -53,7 +54,7 @@ class TestGenerateScene:
     def test_empty_scene_valid(self):
         sim = SimSection(min_objects=0, max_objects=0)
         scene = generate_scene(MODEL, sim, 0)
-        assert scene.gt_boxes == []
+        assert isinstance(scene.gt_boxes, BoxArray) and len(scene.gt_boxes) == 0
         for m in scene.lidar_maps:
             assert np.all(np.isfinite(m))
         for g in scene.cam_maps.values():
@@ -740,3 +741,35 @@ class TestDatasetFiles:
             for scene in scenes:
                 arrays = [*scene.points, *scene.cam_maps.values(), *scene.lidar_maps]
                 assert all(a.dtype.kind == "f" for a in arrays)
+
+
+class TestGroundTruthArray:
+    """A scene holds its ground truth as one BoxArray, built where the scene
+    is made or loaded; scenarios pass it on and every decode reads it as it
+    is."""
+
+    def test_generated_loaded_and_corrupted_scenes_hold_one_box_array(self, tiny_dataset):
+        cfg = _tiny_cfg()
+        scene = generate_scene(cfg.model, cfg.sim, 0)
+        loaded = load_dataset(tiny_dataset, cfg)[0]
+        assert isinstance(scene.gt_boxes, BoxArray) and isinstance(loaded.gt_boxes, BoxArray)
+        for name in ("center", "size", "yaw", "velocity", "class_id", "score"):
+            assert (getattr(loaded.gt_boxes, name).tobytes()
+                    == getattr(scene.gt_boxes, name).tobytes())
+        for kind in ScenarioSection.KINDS:
+            spec = ScenarioSpec(kind=kind, frame_rate=1.0, object_rate=1.0)
+            assert apply_scenario(scene, spec, cfg.model, cfg.sim).gt_boxes is scene.gt_boxes
+
+    def test_training_and_inference_read_the_scenes_array(self, monkeypatch):
+        cfg = _tiny_cfg()
+        cfg.train.steps = 1
+        scene = generate_scene(cfg.model, cfg.sim, 0)
+        store = init_model_params(cfg.model, seed=0)
+        read, generate = [], train.generate_queries
+        monkeypatch.setattr(train, "generate_queries",
+                            lambda gt, *args: read.append(gt) or generate(gt, *args))
+        train.train_loop(cfg, [scene], store)
+        for oracle in (False, True):
+            gts = train.run_inference(cfg, [scene], store, oracle_uncertainty=oracle)[1]
+            assert gts[0] is scene.gt_boxes
+        assert len(read) == 3 and all(gt is scene.gt_boxes for gt in read)
